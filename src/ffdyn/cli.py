@@ -18,9 +18,18 @@ from .ffield import FieldSpec
 SCHEMA = "ffdyn-report/1"
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
 def _field_from_args(args) -> FieldSpec:
     if args.p is not None:
-        mod = tuple(int(c) for c in args.mod.split(",")) if args.mod else None
+        if args.q is not None and args.q != args.p**args.e:
+            raise DomainError(f"--q {args.q} disagrees with --p {args.p} --e {args.e}")
+        mod = _int_list(args.mod, "--mod") if args.mod else None
         if args.e and args.e > 1:
             return FieldSpec.extension(args.p, args.e, mod)
         return FieldSpec.prime(args.p)
@@ -33,7 +42,7 @@ def _sequences_from_args(args, spec: FieldSpec) -> list[groupalg.CyclicSeq]:
     if (args.seq is None) == (args.gen is None):
         raise DomainError("exactly one of --seq or --gen is required")
     if args.seq is not None:
-        values = [int(v) for v in args.seq.split(",")]
+        values = _int_list(args.seq, "--seq")
         if args.n is not None and args.n != len(values):
             raise DomainError(f"--n {args.n} does not match {len(values)} values")
         return [groupalg.CyclicSeq(spec, values)]
@@ -44,8 +53,7 @@ def _sequences_from_args(args, spec: FieldSpec) -> list[groupalg.CyclicSeq]:
 
 def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
     if args.op:
-        coeffs = [int(c) for c in args.op.split(",")]
-        return groupalg.build_operator(spec, n, coeffs)
+        return groupalg.build_operator(spec, n, _int_list(args.op, "--op"))
     return groupalg.delta_operator(spec, n)
 
 
@@ -180,8 +188,6 @@ def _cmd_gen(args) -> int:
     spec = _field_from_args(args)
     if args.n is None:
         raise DomainError("--n is required")
-    if args.gen is None:
-        raise DomainError("--gen is required")
     seqs = seqgen.GeneratorSpec(args.gen, args.seed).build(spec, args.n)
     if args.format == "text":
         _emit(args, "".join(groupalg.seq_text(f) + "\n" for f in seqs))

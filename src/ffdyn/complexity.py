@@ -143,11 +143,6 @@ def classify(f: CyclicSeq, op_cap: int = 2**16,
     return ComplexityVerdict(d1, d2, dc, "brute-force-oracle", witness)
 
 
-def is_d_complicated(f: CyclicSeq, op_cap: int = 2**16,
-                     state_cap: int = 2**20) -> ComplexityVerdict:
-    return classify(f, op_cap, state_cap)
-
-
 def is_delta2(f: CyclicSeq) -> bool:
     """Orbit period under the difference map equals the maximal period."""
     D = delta_operator(f.spec, f.n)
@@ -177,72 +172,56 @@ def quota(spec: FieldSpec, n: int) -> QuotaReport:
     return QuotaReport(n=n, q=q, d=d, quota_formula=formula, state_count=q**n)
 
 
-def _census_count_numpy(spec: FieldSpec, n: int) -> int:
+def _census_count(spec: FieldSpec, n: int) -> int:
+    """Count the states whose projection onto every factor of t^n - 1 other
+    than t - 1 is nonzero.
+
+    f -> f mod pi is GF(p)-linear, so each base-p digit of each coefficient
+    of f mod pi is an integer combination of the base-p digits of f, which
+    are the base-p digits of the state index (q = p^e). The combination is
+    accumulated exactly and reduced mod p once.
+    """
     import numpy as np
-    q, p = spec.q, spec.p
+    q, p, e = spec.q, spec.p, spec.e
     t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
-    factor_tables = []
-    for pi, _e in crt_split(spec, n):
+    t = Poly.x(spec)
+    tables = []
+    for pi, _m in crt_split(spec, n):
         if pi == t_minus_1:
             continue
-        d = pi.degree
-        # rows[j][k] = encoding of coefficient k of t^j mod pi
-        rows = []
-        r = Poly.one(spec)
-        t = Poly.x(spec)
-        for _j in range(n):
-            c = list(r.coeff_encs) + [0] * (d - len(r.coeff_encs))
-            rows.append(c)
-            r = (r * t) % pi
-        factor_tables.append((d, rows))
-    mul_rows = {}
-
-    def mul_row(c):
-        if c not in mul_rows:
-            mul_rows[c] = np.array([spec.mul_enc(c, v) for v in range(q)],
-                                   dtype=np.int64)
-        return mul_rows[c]
+        # table[k*e + r][j*e + s] = digit r of coefficient k of p^s t^j mod pi
+        table = [[0] * (n * e) for _ in range(pi.degree * e)]
+        power = Poly.one(spec)
+        for j in range(n):
+            for k, c in enumerate(power.coeff_encs):
+                for s in range(e):
+                    prod = spec.mul_enc(c, p**s)
+                    for r in range(e):
+                        table[k * e + r][j * e + s] = prod // p**r % p
+            power = (power * t) % pi
+        tables.append(table)
+    dtype = np.min_scalar_type(n * e * (p - 1) ** 2)  # largest digit sum
 
     total = 0
     block = 1 << 18
     n_states = q**n
     for start in range(0, n_states, block):
-        stop = min(start + block, n_states)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = [(idx // q**j) % q for j in range(n)]
-        ok = np.ones(stop - start, dtype=bool)
-        for d, rows in factor_tables:
-            nz = np.zeros(stop - start, dtype=bool)
-            for k in range(d):
-                if p == 2:
-                    acc = np.zeros(stop - start, dtype=np.int64)
-                    for j in range(n):
-                        c = rows[j][k]
-                        if c:
-                            acc ^= mul_row(c)[digits[j]]
-                    nz |= acc != 0
-                else:  # prime field: defer the reduction
-                    acc = np.zeros(stop - start, dtype=np.int64)
-                    for j in range(n):
-                        c = rows[j][k]
-                        if c:
-                            acc += c * digits[j]
-                    nz |= acc % p != 0
+        idx = np.arange(start, min(start + block, n_states), dtype=np.int64)
+        digits = []
+        for _ in range(n * e):
+            idx, digit = np.divmod(idx, p)
+            digits.append(digit.astype(dtype))
+        ok = np.ones(len(digits[0]), dtype=bool)
+        for table in tables:
+            nz = np.zeros_like(ok)
+            for row in table:
+                acc = np.zeros(len(ok), dtype=dtype)
+                for c, digit in zip(row, digits):
+                    if c:
+                        acc += c * digit
+                nz |= acc % p != 0
             ok &= nz
         total += int(ok.sum())
-    return total
-
-
-def _census_count_python(spec: FieldSpec, n: int) -> int:
-    cyclic = geometric_sum(spec, n)
-    from .polyring import gcd as pgcd
-    total = 0
-    for coeffs in itertools.product(range(spec.q), repeat=n):
-        ft = Poly(spec, coeffs)
-        if ft.is_zero:
-            continue
-        if pgcd(ft, cyclic).degree == 0:
-            total += 1
     return total
 
 
@@ -255,10 +234,7 @@ def census(spec: FieldSpec, n: int, cap: int = 2**21) -> QuotaReport:
     rep = quota(spec, n)
     if spec.q**n > cap:
         raise ResourceLimitError(f"census over {spec.q**n} states exceeds cap {cap}")
-    if spec.e == 1 or spec.p == 2:
-        count = _census_count_numpy(spec, n)
-    else:
-        count = _census_count_python(spec, n)
+    count = _census_count(spec, n)
     expected = rep.quota_formula * rep.state_count
     if count != expected:
         raise RuntimeError(

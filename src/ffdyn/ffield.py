@@ -31,102 +31,18 @@ def _encode(digits, p: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Minimal dense polynomial arithmetic over Z/p, used only to validate and
-# search extension moduli (the full Poly type lives in polyring and depends
-# on this module).
-
-def _pm_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pm_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # m is monic; reduce high coefficients down
-    dm = len(m) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(dm):
-                prod[i - dm + j] = (prod[i - dm + j] - c * m[j]) % p
-            prod[i] = 0
-    return _pm_trim(prod)
-
-
-def _pm_powmod(a: list[int], k: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            result = _pm_mulmod(result, base, m, p)
-        base = _pm_mulmod(base, base, m, p)
-        k >>= 1
-    return result
-
-
-def _pm_divmod(a: list[int], b: list[int], p: int):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lb % p
-        k = len(a) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] = (a[k + j] - c * b[j]) % p
-        _pm_trim(a)
-    return q, a
-
-
-def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _pm_trim(list(a)), _pm_trim(list(b))
-    while b:
-        a, b = b, _pm_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pm_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _pm_trim(out)
-
-
-def _pm_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over Z/p."""
-    e = len(modulus) - 1
-    if e < 1:
-        return False
-    m = list(modulus)
-    t = [0, 1]
-    frob = _pm_powmod(t, p**e, m, p)
-    if _pm_trim(_pm_sub(frob, t, p)):
-        return False
-    for r in factor_int(e):
-        h = _pm_powmod(t, p ** (e // r), m, p)
-        if len(_pm_gcd(_pm_sub(h, t, p), m, p)) != 1:
-            return False
-    return True
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Rabin's test for a monic polynomial over Z/p, coefficients low-to-high."""
+    # imported here because polyring imports this module
+    from .polyring import Poly, is_irreducible
+    return is_irreducible(Poly(FieldSpec(p), modulus))
 
 
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lowest monic irreducible of degree e over Z/p, in encoding order."""
     for low in range(p**e):
         cand = _digits(low, p, e) + (1,)
-        if _pm_irreducible(cand, p):
+        if _is_irreducible(cand, p):
             return cand
     raise DomainError(f"no irreducible of degree {e} over GF({p})")  # unreachable
 
@@ -161,7 +77,7 @@ class FieldSpec:
             if len(mod) != self.e + 1 or mod[-1] != 1:
                 raise DomainError(
                     f"modulus must be monic of degree {self.e} (low-to-high)")
-            if not _pm_irreducible(mod, self.p):
+            if not _is_irreducible(mod, self.p):
                 raise DomainError(f"modulus {mod} is reducible over GF({self.p})")
         object.__setattr__(self, "modulus", mod)
 

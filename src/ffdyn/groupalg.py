@@ -205,18 +205,13 @@ def seq_text(f: CyclicSeq) -> str:
 def parse_seq(text: str) -> CyclicSeq:
     """Parse 'q=2 n=5 0,1,1,0,0' (field part may carry p/e/mod clauses)."""
     head, _, vals = text.strip().rpartition(" ")
-    fields = {}
-    for tok in head.replace(";", " ").split():
-        k, _, v = tok.partition("=")
-        fields[k] = v
-    if "q" not in fields or "n" not in fields:
-        raise DomainError("sequence text needs q= and n=")
-    spec_text = f"q={fields['q']}"
-    if "e" in fields and int(fields["e"]) > 1:
-        spec_text = f"q={fields['q']};p={fields['p']};e={fields['e']};mod={fields['mod']}"
-    spec = parse_field_spec(spec_text)
+    clauses = head.replace(";", " ").split()
+    lengths = [c[2:] for c in clauses if c.startswith("n=")]
+    if len(lengths) != 1:
+        raise DomainError("sequence text needs one n=")
+    spec = parse_field_spec(";".join(c for c in clauses if not c.startswith("n=")))
     values = [int(v) for v in vals.split(",")]
-    n = int(fields["n"])
+    n = int(lengths[0])
     if len(values) != n:
         raise DomainError(f"expected {n} values, got {len(values)}")
     return CyclicSeq(spec, values)

@@ -234,10 +234,6 @@ def t_pow_minus_one(spec: FieldSpec, n: int) -> Poly:
 # Division, gcd, powering
 
 
-def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    return divmod(a, b)
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; DomainError when both inputs are zero."""
     if a.is_zero and b.is_zero:

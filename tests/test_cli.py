@@ -160,6 +160,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # --n disagrees with the literal length
     code, _out = run_cli(capsys, "census", "--q", "2", "--n", "6")
     assert code == 2  # composite n
+    code, _out = run_cli(capsys, "classify", "--q", "2", "--seq", "1,x")
+    assert code == 2  # malformed --seq
+    code, _out = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0",
+                         "--op", "1,y")
+    assert code == 2  # malformed --op
+    code, _out = run_cli(capsys, "census", "--p", "2", "--e", "2",
+                         "--mod", "1,z", "--n", "3")
+    assert code == 2  # malformed --mod
+    code, _out = run_cli(capsys, "census", "--q", "5", "--p", "2", "--e", "2",
+                         "--n", "3")
+    assert code == 2  # --q disagrees with p**e
 
 
 def test_resource_errors_exit_1(capsys):

@@ -104,6 +104,10 @@ def test_default_moduli_are_deterministic():
     assert F4.modulus == (1, 1, 1)
     assert F8.modulus == (1, 1, 0, 1)
     assert F9.modulus == (1, 0, 1)
+    # GF(256): the AES polynomial x^8 + x^4 + x^3 + x + 1
+    assert FieldSpec.of_order(256).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    assert FieldSpec.of_order(27).modulus == (1, 2, 0, 1)
+    assert FieldSpec.of_order(25).modulus == (2, 0, 1)
 
 
 def test_spec_text_round_trip():

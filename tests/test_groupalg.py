@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import F2, F3, F4, all_seqs, seq
+from conftest import F2, F3, F4, F9, all_seqs, seq
 from ffdyn import DomainError, Poly
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
@@ -223,6 +223,14 @@ def test_seq_text_round_trip():
 def test_seq_text_round_trip_extension_field():
     f = seq(F4, 1, 2, 3)
     assert parse_seq(seq_text(f)) == f
+
+
+def test_parse_seq_extension_field_modulus():
+    # an omitted modulus takes the default, a given one is kept
+    assert parse_seq("q=9;p=3;e=2 n=2 1,2") == seq(F9, 1, 2)
+    f = parse_seq("q=9;p=3;e=2;mod=2,2,1 n=2 1,2")
+    assert f.spec.modulus == (2, 2, 1)
+    assert f.value_encs == (1, 2)
 
 
 def test_seq_json_round_trip():
