@@ -27,12 +27,11 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _field_from_args(args) -> FieldSpec:
     if args.p is not None:
-        if args.q is not None and args.q != args.p**args.e:
+        mod = tuple(_int_list(args.mod, "--mod")) if args.mod else None
+        spec = FieldSpec(args.p, args.e, mod)
+        if args.q is not None and args.q != spec.q:
             raise DomainError(f"--q {args.q} disagrees with --p {args.p} --e {args.e}")
-        mod = _int_list(args.mod, "--mod") if args.mod else None
-        if args.e and args.e > 1:
-            return FieldSpec.extension(args.p, args.e, mod)
-        return FieldSpec.prime(args.p)
+        return spec
     if args.q is None:
         raise DomainError("either --q or --p/--e must be given")
     return FieldSpec.of_order(args.q)

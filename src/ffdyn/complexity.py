@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import max_period, max_preperiod, orbit_algebraic, orbit_brute
+from .dynamics import max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec
-from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator,
-                       seq_to_poly)
+from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
+                       delta_operator, seq_to_poly)
 from .intfactor import is_prime
 from .polyring import Poly, geometric_sum, mult_order_int, resultant
 from .polyring import gcd as gcd_poly
@@ -37,13 +37,6 @@ class ProjectionEntry:
 @dataclass(frozen=True)
 class ProjectionProfile:
     entries: tuple[ProjectionEntry, ...]
-
-    def failing_factor(self) -> Poly | None:
-        """First non-sum factor with a vanishing projection, if any."""
-        for e in self.entries:
-            if not e.is_sum_component and not e.nonzero:
-                return e.factor
-        return None
 
 
 @dataclass(frozen=True)
@@ -69,13 +62,11 @@ class QuotaReport:
 def projection_profile(f: CyclicSeq) -> ProjectionProfile:
     """Which irreducible factors of t^n - 1 divide the sequence polynomial."""
     spec = f.spec
-    ft = seq_to_poly(f)
     t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
-    entries = []
-    for pi, e in crt_split(spec, f.n):
-        nonzero = not (ft % pi).is_zero
-        entries.append(ProjectionEntry(pi, e, nonzero, pi == t_minus_1))
-    return ProjectionProfile(tuple(entries))
+    vals = component_valuations(seq_to_poly(f), f.n)
+    return ProjectionProfile(tuple(
+        ProjectionEntry(pi, e, v == 0, pi == t_minus_1)
+        for (pi, e), v in zip(crt_split(spec, f.n), vals)))
 
 
 def d_complicated_gcd(f: CyclicSeq) -> bool:
@@ -109,6 +100,12 @@ def d_complicated_oracle(f: CyclicSeq, op_cap: int = 2**16,
     return _oracle_with_witness(f, op_cap, state_cap)[0]
 
 
+def _maximality(D: DiffOperator, preperiod: int, period: int) -> tuple[bool, bool]:
+    """(the period is the largest under D, the preperiod is within one of
+    the largest); Delta2 is the first, Delta1 both."""
+    return period == max_period(D), preperiod >= max_preperiod(D) - 1
+
+
 def _oracle_with_witness(f: CyclicSeq, op_cap: int, state_cap: int):
     spec, n = f.spec, f.n
     n_ops = spec.q ** (n - 1) - 1
@@ -119,25 +116,33 @@ def _oracle_with_witness(f: CyclicSeq, op_cap: int, state_cap: int):
             f"state space {spec.q**n} exceeds the cap {state_cap}")
     for D in operator_family(spec, n):
         s = orbit_brute(D, f)
-        if s.period != max_period(D) or s.preperiod < max_preperiod(D) - 1:
+        if not all(_maximality(D, s.preperiod, s.period)):
             return False, D.op_poly
     return True, None
+
+
+def _delta_verdict(f: CyclicSeq, vals: tuple[int, ...]) -> tuple[bool, bool]:
+    """(is_delta1, is_delta2) from the sequence's component valuations."""
+    D = delta_operator(f.spec, f.n)
+    d2, near = _maximality(D, *orbit_from_valuations(D, vals))
+    return d2 and near, d2
 
 
 def classify(f: CyclicSeq, op_cap: int = 2**16,
              state_cap: int = 2**20) -> ComplexityVerdict:
     """Full verdict: difference-map complexity plus D-complexity.
 
-    Lengths coprime to the characteristic use the gcd criterion; otherwise
-    the brute-force oracle runs (subject to the caps).
+    Lengths coprime to the characteristic use the Lemma-1 criterion: f~
+    vanishes on no component other than t - 1; otherwise the brute-force
+    oracle runs (subject to the caps).
     """
     spec, n = f.spec, f.n
-    D = delta_operator(spec, n)
-    s = orbit_algebraic(D, f)
-    d2 = s.period == max_period(D)
-    d1 = d2 and s.preperiod >= max_preperiod(D) - 1
+    vals = component_valuations(seq_to_poly(f), n)
+    d1, d2 = _delta_verdict(f, vals)
     if n % spec.p != 0:
-        witness = projection_profile(f).failing_factor()
+        t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+        witness = next((pi for (pi, _e), v in zip(crt_split(spec, n), vals)
+                        if v and pi != t_minus_1), None)
         return ComplexityVerdict(d1, d2, witness is None, "lemma1-gcd", witness)
     dc, witness = _oracle_with_witness(f, op_cap, state_cap)
     return ComplexityVerdict(d1, d2, dc, "brute-force-oracle", witness)
@@ -145,15 +150,12 @@ def classify(f: CyclicSeq, op_cap: int = 2**16,
 
 def is_delta2(f: CyclicSeq) -> bool:
     """Orbit period under the difference map equals the maximal period."""
-    D = delta_operator(f.spec, f.n)
-    return orbit_algebraic(D, f).period == max_period(D)
+    return _delta_verdict(f, component_valuations(seq_to_poly(f), f.n))[1]
 
 
 def is_delta1(f: CyclicSeq) -> bool:
     """is_delta2 plus preperiod within one of the maximum."""
-    D = delta_operator(f.spec, f.n)
-    s = orbit_algebraic(D, f)
-    return s.period == max_period(D) and s.preperiod >= max_preperiod(D) - 1
+    return _delta_verdict(f, component_valuations(seq_to_poly(f), f.n))[0]
 
 
 # ---------------------------------------------------------------------------

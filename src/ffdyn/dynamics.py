@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .ffield import FieldSpec
-from .groupalg import CyclicSeq, DiffOperator, crt_split, seq_to_poly, t_pow_minus_one
-from .intfactor import divisors
-from .polyring import Poly, gcd, _order_prime_power
+from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
+                       seq_to_poly, t_pow_minus_one)
+from .polyring import gcd, _order_prime_power
 
 
 @dataclass(frozen=True)
@@ -88,81 +88,41 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
 # Algebraic route
 
 
-class _Component:
-    """One factor pi^e of t^n - 1 together with the operator's behavior on it."""
-
-    __slots__ = ("pi", "e", "mod", "p_res", "val_p", "live", "orders")
-
-    def __init__(self, D: DiffOperator, pi: Poly, e: int):
-        self.pi = pi
-        self.e = e
-        self.mod = pi**e
-        self.p_res = D.op_poly % self.mod
-        self.val_p = self._valuation(self.p_res)
-        self.live = self.val_p == 0
-        if self.live:
-            # orders[m] = multiplicative order of the multiplier mod pi^m
-            self.orders = [1]
-            for m in range(1, e + 1):
-                self.orders.append(_order_prime_power(self.p_res, pi, m))
-        else:
-            self.orders = None
-
-    def _valuation(self, r: Poly) -> int:
-        """pi-adic valuation of r, capped at e (the zero residue)."""
-        if r.is_zero:
-            return self.e
-        v = 0
-        while v < self.e:
-            q, rem = divmod(r, self.pi)
-            if not rem.is_zero:
-                break
-            r = q
-            v += 1
-        return v
-
-    def analyze(self, residue: Poly) -> tuple[int, int]:
-        """(preperiod, period) contribution for a component residue."""
-        v = self._valuation(residue)
-        if v == self.e:
-            return 0, 1
-        if self.live:
-            return 0, self.orders[self.e - v]
-        # the multiplier has valuation val_p >= 1 (or is zero: val_p == e),
-        # so the residue dies once k*val_p + v reaches e
-        k = -(-(self.e - v) // self.val_p)  # ceil
-        return k, 1
-
-
 class _OrbitAnalyzer:
+    """The operator on each component pi^e of t^n - 1, in crt_split order.
+
+    On a live component (multiplier of valuation 0) the operator is a unit
+    and orders[m] is its multiplicative order mod pi^m; on a dead one it has
+    valuation val >= 1 (e for the zero multiplier) and orders is None.
+    """
+
     def __init__(self, D: DiffOperator):
-        self.D = D
-        self.components = [
-            _Component(D, pi, e) for pi, e in crt_split(D.spec, D.n)]
+        self.factors = crt_split(D.spec, D.n)
+        self.op_vals = component_valuations(D.op_poly, D.n)
+        self.orders = []
+        for (pi, e), val in zip(self.factors, self.op_vals):
+            if val:
+                self.orders.append(None)
+                continue
+            unit = D.op_poly % pi**e
+            self.orders.append(
+                [1] + [_order_prime_power(unit, pi, m) for m in range(1, e + 1)])
+        # a unit of the algebra (valuation 0 everywhere) has the longest
+        # tail and the longest cycle
+        self.max_preperiod, self.max_period = self.analyze((0,) * len(self.factors))
 
-    def analyze(self, f_poly: Poly) -> tuple[int, int]:
+    def analyze(self, f_vals: tuple[int, ...]) -> tuple[int, int]:
+        """(preperiod, period) of a state from its component valuations."""
         pre, per = 0, 1
-        for comp in self.components:
-            k, t = comp.analyze(f_poly % comp.mod)
-            pre = max(pre, k)
-            per = math.lcm(per, t)
+        for (_pi, e), val, orders, v in zip(self.factors, self.op_vals, self.orders, f_vals):
+            if v == e:
+                continue
+            if orders is not None:
+                per = math.lcm(per, orders[e - v])
+            else:
+                # the residue dies once k*val + v reaches e
+                pre = max(pre, -(-(e - v) // val))
         return pre, per
-
-    @property
-    def max_period(self) -> int:
-        out = 1
-        for comp in self.components:
-            if comp.live:
-                out = math.lcm(out, comp.orders[comp.e])
-        return out
-
-    @property
-    def max_preperiod(self) -> int:
-        out = 0
-        for comp in self.components:
-            if not comp.live:
-                out = max(out, -(-comp.e // comp.val_p))
-        return out
 
 
 @lru_cache(maxsize=256)
@@ -170,9 +130,14 @@ def _analyzer(D: DiffOperator) -> _OrbitAnalyzer:
     return _OrbitAnalyzer(D)
 
 
+def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int, int]:
+    """(preperiod, period) of a state under D from its component_valuations."""
+    return _analyzer(D).analyze(f_vals)
+
+
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders."""
-    pre, per = _analyzer(D).analyze(seq_to_poly(f))
+    pre, per = orbit_from_valuations(D, component_valuations(seq_to_poly(f), f.n))
     v = f.value_encs
     for _ in range(pre):
         v = D.apply_values(v)
@@ -192,37 +157,30 @@ def max_preperiod(D: DiffOperator) -> int:
 def cycle_spectrum(D: DiffOperator) -> dict[int, int]:
     """Exact {cycle length: count} for the map f -> Df on all q^n states.
 
-    Attractor states are products of live-component values; states of exact
-    period L are counted by inclusion-exclusion over the divisor lattice.
+    Attractor states are products of live-component values, and a product's
+    period is the lcm of its parts' periods, so the per-component period
+    histograms combine by lcm-convolution.
     """
     q = D.spec.q
-    comps = [c for c in _analyzer(D).components if c.live]
-    # per component: {period: number of component values with that period}
-    per_comp: list[dict[int, int]] = []
-    for c in comps:
-        d = c.pi.degree
-        counts: dict[int, int] = {}
-        for v in range(c.e + 1):
-            if v < c.e:
-                n_vals = q ** (d * (c.e - v)) - q ** (d * (c.e - v - 1))
-            else:
-                n_vals = 1
-            t = c.orders[c.e - v]
-            counts[t] = counts.get(t, 0) + n_vals
-        per_comp.append(counts)
-    total_lcm = 1
-    for counts in per_comp:
-        for t in counts:
-            total_lcm = math.lcm(total_lcm, t)
-    exact: dict[int, int] = {}
-    for ell in divisors(total_lcm):
-        dividing = 1
-        for counts in per_comp:
-            dividing *= sum(cnt for t, cnt in counts.items() if ell % t == 0)
-        ex = dividing - sum(exact[m] for m in exact if ell % m == 0)
-        if ex:
-            exact[ell] = ex
-    return {ell: ex // ell for ell, ex in sorted(exact.items())}
+    an = _analyzer(D)
+    states = {1: 1}  # {period: number of attractor states with that period}
+    for (pi, e), orders in zip(an.factors, an.orders):
+        if orders is None:
+            continue
+        # {period: residues mod pi^e}: zero has period 1, and the
+        # q^(d(e-v)) - q^(d(e-v-1)) residues of valuation v < e have orders[e-v]
+        d = pi.degree
+        counts: dict[int, int] = {1: 1}
+        for v in range(e):
+            t = orders[e - v]
+            counts[t] = counts.get(t, 0) + q ** (d * (e - v)) - q ** (d * (e - v - 1))
+        combined: dict[int, int] = {}
+        for a, ca in states.items():
+            for t, ct in counts.items():
+                ell = math.lcm(a, t)
+                combined[ell] = combined.get(ell, 0) + ca * ct
+        states = combined
+    return {ell: cnt // ell for ell, cnt in sorted(states.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ degree first. For prime fields the encoding is the residue itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .intfactor import factor_int, is_prime
@@ -38,6 +38,7 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return is_irreducible(Poly(FieldSpec(p), modulus))
 
 
+@lru_cache(maxsize=64)
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lowest monic irreducible of degree e over Z/p, in encoding order."""
     for low in range(p**e):
@@ -318,18 +319,19 @@ class FieldElem:
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse 'q=3' or 'q=4;p=2;e=2;mod=1,1,1'."""
-    parts = dict(
-        kv.split("=", 1) for kv in text.strip().split(";") if kv)
-    if "q" not in parts:
+    try:
+        parts = dict(
+            kv.split("=", 1) for kv in text.strip().split(";") if kv)
+        ints = {k: int(v) for k, v in parts.items() if k in ("q", "p", "e")}
+        mod = tuple(int(c) for c in parts["mod"].split(",")) if "mod" in parts else None
+    except ValueError:
+        raise DomainError(f"malformed field spec {text!r}") from None
+    if "q" not in ints:
         raise DomainError("field spec needs q=")
-    q = int(parts["q"])
+    q = ints["q"]
     if "p" in parts or "e" in parts or "mod" in parts:
-        p = int(parts.get("p", q))
-        e = int(parts.get("e", 1))
+        p, e = ints.get("p", q), ints.get("e", 1)
         if p**e != q:
             raise DomainError(f"q={q} inconsistent with p={p}, e={e}")
-        mod = None
-        if "mod" in parts:
-            mod = tuple(int(c) for c in parts["mod"].split(","))
         return FieldSpec.extension(p, e, mod) if e > 1 else FieldSpec.prime(p)
     return FieldSpec.of_order(q)

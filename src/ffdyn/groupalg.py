@@ -186,12 +186,31 @@ def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
     return CyclicSeq(f.spec, D.apply_values(f.value_encs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
     """Factorization of t^n - 1 into (irreducible, multiplicity) pairs."""
     if n < 1:
         raise DomainError("n must be >= 1")
     return factorize(t_pow_minus_one(spec, n)).factors
+
+
+def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
+    """pi-adic valuation of r on each component pi^e of t^n - 1, in
+    crt_split order: 0 where r is a unit, e where r vanishes.
+
+    The valuation of r mod pi^e, capped at e, is min(v_pi(r), e), so r is
+    divided by pi at most e times and pi^e is never formed.
+    """
+    out = []
+    for pi, e in crt_split(r.spec, n):
+        rest, v = r, 0
+        while v < e:
+            rest, rem = divmod(rest, pi)
+            if not rem.is_zero:
+                break
+            v += 1
+        out.append(v)
+    return tuple(out)
 
 
 # -- text / JSON forms ------------------------------------------------------
@@ -210,8 +229,11 @@ def parse_seq(text: str) -> CyclicSeq:
     if len(lengths) != 1:
         raise DomainError("sequence text needs one n=")
     spec = parse_field_spec(";".join(c for c in clauses if not c.startswith("n=")))
-    values = [int(v) for v in vals.split(",")]
-    n = int(lengths[0])
+    try:
+        values = [int(v) for v in vals.split(",")]
+        n = int(lengths[0])
+    except ValueError:
+        raise DomainError(f"malformed sequence text {text!r}") from None
     if len(values) != n:
         raise DomainError(f"expected {n} values, got {len(values)}")
     return CyclicSeq(spec, values)

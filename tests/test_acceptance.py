@@ -17,8 +17,8 @@ from conftest import all_seqs
 from ffdyn import FieldSpec
 from ffdyn.complexity import d_complicated_gcd, d_complicated_oracle, is_delta1, is_delta2
 from ffdyn.dynamics import (build_graph, cycle_spectrum, orbit_brute,
-                            orbit_table, state_of_index, _analyzer)
-from ffdyn.groupalg import CyclicSeq, delta_operator, seq_to_poly
+                            orbit_from_valuations, orbit_table, state_of_index)
+from ffdyn.groupalg import CyclicSeq, component_valuations, delta_operator, seq_to_poly
 from ffdyn.verify import (arnold_delta2_suite, quota_trend_suite,
                           thm1_census_suite, thm2_suite, thm3_suite)
 
@@ -146,10 +146,9 @@ def test_c6_dynamics_oracle_equivalence():
     for spec, n in _grid(2**16):
         D = delta_operator(spec, n)
         pre, per = orbit_table(D)
-        analyzer = _analyzer(D)
         for idx in range(spec.q**n):
             f = CyclicSeq(spec, state_of_index(spec, n, idx))
-            got = analyzer.analyze(seq_to_poly(f))
+            got = orbit_from_valuations(D, component_valuations(seq_to_poly(f), n))
             if got != (pre[idx], per[idx]):
                 bad.append((spec.q, n, f.value_encs, got, (pre[idx], per[idx])))
         # the per-orbit Brent path must agree too; deterministic sample

@@ -171,6 +171,10 @@ def test_usage_errors_exit_2(capsys):
     code, _out = run_cli(capsys, "census", "--q", "5", "--p", "2", "--e", "2",
                          "--n", "3")
     assert code == 2  # --q disagrees with p**e
+    for field in (["--p", "2", "--e", "0"], ["--p", "2", "--e", "-1"],
+                  ["--p", "3", "--mod", "9,9"]):
+        code, _out = run_cli(capsys, "census", *field, "--n", "5")
+        assert code == 2  # extension degree below 1, or a modulus for a prime field
 
 
 def test_resource_errors_exit_1(capsys):

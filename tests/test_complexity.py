@@ -10,8 +10,10 @@ from ffdyn.complexity import (census, classify, d_complicated_gcd,
                               is_delta1, is_delta2, operator_family,
                               projection_profile, quota, verify_thm2,
                               verify_thm3)
+from ffdyn.dynamics import orbit_brute, orbit_table
 from ffdyn.errors import ResourceLimitError
-from ffdyn.groupalg import CyclicSeq, poly_to_seq, seq_to_poly
+from ffdyn.groupalg import (CyclicSeq, crt_split, delta_operator, poly_to_seq,
+                            seq_to_poly)
 from ffdyn.seqgen import legendre_seq
 
 
@@ -107,11 +109,27 @@ def test_gcd_criterion_rejects_p_dividing_n():
 
 
 def test_implication_chain_exhaustive():
-    for spec, n in [(F2, 3), (F2, 5), (F3, 4), (F4, 3)]:
+    # the last two have p | n, where classify runs the operator oracle
+    for spec, n in [(F2, 3), (F2, 5), (F3, 4), (F4, 3), (F2, 4), (F3, 3)]:
+        D = delta_operator(spec, n)
+        pre, per = orbit_table(D)
+        max_pre, max_per = max(pre), max(per)
+        t_minus_1 = Poly(spec, [spec.neg_enc(1), 1])
+        factors = [pi for pi, _e in crt_split(spec, n) if pi != t_minus_1]
         for f in all_seqs(spec, n):
             v = classify(f)
             if v.is_d_complicated:
                 assert v.is_delta2 and v.is_delta1
+            assert (v.witness is None) == v.is_d_complicated
+            s = orbit_brute(D, f)
+            d2 = s.period == max_per
+            assert (v.is_delta1, v.is_delta2) == (d2 and s.preperiod >= max_pre - 1, d2)
+            assert (is_delta1(f), is_delta2(f)) == (v.is_delta1, v.is_delta2)
+            if n % spec.p:
+                assert v.is_d_complicated == d_complicated_gcd(f)
+                ft = seq_to_poly(f)
+                assert v.witness == next(
+                    (pi for pi in factors if (ft % pi).is_zero), None)
 
 
 def test_delta1_iff_delta2_when_p_coprime():

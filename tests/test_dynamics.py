@@ -107,8 +107,12 @@ def test_cycle_spectrum_examples():
 
 
 def test_cycle_spectrum_totals():
-    for spec, n in [(F2, 6), (F3, 4), (F4, 3), (F3, 6)]:
-        D = delta_operator(spec, n)
+    # Delta, then operators with live components of multiplicity > 1
+    operators = [delta_operator(spec, n) for spec, n in [(F2, 6), (F3, 4), (F4, 3), (F3, 6)]]
+    operators += [build_operator(spec, n, coeffs) for spec, n, coeffs in [
+        (F2, 6, [1, 1]), (F2, 10, [1, 1, 1]), (F2, 12, [1, 0, 1]),
+        (F3, 6, [1, 1]), (F4, 6, [1, 1])]]
+    for D in operators:
         spect = cycle_spectrum(D)
         g, _succ = build_graph(D)
         assert g.cycle_spectrum == spect

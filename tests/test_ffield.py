@@ -122,6 +122,26 @@ def test_spec_text_inconsistency_rejected():
         parse_field_spec("q=8;p=2;e=2;mod=1,1,1")
 
 
+def test_spec_text_malformed_rejected():
+    for text in ("q=4;p=2;e=x", "q=4;p=2;e=2;mod=1,x,1", "q"):
+        with pytest.raises(DomainError) as exc:
+            parse_field_spec(text)
+        assert "\n" not in str(exc.value)
+
+
+def test_default_modulus_is_searched_once(monkeypatch):
+    from ffdyn import ffield
+    calls = []
+    rabin = ffield._is_irreducible
+    monkeypatch.setattr(ffield, "_is_irreducible",
+                        lambda mod, p: calls.append(mod) or rabin(mod, p))
+    ffield._default_modulus.cache_clear()
+    FieldSpec.of_order(256)
+    searched = len(calls)
+    assert FieldSpec.of_order(256).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    assert searched > 0 and len(calls) == searched
+
+
 def test_element_coercion_and_bounds():
     assert F4.element([0, 1]).enc == 2
     assert F4.element(F4.element(3)).enc == 3

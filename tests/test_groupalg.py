@@ -243,3 +243,11 @@ def test_seq_json_round_trip():
 def test_parse_seq_length_mismatch():
     with pytest.raises(DomainError):
         parse_seq("q=2 n=3 1,0")
+
+
+def test_parse_seq_rejects_malformed_text():
+    for text in ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1",
+                 "q=2 n=x 1,0,1"):
+        with pytest.raises(DomainError) as exc:
+            parse_seq(text)
+        assert "\n" not in str(exc.value)
