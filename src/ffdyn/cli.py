@@ -26,15 +26,18 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _field_from_args(args) -> FieldSpec:
+    mod = tuple(_int_list(args.mod, "--mod")) if args.mod else None
     if args.p is not None:
-        mod = tuple(_int_list(args.mod, "--mod")) if args.mod else None
-        spec = FieldSpec(args.p, args.e, mod)
+        spec = FieldSpec(args.p, 1 if args.e is None else args.e, mod)
         if args.q is not None and args.q != spec.q:
-            raise DomainError(f"--q {args.q} disagrees with --p {args.p} --e {args.e}")
+            raise DomainError(f"--q {args.q} disagrees with --p {args.p} --e {spec.e}")
         return spec
     if args.q is None:
         raise DomainError("either --q or --p/--e must be given")
-    return FieldSpec.of_order(args.q)
+    spec = FieldSpec.of_order(args.q)
+    if args.e is not None and args.e != spec.e:
+        raise DomainError(f"--e {args.e} disagrees with --q {args.q} = {spec.p}^{spec.e}")
+    return spec if mod is None else FieldSpec(spec.p, spec.e, mod)
 
 
 def _sequences_from_args(args, spec: FieldSpec) -> list[groupalg.CyclicSeq]:
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fmt_choices=("json", "text")):
         p.add_argument("--q", type=int, help="field order (prime power)")
         p.add_argument("--p", type=int, help="characteristic (with --e/--mod)")
-        p.add_argument("--e", type=int, default=1, help="extension degree")
+        p.add_argument("--e", type=int, help="extension degree (default 1 with --p)")
         p.add_argument("--mod", help="extension modulus coefficients, low-to-high")
         p.add_argument("--n", type=int, help="sequence length")
         p.add_argument("--format", choices=fmt_choices, default="json")

@@ -205,7 +205,9 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     dtype = np.min_scalar_type(n * e * (p - 1) ** 2)  # largest digit sum
 
     total = 0
-    block = 1 << 18
+    # 2^16 states per block keeps each int64 temporary at 512 KiB; blocks of
+    # 2^18 ran slower and let resident memory grow with every census run
+    block = 1 << 16
     n_states = q**n
     for start in range(0, n_states, block):
         idx = np.arange(start, min(start + block, n_states), dtype=np.int64)

@@ -69,7 +69,15 @@ class FieldSpec:
         if self.e == 1:
             if self.modulus is not None:
                 raise DomainError("prime fields take no modulus")
-            return
+        else:
+            object.__setattr__(self, "modulus", self._checked_modulus())
+        # polynomial kernels and caches key on the field: hash it once
+        object.__setattr__(self, "_hash", hash((self.p, self.e, self.modulus)))
+
+    def __hash__(self):
+        return self._hash
+
+    def _checked_modulus(self) -> tuple[int, ...]:
         mod = self.modulus
         if mod is None:
             mod = _default_modulus(self.p, self.e)
@@ -80,7 +88,7 @@ class FieldSpec:
                     f"modulus must be monic of degree {self.e} (low-to-high)")
             if not _is_irreducible(mod, self.p):
                 raise DomainError(f"modulus {mod} is reducible over GF({self.p})")
-        object.__setattr__(self, "modulus", mod)
+        return mod
 
     # -- construction --------------------------------------------------
 
@@ -105,7 +113,7 @@ class FieldSpec:
 
     # -- basic data -----------------------------------------------------
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p**self.e
 
@@ -123,18 +131,30 @@ class FieldSpec:
 
     def element(self, value) -> "FieldElem":
         """Coerce an encoding, digit sequence, or FieldElem into this field."""
-        if isinstance(value, FieldElem):
-            if value.spec != self:
-                raise DomainError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.q:
-                raise DomainError(f"encoding {value} outside [0, {self.q})")
-            return FieldElem(self, value)
+        if isinstance(value, (FieldElem, int)):
+            return FieldElem(self, self._encoding(value))
         digits = [int(c) % self.p for c in value]
         if len(digits) > self.e:
             raise DomainError("too many residues for this field")
         return FieldElem(self, _encode(digits, self.p))
+
+    def encodings(self, values) -> tuple[int, ...]:
+        """Validated encodings of FieldElems of this field or of integers in
+        [0, q); plain ints are range-checked in bulk."""
+        encs = tuple(values)
+        if set(map(type, encs)) <= {int} and (not encs or 0 <= min(encs) and max(encs) < self.q):
+            return encs
+        return tuple(map(self._encoding, encs))
+
+    def _encoding(self, value) -> int:
+        if isinstance(value, FieldElem):
+            if value.spec != self:
+                raise DomainError("element belongs to a different field")
+            return value.enc
+        value = int(value)
+        if not 0 <= value < self.q:
+            raise DomainError(f"encoding {value} outside [0, {self.q})")
+        return value
 
     def from_int(self, k: int) -> "FieldElem":
         """Embed the integer k via the prime subfield (k mod p)."""
@@ -152,18 +172,24 @@ class FieldSpec:
         return (FieldElem(self, v) for v in range(self.q))
 
     # -- encoded arithmetic ----------------------------------------------
-    # Hot paths (orbit sweeps, censuses) run on raw encodings.
+    # Hot paths (orbit sweeps, censuses) run on raw encodings. Extension
+    # fields up to _TABLE_LIMIT elements answer from tables built once;
+    # larger ones split encodings into base-p digits.
 
     def add_enc(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self.q <= _TABLE_LIMIT:
+            return self._add_table[a][b]
         p = self.p
         da, db = _digits(a, p, self.e), _digits(b, p, self.e)
         return _encode([(x + y) % p for x, y in zip(da, db)], p)
 
     def sub_enc(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a - b) % self.p
         return self.add_enc(a, self.neg_enc(b))
 
     def neg_enc(self, a: int) -> int:
@@ -171,6 +197,8 @@ class FieldSpec:
             return -a % self.p
         if self.p == 2:
             return a
+        if self.q <= _TABLE_LIMIT:
+            return self._neg_table[a]
         p = self.p
         return _encode([-x % p for x in _digits(a, p, self.e)], p)
 
@@ -218,17 +246,61 @@ class FieldSpec:
                 prod[i] = 0
         return _encode(prod[:e], p)
 
+    # -- tables of small extension fields (q <= _TABLE_LIMIT) ---------------
+
+    def op_tables(self):
+        """(add, neg, mul) tables indexed by encoding, built once:
+        add[a][b], neg[a], mul[a][b]. None for prime fields and for fields
+        above _TABLE_LIMIT elements."""
+        if self.e == 1 or self.q > _TABLE_LIMIT:
+            return None
+        return self._add_table, self._neg_table, self._mul_table
+
+    @cached_property
+    def _add_table(self):
+        """add[a][b], digitwise mod p. With a = a0 + p*a', the low digits add
+        mod p and the rest is the table of the field with one digit less."""
+        p = self.p
+        table = [[0]]
+        for size in (p**k for k in range(1, self.e + 1)):
+            low = table
+            table = [[(a + b) % p + p * low[a // p][b // p] for b in range(size)]
+                     for a in range(size)]
+        return table
+
+    @cached_property
+    def _neg_table(self):
+        p, e = self.p, self.e
+        return [_encode([-x % p for x in _digits(a, p, e)], p) for a in range(self.q)]
+
+    @cached_property
+    def _log_exp(self):
+        """(log, exp) for the first primitive element g: exp[k] = g^k for
+        0 <= k < 2(q - 1), so exp[log a + log b] needs no reduction."""
+        q = self.q
+        for g in range(2, q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._ext_mul(x, g)
+            if len(exp) == q - 1:
+                log = [0] * q
+                for k, x in enumerate(exp):
+                    log[x] = k
+                return log, exp + exp
+        raise DomainError(f"GF({q}) has no primitive element")  # unreachable
+
     @cached_property
     def _mul_table(self):
-        q = self.q
-        return [[self._ext_mul(a, b) for b in range(q)] for a in range(q)]
+        log, exp = self._log_exp
+        logs = log[1:]
+        return [[0] * self.q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     @cached_property
     def _inv_table(self):
-        table = [0] * self.q
-        for a in range(1, self.q):
-            table[a] = self.pow_enc(a, self.q - 2)
-        return table
+        log, exp = self._log_exp
+        return [0] + [exp[self.q - 1 - la] for la in log[1:]]
 
 
 class FieldElem:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import FieldElem, FieldSpec, parse_field_spec
-from .polyring import Poly, factorize, t_pow_minus_one
+from .polyring import Poly, cyclic_multiplier, factorize, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -21,22 +21,12 @@ class CyclicSeq:
     __slots__ = ("spec", "n", "_v")
 
     def __init__(self, spec: FieldSpec, values):
-        encs = []
-        for v in values:
-            if isinstance(v, FieldElem):
-                if v.spec != spec:
-                    raise DomainError("value from a different field")
-                encs.append(v.enc)
-            else:
-                v = int(v)
-                if not 0 <= v < spec.q:
-                    raise DomainError(f"value encoding {v} outside [0, {spec.q})")
-                encs.append(v)
+        encs = spec.encodings(values)
         if not encs:
             raise DomainError("sequence length must be >= 1")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", len(encs))
-        object.__setattr__(self, "_v", tuple(encs))
+        object.__setattr__(self, "_v", encs)
 
     def __setattr__(self, *_):
         raise AttributeError("CyclicSeq is immutable")
@@ -110,7 +100,7 @@ class DiffOperator:
     """A differential operator on length-n sequences, stored as its
     multiplier polynomial reduced mod t^n - 1 (vanishing at t = 1)."""
 
-    __slots__ = ("spec", "n", "op_poly", "_taps")
+    __slots__ = ("spec", "n", "op_poly", "_times_op")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
         if op_poly.spec != spec:
@@ -124,23 +114,16 @@ class DiffOperator:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "op_poly", op_poly)
-        # nonzero (exponent, coefficient) taps for the cyclic correlation
-        object.__setattr__(self, "_taps", tuple(
-            (k, c) for k, c in enumerate(op_poly.coeff_encs) if c))
+        object.__setattr__(self, "_times_op", cyclic_multiplier(op_poly, n))
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOperator is immutable")
 
     def apply_values(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Action on a raw value tuple (encodings, index 0 holds f(1))."""
-        spec = self.spec
-        n = self.n
-        add, mul = spec.add_enc, spec.mul_enc
-        out = [0] * n
-        for k, c in self._taps:
-            for j in range(n):
-                out[j] = add(out[j], mul(c, v[j - k]))
-        return tuple(out)
+        """Action on a raw value tuple (encodings, index 0 holds f(1)): the
+        product with op_poly mod t^n - 1, which commutes with the shift
+        between value index and exponent."""
+        return self._times_op(v)
 
     def __eq__(self, other):
         if isinstance(other, DiffOperator):

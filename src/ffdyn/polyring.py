@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .errors import DomainError
 from .ffield import FieldElem, FieldSpec
@@ -19,27 +20,239 @@ from .intfactor import factor_int, is_prime
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
+# ---------------------------------------------------------------------------
+# Arithmetic kernels: one backend per field family, chosen in _kernel. Each
+# works on its own native form of a coefficient tuple (pack; unpack gives back
+# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem, and
+# cyclic: the product with a fixed a mod t^n - 1 on a raw length-n tuple.
+
+
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _GF2Kernel:
+    """GF(2)[t] packed into a Python int: bit i is the coefficient of t^i."""
+
+    one = 1
+
+    @staticmethod
+    def pack(c) -> int:
+        return int(bytes(c[::-1]).translate(_TO_ASCII), 2) if c else 0
+
+    @staticmethod
+    def unpack(x: int) -> tuple[int, ...]:
+        return tuple(bin(x)[:1:-1].encode().translate(_FROM_ASCII)) if x else ()
+
+    @staticmethod
+    def add(a: int, b: int) -> int:
+        return a ^ b
+
+    @staticmethod
+    def neg(a: int) -> int:
+        return a
+
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        if a == b:
+            # squaring spreads bit i to bit 2i: read the binary digits in base 4
+            return int(bin(a)[2:], 4)
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        out = 0
+        while a:
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
+        return out
+
+    @staticmethod
+    def rem(a: int, b: int) -> int:
+        db = b.bit_length()
+        while (la := a.bit_length()) >= db:
+            a ^= b << (la - db)
+        return a
+
+    @staticmethod
+    def divmod(a: int, b: int) -> tuple[int, int]:
+        db = b.bit_length()
+        quot = 0
+        while (la := a.bit_length()) >= db:
+            a ^= b << (la - db)
+            quot |= 1 << (la - db)
+        return quot, a
+
+    def cyclic(self, a: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+        x = self.mul(a, self.pack(v))
+        x = (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
+        return tuple(format(x, f"0{n}b")[::-1].encode().translate(_FROM_ASCII))
+
+
+class _ListKernel:
+    """Shared parts of the kernels that keep coefficients in a sequence."""
+
+    one = (1,)
+
+    @staticmethod
+    def pack(c):
+        return c
+
+    @staticmethod
+    def unpack(c) -> tuple[int, ...]:
+        k = len(c)
+        while k and not c[k - 1]:
+            k -= 1
+        return tuple(c[:k])
+
+    def rem(self, a, b):
+        return self.divmod(a, b)[1]
+
+    def cyclic(self, a, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+        prod = self.mul(a, v)
+        out, high = prod[:n], prod[n:]
+        out[:len(high)] = self.add(out[:len(high)], high)
+        return tuple(out) + (0,) * (n - len(out))
+
+
+class _PrimeKernel(_ListKernel):
+    """GF(p)[t], p odd: integer arithmetic on local lists, one % p per
+    coefficient at the end of each product and division."""
+
+    def __init__(self, spec: FieldSpec):
+        self.p = spec.p
+
+    def add(self, a, b):
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        return [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
+
+    def neg(self, a):
+        p = self.p
+        return [-x % p for x in a]
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a  # the row loop runs over the sparser factor
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+        p = self.p
+        return [c % p for c in out]
+
+    def divmod(self, a, b):
+        p = self.p
+        db = len(b) - 1
+        if len(a) <= db:
+            return [], a
+        rem = list(a)
+        inv = pow(b[-1], p - 2, p)
+        low = b[:db]
+        quot = [0] * (len(rem) - db)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + db] * inv % p
+            if c:
+                quot[k] = c
+                rem[k:k + db] = [r - c * y for r, y in zip(rem[k:k + db], low)]
+        return quot, [r % p for r in rem[:db]]
+
+
+class _TableKernel(_ListKernel):
+    """GF(p^e)[t] through the field's add/neg/mul tables (indexable by
+    encoding). Fields above _TABLE_LIMIT have none; _Lookup stand-ins then
+    make one FieldSpec call per lookup."""
+
+    def __init__(self, spec: FieldSpec):
+        tables = spec.op_tables()
+        if tables is None:
+            tables = (_call_table(spec.add_enc), _Lookup(spec.neg_enc),
+                      _call_table(spec.mul_enc))
+        self.add_t, self.neg_t, self.mul_t = tables
+        self.inv = spec.inv_enc
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        A = self.add_t
+        return [A[x][y] for x, y in zip(a, b)] + list(a[len(b):])
+
+    def neg(self, a):
+        N = self.neg_t
+        return [N[x] for x in a]
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        A, M = self.add_t, self.mul_t
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                row = M[x]
+                out[i:i + lb] = [A[o][row[y]] for o, y in zip(out[i:i + lb], b)]
+        return out
+
+    def divmod(self, a, b):
+        db = len(b) - 1
+        if len(a) <= db:
+            return [], a
+        A, N, M = self.add_t, self.neg_t, self.mul_t
+        rem = list(a)
+        inv_row = M[self.inv(b[-1])]
+        low = b[:db]
+        quot = [0] * (len(rem) - db)
+        for k in range(len(quot) - 1, -1, -1):
+            c = inv_row[rem[k + db]]
+            if c:
+                quot[k] = c
+                row = M[N[c]]
+                rem[k:k + db] = [A[r][row[y]] for r, y in zip(rem[k:k + db], low)]
+        return quot, rem[:db]
+
+
+class _Lookup:
+    """Indexes like a table but calls f: t[a] == f(a)."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, a):
+        return self.f(a)
+
+
+def _call_table(op) -> _Lookup:
+    """Stand-in for the table of a binary op: t[a][b] == op(a, b)."""
+    return _Lookup(lambda a: _Lookup(partial(op, a)))
+
+
+@lru_cache(maxsize=64)
+def _kernel(spec: FieldSpec):
+    """The arithmetic backend for polynomials over spec."""
+    if spec.e > 1:
+        return _TableKernel(spec)
+    return _GF2Kernel() if spec.p == 2 else _PrimeKernel(spec)
+
+
 class Poly:
     """Polynomial over a FieldSpec; immutable, canonical (no trailing zeros)."""
 
     __slots__ = ("spec", "_c")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        encs = []
-        for c in coeffs:
-            if isinstance(c, FieldElem):
-                if c.spec != spec:
-                    raise DomainError("coefficient from a different field")
-                encs.append(c.enc)
-            else:
-                c = int(c)
-                if not 0 <= c < spec.q:
-                    raise DomainError(f"coefficient encoding {c} outside [0, {spec.q})")
-                encs.append(c)
-        while encs and encs[-1] == 0:
-            encs.pop()
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_c", tuple(encs))
+        encs = spec.encodings(coeffs)
+        k = len(encs)
+        while k and not encs[k - 1]:
+            k -= 1
+        _set_spec(self, spec)
+        _set_coeffs(self, encs[:k])
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -96,51 +309,35 @@ class Poly:
             raise DomainError("cannot normalize the zero polynomial")
         if self._c[-1] == 1:
             return self
-        inv = self.spec.inv_enc(self._c[-1])
-        return Poly(self.spec, (self.spec.mul_enc(c, inv) for c in self._c))
+        return self * self.lc().inverse()
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations (through the field's kernel) ----------------------
 
     def _check(self, other: "Poly"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise DomainError("polynomials over different fields cannot mix")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.spec.add_enc
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(self.spec, out)
+        k = _kernel(self.spec)
+        return _poly(self.spec, k.unpack(k.add(k.pack(self._c), k.pack(other._c))))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        neg = self.spec.neg_enc
-        return Poly(self.spec, (neg(c) for c in self._c))
+        k = _kernel(self.spec)
+        return _poly(self.spec, k.unpack(k.neg(k.pack(self._c))))
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             if other.spec != self.spec:
                 raise DomainError("scalar from a different field")
-            mul = self.spec.mul_enc
-            return Poly(self.spec, (mul(c, other.enc) for c in self._c))
-        self._check(other)
-        a, b = self._c, other._c
-        if not a or not b:
-            return Poly.zero(self.spec)
-        mul, add = self.spec.mul_enc, self.spec.add_enc
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(self.spec, out)
+            other = _poly(self.spec, (other.enc,) if other.enc else ())
+        else:
+            self._check(other)
+        k = _kernel(self.spec)
+        return _poly(self.spec, k.unpack(k.mul(k.pack(self._c), k.pack(other._c))))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElem):
@@ -161,23 +358,12 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
-        if other.is_zero:
+        if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        rem = list(self._c)
-        db = len(other._c) - 1
-        inv_lb = spec.inv_enc(other._c[-1])
-        quot = [0] * max(0, len(rem) - db)
-        mul, sub = spec.mul_enc, spec.sub_enc
-        while len(rem) - 1 >= db and rem:
-            c = mul(rem[-1], inv_lb)
-            k = len(rem) - 1 - db
-            quot[k] = c
-            for j in range(db + 1):
-                rem[k + j] = sub(rem[k + j], mul(c, other._c[j]))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(spec, quot), Poly(spec, rem)
+        k = _kernel(spec)
+        quot, rem = k.divmod(k.pack(self._c), k.pack(other._c))
+        return _poly(spec, k.unpack(quot)), _poly(spec, k.unpack(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -217,6 +403,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(GF({self.spec.q}), [{self}])"
+
+
+_set_spec = Poly.spec.__set__
+_set_coeffs = Poly._c.__set__
+
+
+def _poly(spec: FieldSpec, encs: tuple[int, ...]) -> Poly:
+    """Trusted constructor for kernel results: encs is already canonical."""
+    out = object.__new__(Poly)
+    _set_spec(out, spec)
+    _set_coeffs(out, encs)
+    return out
 
 
 def geometric_sum(spec: FieldSpec, n: int) -> Poly:
@@ -266,14 +464,26 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
         raise ZeroDivisionError("zero modulus")
     if k < 0:
         raise DomainError("negative exponent")
-    result = Poly.one(base.spec) % m
-    base = base % m
+    base._check(m)
+    kern = _kernel(m.spec)
+    # square-and-multiply in the kernel's form, unpacked once at the end
+    a, m_k = kern.pack(base.coeff_encs), kern.pack(m.coeff_encs)
+    result = kern.rem(kern.one, m_k)
+    a = kern.rem(a, m_k)
     while k:
         if k & 1:
-            result = (result * base) % m
-        base = (base * base) % m
+            result = kern.rem(kern.mul(result, a), m_k)
         k >>= 1
-    return result
+        if k:
+            a = kern.rem(kern.mul(a, a), m_k)
+    return _poly(m.spec, kern.unpack(result))
+
+
+def cyclic_multiplier(a: Poly, n: int):
+    """The map v -> coefficients of a * v mod t^n - 1, on raw length-n
+    tuples of encodings (always n entries, zeros included)."""
+    kern = _kernel(a.spec)
+    return partial(kern.cyclic, kern.pack(a.coeff_encs), n)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,14 @@ def test_extension_field_flags(capsys):
     assert report["censusCount"] == 36
 
 
+def test_q_flag_keeps_the_given_modulus(capsys):
+    by_q = run_cli(capsys, "gen", "--q", "9", "--mod", "2,2,1", "--n", "3", "--gen", "const")
+    by_pe = run_cli(capsys, "gen", "--p", "3", "--e", "2", "--mod", "2,2,1", "--n", "3",
+                    "--gen", "const")
+    assert by_q == by_pe
+    assert json.loads(by_q[1])["sequences"][0]["field"] == "q=9;p=3;e=2;mod=2,2,1"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0",
@@ -171,6 +179,10 @@ def test_usage_errors_exit_2(capsys):
     code, _out = run_cli(capsys, "census", "--q", "5", "--p", "2", "--e", "2",
                          "--n", "3")
     assert code == 2  # --q disagrees with p**e
+    code, _out = run_cli(capsys, "census", "--q", "4", "--e", "3", "--n", "3")
+    assert code == 2  # --e disagrees with q = 2^2
+    code, _out = run_cli(capsys, "census", "--q", "9", "--mod", "2,0,1", "--n", "5")
+    assert code == 2  # t^2 + 2 = (t - 1)(t + 1) is reducible over GF(3)
     for field in (["--p", "2", "--e", "0"], ["--p", "2", "--e", "-1"],
                   ["--p", "3", "--mod", "9,9"]):
         code, _out = run_cli(capsys, "census", *field, "--n", "5")

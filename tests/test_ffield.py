@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
-from ffdyn import DomainError, FieldSpec, parse_field_spec
+from ffdyn import DomainError, FieldSpec, Poly, parse_field_spec
 
 SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
 
@@ -85,6 +85,29 @@ def test_mixed_field_operations_fail_fast():
         F2.one + F3.one
     with pytest.raises(DomainError):
         F4.element(2) * F2.one
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 27, 256])
+def test_tables_match_digit_polynomials(q):
+    """The add/neg/mul tables against the digit polynomials over GF(p),
+    multiplied and reduced by the modulus in GF(p)[t]."""
+    spec = FieldSpec.of_order(q)
+    fp = FieldSpec.prime(spec.p)
+    modulus = Poly(fp, spec.modulus)
+
+    def poly(a):
+        return Poly(fp, spec.element(a).coeffs)
+
+    def enc(f):
+        return spec.element(f.coeff_encs).enc
+
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    for a, b in pairs:
+        assert spec.add_enc(a, b) == enc(poly(a) + poly(b))
+        assert spec.sub_enc(a, b) == enc(poly(a) - poly(b))
+        assert spec.neg_enc(a) == enc(-poly(a))
+        assert spec.mul_enc(a, b) == enc(poly(a) * poly(b) % modulus)
 
 
 def test_spec_validation():

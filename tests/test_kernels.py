@@ -1,0 +1,138 @@
+"""The polynomial kernels against schoolbook arithmetic on plain lists.
+
+Every reference below makes one FieldSpec.add_enc / mul_enc call per
+coefficient operation, so it shares no loop with the kernels. GF(3^6) lies
+above the table limit and runs the per-call fallback kernel.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ffdyn import FieldSpec, Poly
+from ffdyn.errors import DegenerateOperatorError
+from ffdyn.groupalg import DiffOperator
+from ffdyn.polyring import powmod
+
+FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
+FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
+MAX_DEG = 12
+
+fields = pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+examples = settings(deadline=None, max_examples=25)
+
+
+def strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def ref_add(spec, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return strip(spec.add_enc(x, y) for x, y in zip(a, b))
+
+
+def ref_neg(spec, a):
+    return [spec.mul_enc(spec.p - 1, x) for x in a]  # p - 1 encodes -1
+
+
+def ref_mul(spec, a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = spec.add_enc(out[i + j], spec.mul_enc(x, y))
+    return strip(out)
+
+
+def ref_divmod(spec, a, b):
+    inv = next(y for y in range(1, spec.q) if spec.mul_enc(b[-1], y) == 1)
+    rem = list(a)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(quot))):
+        c = spec.mul_enc(rem[k + len(b) - 1], inv)
+        quot[k] = c
+        for j, y in enumerate(ref_neg(spec, b)):
+            rem[k + j] = spec.add_enc(rem[k + j], spec.mul_enc(c, y))
+    return strip(quot), strip(rem)
+
+
+def ref_apply(spec, op, v):
+    """The tap loop: out[j] = sum over k of op[k] * v[j - k], indices mod n."""
+    out = [0] * len(v)
+    for k, c in enumerate(op):
+        for j in range(len(v)):
+            out[j] = spec.add_enc(out[j], spec.mul_enc(c, v[j - k]))
+    return tuple(out)
+
+
+def coeffs(draw, spec, max_deg=MAX_DEG, nonzero=False):
+    c = draw(st.lists(st.integers(0, spec.q - 1), min_size=int(nonzero), max_size=max_deg + 1))
+    if nonzero:
+        c[-1] = draw(st.integers(1, spec.q - 1))
+    return c
+
+
+@fields
+@examples
+@given(data=st.data())
+def test_add_neg_sub_match_reference(spec, data):
+    a, b = coeffs(data.draw, spec), coeffs(data.draw, spec)
+    pa, pb = Poly(spec, a), Poly(spec, b)
+    assert list((pa + pb).coeff_encs) == ref_add(spec, a, b)
+    assert list((-pb).coeff_encs) == strip(ref_neg(spec, b))
+    assert list((pa - pb).coeff_encs) == ref_add(spec, a, ref_neg(spec, b))
+
+
+@fields
+@examples
+@given(data=st.data())
+def test_mul_matches_reference_and_ring_laws(spec, data):
+    a, b, c = (coeffs(data.draw, spec) for _ in range(3))
+    pa, pb, pc = Poly(spec, a), Poly(spec, b), Poly(spec, c)
+    assert list((pa * pb).coeff_encs) == ref_mul(spec, strip(a), strip(b))
+    assert list((pa * pa).coeff_encs) == ref_mul(spec, strip(a), strip(a))
+    assert pa * pb == pb * pa
+    assert pa * (pb + pc) == pa * pb + pa * pc
+
+
+@fields
+@examples
+@given(data=st.data())
+def test_divmod_matches_reference(spec, data):
+    a, b = coeffs(data.draw, spec, 2 * MAX_DEG), coeffs(data.draw, spec, nonzero=True)
+    pa, pb = Poly(spec, a), Poly(spec, b)
+    quot, rem = divmod(pa, pb)
+    assert quot * pb + rem == pa
+    assert rem.degree < pb.degree
+    assert (list(quot.coeff_encs), list(rem.coeff_encs)) == ref_divmod(spec, strip(a), b)
+
+
+@fields
+@examples
+@given(data=st.data())
+def test_powmod_matches_repeated_multiplication(spec, data):
+    a, m = coeffs(data.draw, spec), coeffs(data.draw, spec, nonzero=True)
+    k = data.draw(st.integers(0, 20))
+    pa, pm = Poly(spec, a), Poly(spec, m)
+    expected = Poly.one(spec) % pm
+    for _ in range(k):
+        expected = (expected * pa) % pm
+    assert powmod(pa, k, pm) == expected
+
+
+@fields
+@examples
+@given(data=st.data())
+def test_apply_values_matches_tap_loop(spec, data):
+    n = data.draw(st.integers(1, MAX_DEG))
+    factor = Poly(spec, coeffs(data.draw, spec, n - 1))
+    t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+    try:
+        D = DiffOperator(spec, n, t_minus_1 * factor)
+    except DegenerateOperatorError:
+        assume(False)
+    v = tuple(data.draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)))
+    assert D.apply_values(v) == ref_apply(spec, D.op_poly.coeff_encs, v)
