@@ -59,6 +59,13 @@ def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
     return groupalg.delta_operator(spec, n)
 
 
+def _check_caps(args):
+    """A cap is a count, so a negative one is a usage error."""
+    for flag in ("cap_states", "cap_ops"):
+        if getattr(args, flag, 0) < 0:
+            raise DomainError(f"--{flag.replace('_', '-')} must be >= 0")
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -286,6 +293,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_caps(args)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

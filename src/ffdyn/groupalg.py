@@ -8,11 +8,12 @@ multiplication with a fixed algebra element vanishing at t = 1.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
 
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import FieldElem, FieldSpec, parse_field_spec
-from .polyring import Poly, cyclic_multiplier, factorize, t_pow_minus_one
+from .polyring import Poly, cyclic_multiplier, factorize, kernel, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -138,6 +139,7 @@ class DiffOperator:
         return f"DiffOperator(n={self.n}, op=[{self.op_poly}])"
 
 
+@lru_cache(maxsize=256)
 def delta_operator(spec: FieldSpec, n: int) -> DiffOperator:
     return DiffOperator(spec, n, delta_poly(spec, n))
 
@@ -177,19 +179,61 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
     return factorize(t_pow_minus_one(spec, n)).factors
 
 
+@lru_cache(maxsize=256)
+def _valuation_plan(spec: FieldSpec, n: int):
+    """The remainder tree of component_valuations for (spec, n) in the
+    kernel's native form: (kernel, nodes, leaves).
+
+    The crt_split list is halved until single components remain; a node is
+    the product of the pi^e below it. Residue 0 is r itself (valuations need
+    no reduction mod t^n - 1); nodes[k] = (parent, m) makes residue k + 1 as
+    residue parent mod m, parents first. leaves[i] = (parent, pi, e):
+    component i reads residue parent.
+    """
+    kern = kernel(spec)
+    factors = crt_split(spec, n)
+    nodes, parents = [], [0] * len(factors)
+
+    def split(lo, hi, parent):
+        if hi - lo == 1:
+            parents[lo] = parent
+            return
+        mid = (lo + hi) // 2
+        for a, b in ((lo, mid), (mid, hi)):
+            below = parent
+            if b - a > 1:
+                prod = math.prod((pi**e for pi, e in factors[a:b]), start=Poly.one(spec))
+                nodes.append((parent, kern.pack(prod.coeff_encs)))
+                below = len(nodes)
+            split(a, b, below)
+
+    split(0, len(factors), 0)
+    leaves = [(parent, kern.pack(pi.coeff_encs), e)
+              for parent, (pi, e) in zip(parents, factors)]
+    return kern, nodes, leaves
+
+
 def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
     """pi-adic valuation of r on each component pi^e of t^n - 1, in
     crt_split order: 0 where r is a unit, e where r vanishes.
 
-    The valuation of r mod pi^e, capped at e, is min(v_pi(r), e), so r is
-    divided by pi at most e times and pi^e is never formed.
+    r is packed once and reduced down the cached remainder tree. A component
+    reads a residue x = r mod (a multiple of pi^e), so the capped valuation
+    min(v_pi(r), e) is min(v_pi(x), e), found by at most e divisions by pi.
+    x is not reduced mod pi^e first: on the list kernels that division is
+    quadratic in e.
     """
+    kern, nodes, leaves = _valuation_plan(r.spec, n)
+    rem, divmod_, is_zero = kern.rem, kern.divmod, kern.is_zero
+    xs = [kern.pack(r.coeff_encs)]
+    for parent, m in nodes:
+        xs.append(rem(xs[parent], m))
     out = []
-    for pi, e in crt_split(r.spec, n):
-        rest, v = r, 0
+    for parent, pi, e in leaves:
+        x, v = xs[parent], 0
         while v < e:
-            rest, rem = divmod(rest, pi)
-            if not rem.is_zero:
+            x, rest = divmod_(x, pi)
+            if not is_zero(rest):
                 break
             v += 1
         out.append(v)

@@ -21,9 +21,10 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic kernels: one backend per field family, chosen in _kernel. Each
+# Arithmetic kernels: one backend per field family, chosen in kernel(). Each
 # works on its own native form of a coefficient tuple (pack; unpack gives back
-# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem, and
+# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem,
+# is_zero (list results such as remainders may carry trailing zeros), and
 # cyclic: the product with a fixed a mod t^n - 1 on a raw length-n tuple.
 
 
@@ -43,6 +44,10 @@ class _GF2Kernel:
     @staticmethod
     def unpack(x: int) -> tuple[int, ...]:
         return tuple(bin(x)[:1:-1].encode().translate(_FROM_ASCII)) if x else ()
+
+    @staticmethod
+    def is_zero(a: int) -> bool:
+        return not a
 
     @staticmethod
     def add(a: int, b: int) -> int:
@@ -103,6 +108,10 @@ class _ListKernel:
         while k and not c[k - 1]:
             k -= 1
         return tuple(c[:k])
+
+    @staticmethod
+    def is_zero(c) -> bool:
+        return not any(c)
 
     def rem(self, a, b):
         return self.divmod(a, b)[1]
@@ -204,7 +213,8 @@ class _TableKernel(_ListKernel):
             return [], a
         A, N, M = self.add_t, self.neg_t, self.mul_t
         rem = list(a)
-        inv_row = M[self.inv(b[-1])]
+        lead = b[-1]
+        inv_row = M[1 if lead == 1 else self.inv(lead)]
         low = b[:db]
         quot = [0] * (len(rem) - db)
         for k in range(len(quot) - 1, -1, -1):
@@ -234,7 +244,7 @@ def _call_table(op) -> _Lookup:
 
 
 @lru_cache(maxsize=64)
-def _kernel(spec: FieldSpec):
+def kernel(spec: FieldSpec):
     """The arithmetic backend for polynomials over spec."""
     if spec.e > 1:
         return _TableKernel(spec)
@@ -319,14 +329,14 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        k = _kernel(self.spec)
+        k = kernel(self.spec)
         return _poly(self.spec, k.unpack(k.add(k.pack(self._c), k.pack(other._c))))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        k = _kernel(self.spec)
+        k = kernel(self.spec)
         return _poly(self.spec, k.unpack(k.neg(k.pack(self._c))))
 
     def __mul__(self, other):
@@ -336,7 +346,7 @@ class Poly:
             other = _poly(self.spec, (other.enc,) if other.enc else ())
         else:
             self._check(other)
-        k = _kernel(self.spec)
+        k = kernel(self.spec)
         return _poly(self.spec, k.unpack(k.mul(k.pack(self._c), k.pack(other._c))))
 
     def __rmul__(self, other):
@@ -361,7 +371,7 @@ class Poly:
         if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        k = _kernel(spec)
+        k = kernel(spec)
         quot, rem = k.divmod(k.pack(self._c), k.pack(other._c))
         return _poly(spec, k.unpack(quot)), _poly(spec, k.unpack(rem))
 
@@ -441,23 +451,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    if a.is_zero and b.is_zero:
-        raise DomainError("gcd(0, 0) is undefined")
-    spec = a.spec
-    r0, r1 = a, b
-    u0, u1 = Poly.one(spec), Poly.zero(spec)
-    v0, v1 = Poly.zero(spec), Poly.one(spec)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead = r0.lc().inverse()
-    return r0 * lead, u0 * lead, v0 * lead
-
-
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
     """base^k mod m by square-and-multiply; k >= 0."""
     if m.is_zero:
@@ -465,7 +458,7 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
     if k < 0:
         raise DomainError("negative exponent")
     base._check(m)
-    kern = _kernel(m.spec)
+    kern = kernel(m.spec)
     # square-and-multiply in the kernel's form, unpacked once at the end
     a, m_k = kern.pack(base.coeff_encs), kern.pack(m.coeff_encs)
     result = kern.rem(kern.one, m_k)
@@ -482,7 +475,7 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
 def cyclic_multiplier(a: Poly, n: int):
     """The map v -> coefficients of a * v mod t^n - 1, on raw length-n
     tuples of encodings (always n entries, zeros included)."""
-    kern = _kernel(a.spec)
+    kern = kernel(a.spec)
     return partial(kern.cyclic, kern.pack(a.coeff_encs), n)
 
 

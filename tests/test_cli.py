@@ -187,6 +187,12 @@ def test_usage_errors_exit_2(capsys):
                   ["--p", "3", "--mod", "9,9"]):
         code, _out = run_cli(capsys, "census", *field, "--n", "5")
         assert code == 2  # extension degree below 1, or a modulus for a prime field
+    for argv in (["census", "--q", "2", "--n", "5", "--cap-states", "-1"],
+                 ["classify", "--q", "2", "--n", "4", "--gen", "random", "--seed", "1",
+                  "--cap-ops", "-1"]):
+        assert main(argv) == 2  # a negative cap is a usage error, not a resource limit
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_resource_errors_exit_1(capsys):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import F2, F3, F4, F9, all_seqs, seq
-from ffdyn import DomainError, Poly
+from conftest import F2, F3, F4, F5, F9, all_seqs, seq
+from ffdyn import DomainError, FieldSpec, Poly
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
-                            crt_split, delta, delta_operator, delta_poly,
-                            parse_seq, poly_to_seq, seq_from_json, seq_text,
-                            seq_to_json, seq_to_poly)
+                            component_valuations, crt_split, delta,
+                            delta_operator, delta_poly, parse_seq, poly_to_seq,
+                            seq_from_json, seq_text, seq_to_json, seq_to_poly)
 from ffdyn.polyring import t_pow_minus_one
+
+GF729 = FieldSpec.of_order(3**6)  # above the table limit: one field call per lookup
 
 
 def rand_seq(spec, n, rng):
@@ -209,6 +211,48 @@ def test_crt_split_reconstruction():
 def test_crt_split_squarefree_when_p_coprime():
     for spec, n in [(F2, 9), (F3, 8), (F4, 5)]:
         assert all(e == 1 for _, e in crt_split(spec, n))
+
+
+# -- component valuations ---------------------------------------------------------
+
+
+def _repeated_division(r, n):
+    """Reference: divide r by each pi of crt_split until a remainder is
+    nonzero, at most e times."""
+    out = []
+    for pi, e in crt_split(r.spec, n):
+        rest, v = r, 0
+        while v < e:
+            quot, rem = divmod(rest, pi)
+            if not rem.is_zero:
+                break
+            rest, v = quot, v + 1
+        out.append(v)
+    return tuple(out)
+
+
+# p divides n in (F2, 96), (F3, 81), (F3, 12), (F5, 50), (F4, 6), (F9, 6) and
+# (GF729, 6); the remainder tree has an odd number of leaves in (F2, 15),
+# (F2, 255), (F3, 80), (F3, 12), (F4, 63), (F4, 6) and (GF729, 7)
+VALUATION_CASES = [(F2, 15), (F2, 255), (F2, 96), (F3, 80), (F3, 81), (F3, 12),
+                   (F5, 12), (F5, 50), (F4, 63), (F4, 6), (F9, 40), (F9, 6),
+                   (GF729, 7), (GF729, 6)]
+
+
+@pytest.mark.parametrize("spec, n", VALUATION_CASES,
+                         ids=[f"GF{s.q}-n{n}" for s, n in VALUATION_CASES])
+def test_component_valuations_match_repeated_division(spec, n):
+    rng = random.Random(n)
+    modulus = t_pow_minus_one(spec, n)
+    factors = crt_split(spec, n)
+    assert component_valuations(Poly.zero(spec), n) == tuple(e for _, e in factors)
+    for i, (pi, e) in enumerate(factors):
+        g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
+        for j in range(e + 1):
+            r = (pi**j * g) % modulus
+            vals = component_valuations(r, n)
+            assert vals == _repeated_division(r, n)
+            assert vals[i] >= j
 
 
 # -- text / JSON -----------------------------------------------------------------

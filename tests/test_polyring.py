@@ -5,7 +5,7 @@ import pytest
 from conftest import F2, F3, F4, F5, F8, F9
 from ffdyn import DomainError, Poly, factorize, resultant
 from ffdyn.errors import ResourceLimitError
-from ffdyn.polyring import (NEG_INF, ext_gcd, gcd, geometric_sum,
+from ffdyn.polyring import (NEG_INF, gcd, geometric_sum,
                             is_irreducible, mult_order_int, mult_order_mod,
                             powmod, squarefree_decomposition, t_pow_minus_one)
 
@@ -116,18 +116,6 @@ def test_gcd_symmetry_and_idempotence():
             b = rand_poly(spec, 6, rng)
             assert gcd(a, b) == gcd(b, a)
             assert gcd(a, a) == a.monic()
-
-
-def test_ext_gcd_bezout_witness():
-    rng = random.Random(11)
-    for spec in (F2, F3, F5, F9):
-        for _ in range(40):
-            a = rand_poly(spec, 6, rng, nonzero=True)
-            b = rand_poly(spec, 6, rng)
-            g, u, v = ext_gcd(a, b)
-            assert u * a + v * b == g
-            assert (a % g).is_zero
-            assert b.is_zero or (b % g).is_zero
 
 
 # -- powmod ---------------------------------------------------------------------
