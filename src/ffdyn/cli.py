@@ -53,6 +53,12 @@ def _sequences_from_args(args, spec: FieldSpec) -> list[groupalg.CyclicSeq]:
     return seqgen.GeneratorSpec(args.gen, args.seed).build(spec, args.n)
 
 
+def _n_from_args(args) -> int:
+    if args.n is None:
+        raise DomainError("--n is required")
+    return args.n
+
+
 def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
     if args.op:
         return groupalg.build_operator(spec, n, _int_list(args.op, "--op"))
@@ -128,9 +134,8 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _field_from_args(args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    D = _operator_from_args(args, spec, args.n)
+    n = _n_from_args(args)
+    D = _operator_from_args(args, spec, n)
     spectrum = dynamics.cycle_spectrum(D)
     if args.format == "csv":
         lines = ["length,count"] + [f"{k},{v}" for k, v in spectrum.items()]
@@ -138,8 +143,8 @@ def _cmd_spectrum(args) -> int:
         return 0
     report = {
         "schema": SCHEMA, "command": "spectrum",
-        "q": spec.q, "n": args.n, "operator": str(D.op_poly),
-        "stateCount": spec.q**args.n,
+        "q": spec.q, "n": n, "operator": str(D.op_poly),
+        "stateCount": spec.q**n,
         "spectrum": {str(k): v for k, v in spectrum.items()},
     }
     _emit(args, _dump(report))
@@ -148,16 +153,15 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_graph(args) -> int:
     spec = _field_from_args(args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    D = _operator_from_args(args, spec, args.n)
+    n = _n_from_args(args)
+    D = _operator_from_args(args, spec, n)
     summary, succ = dynamics.build_graph(D, cap=args.cap_states)
     if args.format == "dot":
         _emit(args, dynamics.graph_dot(D, succ))
         return 0
     report = {
         "schema": SCHEMA, "command": "graph",
-        "q": spec.q, "n": args.n, "operator": str(D.op_poly),
+        "q": spec.q, "n": n, "operator": str(D.op_poly),
         "stateCount": summary.state_count,
         "spectrum": {str(k): v for k, v in summary.cycle_spectrum.items()},
         "attractorSize": summary.attractor_size,
@@ -172,9 +176,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_census(args) -> int:
     spec = _field_from_args(args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    rep = complexity.census(spec, args.n, cap=args.cap_states)
+    n = _n_from_args(args)
+    rep = complexity.census(spec, n, cap=args.cap_states)
     if args.format == "csv":
         lines = ["n,q,d,quota,censusCount,stateCount",
                  f"{rep.n},{rep.q},{rep.d},{rep.quota_formula},{rep.census_count},{rep.state_count}"]
@@ -195,9 +198,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = _field_from_args(args)
-    if args.n is None:
-        raise DomainError("--n is required")
-    seqs = seqgen.GeneratorSpec(args.gen, args.seed).build(spec, args.n)
+    n = _n_from_args(args)
+    seqs = seqgen.GeneratorSpec(args.gen, args.seed).build(spec, n)
     if args.format == "text":
         _emit(args, "".join(groupalg.seq_text(f) + "\n" for f in seqs))
         return 0

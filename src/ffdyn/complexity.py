@@ -21,7 +21,7 @@ from .ffield import FieldElem, FieldSpec
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
                        delta_operator, seq_to_poly)
 from .intfactor import is_prime
-from .polyring import Poly, geometric_sum, mult_order_int, resultant
+from .polyring import Poly, geometric_sum, mult_order_int, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
 from .seqgen import legendre_seq, multiplicative_family
 
@@ -62,7 +62,7 @@ class QuotaReport:
 def projection_profile(f: CyclicSeq) -> ProjectionProfile:
     """Which irreducible factors of t^n - 1 divide the sequence polynomial."""
     spec = f.spec
-    t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+    t_minus_1 = t_minus_one(spec)
     vals = component_valuations(seq_to_poly(f), f.n)
     return ProjectionProfile(tuple(
         ProjectionEntry(pi, e, v == 0, pi == t_minus_1)
@@ -86,7 +86,7 @@ def d_complicated_gcd(f: CyclicSeq) -> bool:
 def operator_family(spec: FieldSpec, n: int):
     """Every differential operator on length n: the nonzero multiples of
     (t - 1) among residues mod t^n - 1, exactly q^(n-1) - 1 of them."""
-    t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+    t_minus_1 = t_minus_one(spec)
     for coeffs in itertools.product(range(spec.q), repeat=n - 1):
         if not any(coeffs):
             continue
@@ -140,7 +140,7 @@ def classify(f: CyclicSeq, op_cap: int = 2**16,
     vals = component_valuations(seq_to_poly(f), n)
     d1, d2 = _delta_verdict(f, vals)
     if n % spec.p != 0:
-        t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+        t_minus_1 = t_minus_one(spec)
         witness = next((pi for (pi, _e), v in zip(crt_split(spec, n), vals)
                         if v and pi != t_minus_1), None)
         return ComplexityVerdict(d1, d2, witness is None, "lemma1-gcd", witness)
@@ -185,7 +185,7 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     """
     import numpy as np
     q, p, e = spec.q, spec.p, spec.e
-    t_minus_1 = Poly(spec, (spec.neg_enc(1), 1))
+    t_minus_1 = t_minus_one(spec)
     t = Poly.x(spec)
     tables = []
     for pi, _m in crt_split(spec, n):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -168,6 +170,69 @@ class _PrimeKernel(_ListKernel):
                 quot[k] = c
                 rem[k:k + db] = [r - c * y for r, y in zip(rem[k:k + db], low)]
         return quot, [r % p for r in rem[:db]]
+
+
+# slot types by item size in bytes (1, 2, 4, 8, ascending); packing reads an
+# array's bytes as one little-endian int, so big-endian hosts get none
+_ARRAY_CODES = ({array(c).itemsize: c for c in "BHILQ"}
+                if sys.byteorder == "little" else {})
+
+
+class _KroneckerModulus:
+    """Products mod a fixed m over odd GF(p), for powmod at large deg m.
+
+    A residue (d = deg m coefficients) is packed into one int with a
+    fixed-width slot per coefficient (Kronecker substitution), so a product
+    is one big-int multiply followed by one % p per slot. The slots never
+    carry: no slot sum below exceeds (p - 1)^2 * d. The remainder is
+    Barrett's: with mu = t^(2d-2) // m, precomputed once (the reversal of
+    rev(m)^-1 mod t^(d-1)), any c of degree <= 2d - 2 has quotient
+    (c // t^d) * mu // t^(d-2) exactly, so c mod m costs two more packed
+    products and a subtraction. None of this needs m monic.
+    """
+
+    def __init__(self, kern: _PrimeKernel, m, size: int):
+        d = len(m) - 1
+        self.p, self.d, self.size = kern.p, d, size
+        self.code = _ARRAY_CODES[size]
+        self.shift = (d - 2) * 8 * size
+        self.mask = (1 << d * 8 * size) - 1
+        self.mu = self.pack(kern.divmod([0] * (2 * d - 2) + [1], m)[0])
+        self.m_low = self.pack(m[:d])
+
+    @staticmethod
+    def slot_size(p: int, d: int) -> int | None:
+        """Bytes per slot for deg m = d; None when no array type holds the
+        largest slot sum."""
+        need = ((p - 1) ** 2 * d).bit_length()
+        return next((s for s in _ARRAY_CODES if need <= 8 * s), None)
+
+    def pack(self, c) -> int:
+        return int.from_bytes(array(self.code, c).tobytes(), "little")
+
+    def slots(self, x: int, n: int) -> array:
+        """The low n slots of x, unreduced."""
+        return array(self.code, x.to_bytes(n * self.size, "little"))
+
+    def mulmod(self, x: int, y: int) -> int:
+        # only slots that feed a product are reduced before it
+        d, p = self.d, self.p
+        c = self.slots(x * y, 2 * d - 1)
+        high = self.pack([v % p for v in c[d:]])
+        quot = self.slots(high * self.mu >> self.shift, d - 1)
+        s = self.slots(self.pack([v % p for v in quot]) * self.m_low & self.mask, d)
+        return self.pack([(a - b) % p for a, b in zip(c, s)])
+
+    def pow(self, a, k: int) -> list[int]:
+        """a^k mod m for a residue list a (degree < d), left to right."""
+        if not k:
+            return [1]
+        x = result = self.pack(a)
+        for bit in bin(k)[3:]:
+            result = self.mulmod(result, result)
+            if bit == "1":
+                result = self.mulmod(result, x)
+        return list(self.slots(result, self.d))
 
 
 class _TableKernel(_ListKernel):
@@ -438,6 +503,12 @@ def t_pow_minus_one(spec: FieldSpec, n: int) -> Poly:
     return Poly(spec, coeffs)
 
 
+@lru_cache(maxsize=64)
+def t_minus_one(spec: FieldSpec) -> Poly:
+    """t - 1, one shared instance per field."""
+    return t_pow_minus_one(spec, 1)
+
+
 # ---------------------------------------------------------------------------
 # Division, gcd, powering
 
@@ -451,8 +522,21 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+# deg m from which odd-p powmod packs (_KroneckerModulus). Measured per
+# powmod, list route -> packed, best of 5 over 20 random monic moduli on an
+# idle 2-vCPU VM (Python 3.11.7). GF(3), k = (3^d - 1)/2: d = 3 0.054 -> 0.059,
+# d = 4 0.081 -> 0.074, d = 5 0.159 -> 0.118, d = 6 0.239 -> 0.148 ms;
+# k = 3: d = 3 0.015 -> 0.023, d = 4 0.019 -> 0.021, d = 5 0.024 -> 0.023,
+# d = 8 0.039 -> 0.029 ms. GF(5) wins from d = 4 and GF(251) from d = 3.
+_KRONECKER_MIN_DEGREE = 5
+
+
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
-    """base^k mod m by square-and-multiply; k >= 0."""
+    """base^k mod m by square-and-multiply; k >= 0.
+
+    Over odd GF(p) with deg m >= _KRONECKER_MIN_DEGREE the products are
+    packed big-int products reduced by Barrett's method (_KroneckerModulus).
+    """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
     if k < 0:
@@ -461,8 +545,13 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
     kern = kernel(m.spec)
     # square-and-multiply in the kernel's form, unpacked once at the end
     a, m_k = kern.pack(base.coeff_encs), kern.pack(m.coeff_encs)
-    result = kern.rem(kern.one, m_k)
     a = kern.rem(a, m_k)
+    if type(kern) is _PrimeKernel and m.degree >= _KRONECKER_MIN_DEGREE:
+        size = _KroneckerModulus.slot_size(kern.p, m.degree)
+        if size:
+            mod = _KroneckerModulus(kern, m_k, size)
+            return _poly(m.spec, kern.unpack(mod.pow(a, k)))
+    result = kern.rem(kern.one, m_k)
     while k:
         if k & 1:
             result = kern.rem(kern.mul(result, a), m_k)

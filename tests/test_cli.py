@@ -193,6 +193,11 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv) == 2  # a negative cap is a usage error, not a resource limit
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+    for argv in (["spectrum", "--q", "2"], ["graph", "--q", "2"],
+                 ["census", "--q", "2"], ["gen", "--q", "2", "--gen", "legendre"]):
+        assert main(argv) == 2  # --n missing
+        err = capsys.readouterr().err
+        assert err == "error: --n is required\n"
 
 
 def test_resource_errors_exit_1(capsys):

@@ -5,14 +5,18 @@ coefficient operation, so it shares no loop with the kernels. GF(3^6) lies
 above the table limit and runs the per-call fallback kernel.
 """
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdyn import FieldSpec, Poly
 from ffdyn.errors import DegenerateOperatorError
-from ffdyn.groupalg import DiffOperator
-from ffdyn.polyring import powmod
+from ffdyn.groupalg import DiffOperator, crt_split
+from ffdyn.intfactor import factor_int
+from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _KroneckerModulus, _order_prime_power,
+                            powmod)
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
@@ -121,6 +125,84 @@ def test_powmod_matches_repeated_multiplication(spec, data):
     for _ in range(k):
         expected = (expected * pa) % pm
     assert powmod(pa, k, pm) == expected
+
+
+def ref_powmod(base, k, m):
+    """Square-and-multiply through Poly.__mul__ / __mod__, which run the list
+    kernel and share no code with powmod's packed route."""
+    result, base = Poly.one(m.spec) % m, base % m
+    while k:
+        if k & 1:
+            result = result * base % m
+        base = base * base % m
+        k >>= 1
+    return result
+
+
+ODD_P_DEGREES = [2, 4, 5, 6, 7, 9, 30, 64, 121]
+
+
+def test_odd_p_degrees_straddle_the_crossover():
+    assert ODD_P_DEGREES[0] < _KRONECKER_MIN_DEGREE <= ODD_P_DEGREES[-1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 251])
+@pytest.mark.parametrize("d", ODD_P_DEGREES)
+def test_powmod_odd_p_matches_reference(p, d):
+    """Moduli of every degree in ODD_P_DEGREES, never monic; a zero base, a
+    base below deg m and one of degree >= 2 deg m; k = 0, 1, 2 and up to
+    10^29."""
+    spec = FieldSpec.of_order(p)
+    rng = random.Random(p * 1000 + d)
+    m = Poly(spec, [rng.randrange(p) for _ in range(d)] + [rng.randrange(2, p)])
+    bases = [Poly(spec), Poly(spec, [rng.randrange(p) for _ in range(d)]),
+             Poly(spec, [rng.randrange(p) for _ in range(2 * d)] + [1])]
+    for base in bases:
+        for k in (0, 1, 2, rng.randrange(10**29)):
+            assert powmod(base, k, m) == ref_powmod(base, k, m), (base, k)
+
+
+# (p, deg m) pairs on both sides of each slot-width boundary: the largest slot
+# sum (p - 1)^2 * deg m needs 8 or 9, 16 or 17, 32 or 33 bits; p = 2^31 - 1 is
+# too wide for any slot and keeps the list route
+SLOT_EDGES = [(3, 63), (3, 64), (37, 50), (37, 51), (23167, 8), (23167, 9),
+              (2**31 - 1, 6)]
+
+
+def test_slot_edges_cover_every_width():
+    sizes = {_KroneckerModulus.slot_size(p, d) for p, d in SLOT_EDGES}
+    assert sizes == {1, 2, 4, 8, None}
+
+
+@pytest.mark.parametrize("p,d", SLOT_EDGES)
+def test_powmod_reaches_the_largest_slot_sum(p, d):
+    """Squaring the all-(p - 1) residue of degree d - 1 fills the middle slot
+    with exactly (p - 1)^2 * d, so a slot one bit too narrow carries."""
+    spec = FieldSpec.of_order(p)
+    rng = random.Random(d)
+    m = Poly(spec, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+    base = Poly(spec, [p - 1] * d)
+    for k in (2, 3, rng.randrange(10**29)):
+        assert powmod(base, k, m) == ref_powmod(base, k, m)
+
+
+@pytest.mark.parametrize("n", [29, 31, 37])
+def test_unit_orders_on_large_components(n):
+    """GF(3)[t]/(t^n - 1) has components of degree 28, 30 and 18 besides
+    t - 1; the order found there passes the order test under the reference
+    powering: a^k == 1 and a^(k/l) != 1 for each prime l | k."""
+    spec = FieldSpec.of_order(3)
+    a = Poly(spec, [2, 1, 0, 0, 0, 1])  # a(1) = 1: a unit on every component
+    degrees = []
+    for pi, e in crt_split(spec, n):
+        degrees.append(pi.degree)
+        modulus = pi**e
+        one = Poly.one(spec) % modulus
+        k = _order_prime_power(a, pi, e)
+        assert ref_powmod(a, k, modulus) == one
+        for ell in factor_int(k):
+            assert ref_powmod(a, k // ell, modulus) != one
+    assert max(degrees) == {29: 28, 31: 30, 37: 18}[n]
 
 
 @fields
