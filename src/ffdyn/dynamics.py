@@ -104,9 +104,7 @@ class _OrbitAnalyzer:
             if val:
                 self.orders.append(None)
                 continue
-            unit = D.op_poly % pi**e
-            self.orders.append(
-                [1] + [_order_prime_power(unit, pi, m) for m in range(1, e + 1)])
+            self.orders.append(_order_prime_power(D.op_poly, pi, e))
         # a unit of the algebra (valuation 0 everywhere) has the longest
         # tail and the longest cycle
         self.max_preperiod, self.max_period = self.analyze((0,) * len(self.factors))

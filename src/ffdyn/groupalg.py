@@ -173,10 +173,18 @@ def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
 
 @lru_cache(maxsize=256)
 def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
-    """Factorization of t^n - 1 into (irreducible, multiplicity) pairs."""
+    """Factorization of t^n - 1 into (irreducible, multiplicity) pairs.
+
+    For n = p^k * m with p not dividing m, t^n - 1 = (t^m - 1)^(p^k) and
+    t^m - 1 is squarefree, so only t^m - 1 is factored.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    return factorize(t_pow_minus_one(spec, n)).factors
+    pk = 1
+    while n % spec.p == 0:
+        n //= spec.p
+        pk *= spec.p
+    return tuple((pi, e * pk) for pi, e in factorize(t_pow_minus_one(spec, n)).factors)
 
 
 @lru_cache(maxsize=256)

@@ -2,13 +2,13 @@
 
 Dense representation: a tuple of coefficient encodings, low degree first,
 no trailing zeros. Provides division, gcd, modular powering, complete
-factorization (squarefree / distinct-degree / Cantor-Zassenhaus), resultants
-and multiplicative-order computations.
+factorization (one distinct-degree pass that peels multiplicities, then
+Cantor-Zassenhaus), resultants and the unit orders on the components pi^e of
+a modulus.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from array import array
@@ -246,7 +246,7 @@ class _TableKernel(_ListKernel):
             tables = (_call_table(spec.add_enc), _Lookup(spec.neg_enc),
                       _call_table(spec.mul_enc))
         self.add_t, self.neg_t, self.mul_t = tables
-        self.inv = spec.inv_enc
+        self.spec = spec
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -279,7 +279,7 @@ class _TableKernel(_ListKernel):
         A, N, M = self.add_t, self.neg_t, self.mul_t
         rem = list(a)
         lead = b[-1]
-        inv_row = M[1 if lead == 1 else self.inv(lead)]
+        inv_row = M[1 if lead == 1 else self.spec.inv_enc(lead)]
         low = b[:db]
         quot = [0] * (len(rem) - db)
         for k in range(len(quot) - 1, -1, -1):
@@ -455,14 +455,6 @@ class Poly:
             acc = spec.add_enc(spec.mul_enc(acc, enc), c)
         return FieldElem(spec, acc)
 
-    def derivative(self) -> "Poly":
-        spec = self.spec
-        out = []
-        for i, c in enumerate(self._c[1:], start=1):
-            scalar = i % spec.p
-            out.append(spec.mul_enc(c, spec.from_int(scalar).enc))
-        return Poly(spec, out)
-
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):
@@ -602,78 +594,11 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _pth_root(f: Poly) -> Poly:
-    """Inverse of the Frobenius on a polynomial of the form g(t^p)."""
-    spec = f.spec
-    p = spec.p
-    root_exp = spec.q // p  # a -> a^(q/p) is the p-th root in GF(q)
-    out = []
-    for i, c in enumerate(f.coeff_encs):
-        if i % p == 0:
-            out.append(spec.pow_enc(c, root_exp))
-        elif c != 0:
-            raise DomainError("polynomial is not a p-th power")
-    return Poly(spec, out)
-
-
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic input; returns [(squarefree part, multiplicity)] with distinct parts."""
-    spec = f.spec
-    p = spec.p
-    if f.degree < 1:
-        return []
-    out: dict[int, Poly] = {}
-
-    def merge(m: int, g: Poly):
-        if g.degree < 1:
-            return
-        out[m] = out[m] * g if m in out else g
-
-    fp = f.derivative()
-    if fp.is_zero:
-        for g, m in squarefree_decomposition(_pth_root(f)):
-            merge(m * p, g)
-        return [(g, m) for m, g in sorted(out.items())]
-    c = gcd(f, fp)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = gcd(w, c)
-        merge(i, w // y)
-        w = y
-        c = c // y
-        i += 1
-    if c.degree > 0:
-        for g, m in squarefree_decomposition(_pth_root(c)):
-            merge(m * p, g)
-    return [(g, m) for m, g in sorted(out.items())]
-
-
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split a monic squarefree f into (product of irreducibles of degree d, d)."""
-    spec = f.spec
-    t = Poly.x(spec)
-    out = []
-    h = t
-    v = f
-    d = 0
-    while v.degree >= 2 * (d + 1):
-        d += 1
-        h = powmod(h, spec.q, v)
-        g = gcd(h - t, v)
-        if g.degree > 0:
-            out.append((g, d))
-            v = v // g
-            if v.degree > 0:
-                h = h % v
-    if v.degree > 0:
-        out.append((v, v.degree))
-    return out
-
-
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
     spec = f.spec
+    if f.degree < 1:
+        return []
     if f.degree == d:
         return [f]
     q = spec.q
@@ -681,15 +606,14 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         a = Poly(spec, [rng.randrange(q) for _ in range(f.degree)])
         if a.degree < 1:
             continue
-        g = gcd(a, f) if not a.is_zero else f
+        g = gcd(a, f)
         if 0 < g.degree < f.degree:
             pass  # lucky split via a common factor
         elif spec.p == 2:
-            # char 2: additive trace map of a over GF(2)
-            m = round(math.log2(q))
+            # char 2: additive trace map of a over GF(2), q = 2^e
             tr = a % f
             cur = a % f
-            for _ in range(m * d - 1):
+            for _ in range(spec.e * d - 1):
                 cur = (cur * cur) % f
                 tr = tr + cur
             if tr.is_zero:
@@ -706,22 +630,42 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
 def factorize(f: Poly, seed: int = 0) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities.
 
+    One distinct-degree pass over f itself. At stage d the factors of degree
+    < d are gone from v, so g = gcd(t^(q^d) - t, v) is the product of the
+    distinct degree-d irreducibles left in v. Round k divides v by g, which
+    strips one copy of each; w = gcd(g, v) keeps those that still divide v,
+    so g // w holds exactly the factors of multiplicity k, and equal-degree
+    splitting (Cantor-Zassenhaus) separates them. A factor of multiplicity k
+    costs k rounds. Once deg v < 2(d + 1), v is one irreducible.
+
     Deterministic: the equal-degree stage draws from a PRNG seeded with
     `seed`, so repeated runs split identically.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    unit = f.lc()
+    spec = f.spec
     rng = random.Random(seed)
+    t = Poly.x(spec)
     found: dict[Poly, int] = {}
-    if f.degree >= 1:
-        for part, mult in squarefree_decomposition(f.monic()):
-            for prod, d in _distinct_degree(part):
-                for irr in _equal_degree_split(prod.monic(), d, rng):
-                    found[irr] = found.get(irr, 0) + mult
+    v, h, d = f.monic(), t, 0
+    while v.degree >= 2 * (d + 1):
+        d += 1
+        h = powmod(h, spec.q, v)
+        g, k = gcd(h - t, v), 0
+        while g.degree > 0:
+            k += 1
+            v = v // g
+            w = gcd(g, v)
+            for irr in _equal_degree_split(g // w, d, rng):
+                found[irr] = k
+            g = w
+        if v.degree > 0:
+            h = h % v
+    if v.degree > 0:
+        found[v] = 1
     factors = tuple(sorted(found.items(),
                            key=lambda kv: (kv[0].degree, kv[0].coeff_encs)))
-    return Factorization(unit=unit, factors=factors)
+    return Factorization(unit=f.lc(), factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -777,40 +721,36 @@ def mult_order_int(base: int, n: int) -> int:
     return order
 
 
-def _order_prime_power(a: Poly, pi: Poly, e: int) -> int:
-    """Order of a in the unit group of GF(q)[t]/pi^e (pi irreducible)."""
-    spec = a.spec
-    d = pi.degree
-    p = spec.p
-    # group exponent: (q^d - 1) * p^ceil(log_p e)
-    pk, k = 1, 0
-    while pk < e:
-        pk *= p
-        k += 1
-    bound_fac = dict(factor_int(spec.q**d - 1))
-    if k:
-        bound_fac[p] = bound_fac.get(p, 0) + k
-    modulus = pi**e
-    one = Poly.one(spec) % modulus
-    order = (spec.q**d - 1) * pk
-    for ell in bound_fac:
-        while order % ell == 0 and powmod(a, order // ell, modulus) == one:
-            order //= ell
-    return order
+def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
+    """Orders of a in the unit groups of GF(q)[t]/pi^m for m = 0..e
+    (pi irreducible); DomainError when a is not a unit mod pi.
 
-
-def mult_order_mod(a: Poly, m: Poly) -> int:
-    """Smallest k >= 1 with a^k == 1 mod m; a must be a unit mod m.
-
-    Works for any nonconstant m (the modulus is factored internally); the
-    integer factorizations of the component group orders are effort-capped
-    and raise ResourceLimitError when exceeded.
+    Reduction mod pi maps the units mod pi^e onto GF(q^deg pi)^* with a
+    p-group kernel, so the order mod pi^m is o * p^j: o is the order mod pi,
+    found by stripping the primes of q^deg pi - 1, and j is the least with
+    b^(p^j) == 1 mod pi^m for b = a^o. In characteristic p,
+    b^(p^j) - 1 = (b - 1)^(p^j), so j is the least with p^j * v >= m, where
+    v = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3).
     """
-    if m.is_zero or m.degree < 1:
-        raise DomainError("modulus must be nonconstant")
-    if gcd(a % m, m).degree != 0:
-        raise DomainError("element is not a unit modulo m")
-    order = 1
-    for pi, e in factorize(m).factors:
-        order = math.lcm(order, _order_prime_power(a, pi, e))
-    return order
+    spec = a.spec
+    one = Poly.one(spec)
+    if (a % pi).is_zero:
+        raise DomainError("element is not a unit modulo pi")
+    order = spec.q**pi.degree - 1
+    for ell in factor_int(order):
+        while order % ell == 0 and powmod(a, order // ell, pi) == one:
+            order //= ell
+    orders = [1, order]
+    if e > 1:
+        x, v = powmod(a, order, pi**e) - one, 0
+        while v < e:  # v = v_pi(b - 1) >= 1, capped at e
+            x, rest = divmod(x, pi)
+            if not rest.is_zero:
+                break
+            v += 1
+        for m in range(2, e + 1):
+            while v < m:
+                order *= spec.p
+                v *= spec.p
+            orders.append(order)
+    return orders

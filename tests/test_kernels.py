@@ -16,7 +16,7 @@ from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import DiffOperator, crt_split
 from ffdyn.intfactor import factor_int
 from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _KroneckerModulus, _order_prime_power,
-                            powmod)
+                            kernel, powmod)
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
@@ -186,6 +186,24 @@ def test_powmod_reaches_the_largest_slot_sum(p, d):
         assert powmod(base, k, m) == ref_powmod(base, k, m)
 
 
+def test_table_kernel_inverts_through_the_field(monkeypatch):
+    """The table kernel is cached per field, so it must look FieldSpec.inv_enc
+    up when it divides: a wrapper put on the class after the kernel is built
+    still sees the inverse of a non-monic divisor's leading coefficient."""
+    F9 = FieldSpec.of_order(9)
+    kernel(F9)
+    calls = []
+    inv_enc = FieldSpec.inv_enc
+
+    def counted(self, a):
+        calls.append(a)
+        return inv_enc(self, a)
+
+    monkeypatch.setattr(FieldSpec, "inv_enc", counted)
+    divmod(Poly(F9, [1, 2, 3, 4]), Poly(F9, [5, 2]))
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("n", [29, 31, 37])
 def test_unit_orders_on_large_components(n):
     """GF(3)[t]/(t^n - 1) has components of degree 28, 30 and 18 besides
@@ -198,7 +216,7 @@ def test_unit_orders_on_large_components(n):
         degrees.append(pi.degree)
         modulus = pi**e
         one = Poly.one(spec) % modulus
-        k = _order_prime_power(a, pi, e)
+        k = _order_prime_power(a, pi, e)[-1]
         assert ref_powmod(a, k, modulus) == one
         for ell in factor_int(k):
             assert ref_powmod(a, k // ell, modulus) != one

@@ -5,9 +5,9 @@ import pytest
 from conftest import F2, F3, F4, F5, F8, F9
 from ffdyn import DomainError, Poly, factorize, resultant
 from ffdyn.errors import ResourceLimitError
-from ffdyn.polyring import (NEG_INF, gcd, geometric_sum,
-                            is_irreducible, mult_order_int, mult_order_mod,
-                            powmod, squarefree_decomposition, t_pow_minus_one)
+from ffdyn.groupalg import crt_split
+from ffdyn.polyring import (NEG_INF, _order_prime_power, gcd, geometric_sum,
+                            is_irreducible, mult_order_int, powmod, t_pow_minus_one)
 
 
 def rand_poly(spec, max_deg, rng, nonzero=False):
@@ -192,8 +192,14 @@ def _independent_irreducible(f):
 def test_factor_reconstruction_and_irreducibility_random():
     rng = random.Random(5)
     for spec in (F2, F3, F4, F5, F8, F9):
-        for _ in range(12):
-            f = rand_poly(spec, 7, rng, nonzero=True)
+        inputs = [(rand_poly(spec, 7, rng, nonzero=True), None) for _ in range(12)]
+        # forced multiplicities p, p + 1 and 2p on a random g of degree >= 1
+        for mult in (spec.p, spec.p + 1, 2 * spec.p):
+            g = rand_poly(spec, 3, rng)
+            while g.degree < 1:
+                g = rand_poly(spec, 3, rng)
+            inputs.append((g**mult * rand_poly(spec, 4, rng, nonzero=True), (g, mult)))
+        for f, forced in inputs:
             fac = factorize(f)
             assert fac.expand() == f
             seen = set()
@@ -204,18 +210,28 @@ def test_factor_reconstruction_and_irreducibility_random():
                 seen.add(p)
                 assert _independent_irreducible(p)
                 assert is_irreducible(p)
+            if forced:
+                g, mult = forced
+                found = dict(fac.factors)
+                for p, e in factorize(g).factors:
+                    assert found[p] >= e * mult
 
 
 def test_squarefree_decomposition_char_p_powers():
     # (t+1)^3 * (t^2+t+1) over GF(2) mixes p-th powers with plain factors
     f = Poly(F2, [1, 1]) ** 3 * Poly(F2, [1, 1, 1])
-    parts = squarefree_decomposition(f)
-    assert (Poly(F2, [1, 1]), 3) in parts
-    assert (Poly(F2, [1, 1, 1]), 1) in parts
-    prod = Poly.one(F2)
-    for g, m in parts:
-        prod = prod * g**m
-    assert prod == f
+    assert factorize(f).factors == ((Poly(F2, [1, 1]), 3), (Poly(F2, [1, 1, 1]), 1))
+
+
+@pytest.mark.parametrize("spec, lengths", [(F4, (2, 4, 6, 12, 20, 32)),
+                                           (F8, (2, 4, 6, 8, 14, 28)),
+                                           (F9, (3, 6, 9, 12, 18, 27))],
+                         ids=["q4", "q8", "q9"])
+def test_crt_split_p_power_shortcut_matches_factorize(spec, lengths):
+    """crt_split factors only t^m - 1 for n = p^k * m; the general
+    factorization of t^n - 1 must give the same pairs in the same order."""
+    for n in lengths:
+        assert factorize(t_pow_minus_one(spec, n)).factors == crt_split(spec, n), n
 
 
 def test_is_irreducible_examples():
@@ -315,12 +331,17 @@ def test_mult_order_int_domain_errors():
         mult_order_int(10, 5)
 
 
+def _order(a, pi, e=1):
+    """Order of a mod pi^e: the last entry of _order_prime_power."""
+    return _order_prime_power(a, pi, e)[-1]
+
+
 def test_mult_order_mod_examples():
     m = Poly(F2, [1, 1, 1])
-    assert mult_order_mod(Poly(F2, [1, 1]), m) == 3
-    assert mult_order_mod(Poly.x(F2), m) == 3
-    assert mult_order_mod(Poly.one(F2), m) == 1
-    assert mult_order_mod(Poly.one(F3), Poly(F3, [1, 0, 1])) == 1
+    assert _order(Poly(F2, [1, 1]), m) == 3
+    assert _order(Poly.x(F2), m) == 3
+    assert _order(Poly.one(F2), m) == 1
+    assert _order(Poly.one(F3), Poly(F3, [1, 0, 1])) == 1
 
 
 def test_mult_order_mod_divides_group_order():
@@ -330,20 +351,20 @@ def test_mult_order_mod_divides_group_order():
         group = spec.q**m.degree - 1
         for _ in range(20):
             a = rand_poly(spec, m.degree - 1, rng, nonzero=True)
-            k = mult_order_mod(a, m)
+            k = _order(a, m)
             assert group % k == 0
             assert powmod(a, k, m) == Poly.one(spec)
 
 
 def test_mult_order_mod_non_unit_rejected():
+    # a multiple of pi has no order mod pi^e; the lifting loop would not end
     with pytest.raises(DomainError):
-        mult_order_mod(Poly(F2, [1, 1]), Poly(F2, [1, 1]) * Poly(F2, [1, 1, 1]))
+        _order(Poly(F2, [1, 1]) * Poly(F2, [1, 1, 1]), Poly(F2, [1, 1]), 2)
 
 
 def test_mult_order_mod_prime_power_modulus():
     # unit group of GF(2)[t]/(t+1)^2 has order 2
-    m = Poly(F2, [1, 1]) ** 2
-    assert mult_order_mod(Poly.x(F2), m) == 2
+    assert _order(Poly.x(F2), Poly(F2, [1, 1]), 2) == 2
 
 
 def test_mult_order_mod_effort_cap_propagates(monkeypatch):
@@ -354,4 +375,37 @@ def test_mult_order_mod_effort_cap_propagates(monkeypatch):
 
     monkeypatch.setattr(pr, "factor_int", tiny_factor)
     with pytest.raises(ResourceLimitError):
-        mult_order_mod(Poly(F2, [1, 1]), Poly(F2, [1, 1, 1]))
+        _order(Poly(F2, [1, 1]), Poly(F2, [1, 1, 1]))
+
+
+def _orders_by_iteration(a, pi, e):
+    """Orders of a mod pi^m for m = 0..e, from the powers a, a^2, ... mod
+    pi^e: the order mod pi^m is the first k with a^k == 1 mod pi^m."""
+    spec = a.spec
+    one = Poly.one(spec)
+    mods = [pi**m for m in range(e + 1)]
+    orders = [1] + [None] * e
+    x, k = a % mods[e], 1
+    while None in orders:
+        for m in range(1, e + 1):
+            if orders[m] is None and x % mods[m] == one:
+                orders[m] = k
+        x, k = (x * a) % mods[e], k + 1
+    return orders
+
+
+@pytest.mark.parametrize("spec, pi, e", [
+    (F2, (1, 1), 8), (F2, (1, 1, 1), 4), (F3, (1, 1), 9), (F3, (1, 0, 1), 3),
+    (F4, (1, 1), 4)], ids=["q2-lin-e8", "q2-quad-e4", "q3-lin-e9", "q3-quad-e3", "q4-lin-e4"])
+def test_order_lifting_matches_iteration(spec, pi, e):
+    """The orders mod pi^m for m = 1..e (several lifts by p) against the
+    first return to 1 of the powers of a random unit."""
+    pi = Poly(spec, pi)
+    rng = random.Random(e * spec.q + pi.degree)
+    units = 0
+    while units < 6:
+        a = Poly(spec, [rng.randrange(spec.q) for _ in range(e * pi.degree)])
+        if (a % pi).is_zero:
+            continue
+        units += 1
+        assert _order_prime_power(a, pi, e) == _orders_by_iteration(a, pi, e)
