@@ -230,13 +230,20 @@ def _cmd_verify(args) -> int:
 # -----------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a one-line message, like every other bad input."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffdyn",
         description="Finite-difference dynamics on cyclic sequences over GF(q)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_choices=("json", "text")):
+    def add_common(p, fmt_choices=("json",), cap_states=False, cap_ops=False, seed=False):
         p.add_argument("--q", type=int, help="field order (prime power)")
         p.add_argument("--p", type=int, help="characteristic (with --e/--mod)")
         p.add_argument("--e", type=int, help="extension degree (default 1 with --p)")
@@ -244,21 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="sequence length")
         p.add_argument("--format", choices=fmt_choices, default="json")
         p.add_argument("--out", help="write output to FILE instead of stdout")
-        p.add_argument("--cap-states", type=int, default=2**20, dest="cap_states")
-        p.add_argument("--cap-ops", type=int, default=2**16, dest="cap_ops")
-        p.add_argument("--seed", type=int, help="PRNG seed for random generation")
+        if cap_states:
+            p.add_argument("--cap-states", type=int, default=2**20)
+        if cap_ops:
+            p.add_argument("--cap-ops", type=int, default=2**16)
+        if seed:
+            p.add_argument("--seed", type=int, help="PRNG seed for random generation")
 
     def add_seq_source(p):
         p.add_argument("--seq", help="comma-separated values for i = 1..n")
         p.add_argument("--gen", choices=seqgen._KINDS, help="named generator")
 
     p = sub.add_parser("classify", help="complexity verdict for sequences")
-    add_common(p)
+    add_common(p, cap_states=True, cap_ops=True, seed=True)
     add_seq_source(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("orbit", help="preperiod and period under an operator")
-    add_common(p)
+    add_common(p, cap_states=True, seed=True)
     add_seq_source(p)
     p.add_argument("--op", help="operator coefficients d_1..d_m")
     p.set_defaults(fn=_cmd_orbit)
@@ -269,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("graph", help="full functional graph (enumerative)")
-    add_common(p, ("json", "dot"))
+    add_common(p, ("json", "dot"), cap_states=True)
     p.add_argument("--op", help="operator coefficients d_1..d_m")
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("census", help="exhaustive quota census for prime n")
-    add_common(p, ("json", "csv"))
+    add_common(p, ("json", "csv"), cap_states=True)
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("gen", help="emit named sequences")
-    add_common(p)
+    add_common(p, ("json", "text"), seed=True)
     p.add_argument("--gen", choices=seqgen._KINDS, required=True)
     p.set_defaults(fn=_cmd_gen)
 

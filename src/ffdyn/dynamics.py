@@ -9,15 +9,16 @@ factor components of t^n - 1, where each component either dies
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .ffield import FieldSpec
-from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
-                       seq_to_poly, t_pow_minus_one)
-from .polyring import gcd, _order_prime_power
+from .groupalg import CyclicSeq, DiffOperator, component_valuations, crt_split, seq_to_poly
+from .polyring import _order_prime_power
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,6 @@ def index_of_state(spec: FieldSpec, v: tuple[int, ...]) -> int:
 
 def successor_array(D: DiffOperator, cap: int = 2**20) -> list[int]:
     """succ[i] = index of D applied to the i-th state (big-endian indexing)."""
-    import itertools
     spec, n = D.spec, D.n
     total = spec.q**n
     if total > cap:
@@ -213,13 +213,12 @@ def successor_array(D: DiffOperator, cap: int = 2**20) -> list[int]:
     return succ
 
 
-def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]]:
-    """(preperiod, period) for every state, by pure iteration with memoization.
+def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of every state of the functional graph succ.
 
-    One successor application per state overall; this is the exhaustive
-    brute-force oracle used by the sweep tests.
+    Each state is walked once: a walk stops at a state already done, or
+    closes a new cycle, and the path back is filled in from there.
     """
-    succ = successor_array(D, cap)
     total = len(succ)
     pre = [-1] * total
     per = [0] * total
@@ -250,6 +249,15 @@ def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]
     return pre, per
 
 
+def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]]:
+    """(preperiod, period) for every state, by pure iteration with memoization.
+
+    One successor application per state overall; this is the exhaustive
+    brute-force oracle used by the sweep tests.
+    """
+    return _orbits(successor_array(D, cap))
+
+
 def _ahu_code(root: int, children: list[list[int]]) -> str:
     """Canonical encoding of a rooted tree (iterative post-order)."""
     codes: dict[int, str] = {}
@@ -268,67 +276,36 @@ def _ahu_code(root: int, children: list[list[int]]) -> str:
 def build_graph(D: DiffOperator, cap: int = 2**20) -> tuple[GraphSummary, list[int]]:
     """Full functional graph: spectrum, tree depth, tree isomorphism check.
 
+    Everything is read from the successor array and one orbit pass over it,
+    with no algebra, so it checks the algebraic route independently.
     Returns the summary and the successor array (the edge list i -> succ[i]).
     """
-    spec, n = D.spec, D.n
     succ = successor_array(D, cap)
+    pre, per = _orbits(succ)
     total = len(succ)
-    indeg = [0] * total
-    for s in succ:
-        indeg[s] += 1
-    # peel non-attractor states
-    attractor = [True] * total
-    stack = [i for i in range(total) if indeg[i] == 0]
-    while stack:
-        i = stack.pop()
-        attractor[i] = False
-        t = succ[i]
-        indeg[t] -= 1
-        if indeg[t] == 0:
-            stack.append(t)
-    # cycle spectrum by walking attractor cycles
-    spectrum: dict[int, int] = {}
-    seen = [False] * total
-    for i in range(total):
-        if attractor[i] and not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = succ[j]
-                length += 1
-            spectrum[length] = spectrum.get(length, 0) + 1
-    spectrum = dict(sorted(spectrum.items()))
-    # predecessor buckets; tree children exclude attractor-to-attractor edges
-    preds: list[list[int]] = [[] for _ in range(total)]
+    attractor = [i for i in range(total) if pre[i] == 0]
+    # an L-cycle holds L attractor states of period L
+    states = Counter(per[i] for i in attractor)
+    spectrum = {length: cnt // length for length, cnt in sorted(states.items())}
+    # tree children exclude attractor-to-attractor edges
+    children: list[list[int]] = [[] for _ in range(total)]
     for i, s in enumerate(succ):
-        preds[s].append(i)
-    children = [[p for p in preds[i] if not attractor[p]] for i in range(total)]
-    # depth: BFS from the attractor, following tree edges backwards
-    depth = 0
-    frontier = [i for i in range(total) if attractor[i]]
-    level = 0
-    while frontier:
-        nxt = []
-        for i in frontier:
-            nxt.extend(children[i])
-        if nxt:
-            level += 1
-            depth = level
-        frontier = nxt
+        if pre[i]:
+            children[s].append(i)
     # tree isomorphism across attractor vertices
-    codes = [_ahu_code(i, children) for i in range(total) if attractor[i]]
+    codes = [_ahu_code(i, children) for i in attractor]
     all_iso = len(set(codes)) <= 1
     tree_hash = hashlib.sha256(codes[0].encode()).hexdigest()[:16] if all_iso and codes else None
-    kernel_dim = gcd(D.op_poly, t_pow_minus_one(spec, n)).degree
     summary = GraphSummary(
         state_count=total,
         cycle_spectrum=spectrum,
-        tree_depth=depth,
+        tree_depth=max(pre),
         tree_shape_hash=tree_hash,
-        per_node_indegree=spec.q**kernel_dim,
+        # state 0 is the zero sequence and D0 = 0, so its preimages are the
+        # kernel of D, and every image has that many preimages
+        per_node_indegree=succ.count(0),
         all_trees_isomorphic=all_iso,
-        attractor_size=sum(attractor),
+        attractor_size=len(attractor),
     )
     return summary, succ
 

@@ -104,6 +104,8 @@ class DiffOperator:
     __slots__ = ("spec", "n", "op_poly", "_times_op")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
+        if n < 1:
+            raise DomainError("n must be >= 1")
         if op_poly.spec != spec:
             raise DomainError("operator polynomial from a different field")
         if op_poly.degree != float("-inf") and op_poly.degree >= n:

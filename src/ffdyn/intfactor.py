@@ -109,6 +109,17 @@ def factor_int(n: int, trial_bound: int = TRIAL_BOUND,
     return out
 
 
+def order(n: int, is_one) -> int:
+    """Least k dividing n with is_one(k), where is_one(k) says x^k = 1 for
+    a group element x with x^n = 1: the order of x, found by stripping each
+    prime of n while x^k stays 1."""
+    k = n
+    for ell in factor_int(n):
+        while k % ell == 0 and is_one(k // ell):
+            k //= ell
+    return k
+
+
 def divisors(n: int) -> list[int]:
     """Sorted list of all divisors of n (fully factors n first)."""
     out = [1]

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 from .errors import DomainError
 from .ffield import FieldElem, FieldSpec
-from .intfactor import factor_int, is_prime
+from .intfactor import factor_int, is_prime, order
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -714,11 +714,7 @@ def mult_order_int(base: int, n: int) -> int:
         raise DomainError(f"{n} is not prime")
     if base % n == 0:
         raise DomainError(f"{base} is divisible by {n}")
-    order = n - 1
-    for ell in factor_int(n - 1):
-        while order % ell == 0 and pow(base, order // ell, n) == 1:
-            order //= ell
-    return order
+    return order(n - 1, lambda k: pow(base, k, n) == 1)
 
 
 def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
@@ -736,13 +732,10 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
     one = Poly.one(spec)
     if (a % pi).is_zero:
         raise DomainError("element is not a unit modulo pi")
-    order = spec.q**pi.degree - 1
-    for ell in factor_int(order):
-        while order % ell == 0 and powmod(a, order // ell, pi) == one:
-            order //= ell
-    orders = [1, order]
+    o = order(spec.q**pi.degree - 1, lambda k: powmod(a, k, pi) == one)
+    orders = [1, o]
     if e > 1:
-        x, v = powmod(a, order, pi**e) - one, 0
+        x, v = powmod(a, o, pi**e) - one, 0
         while v < e:  # v = v_pi(b - 1) >= 1, capped at e
             x, rest = divmod(x, pi)
             if not rest.is_zero:
@@ -750,7 +743,7 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
             v += 1
         for m in range(2, e + 1):
             while v < m:
-                order *= spec.p
+                o *= spec.p
                 v *= spec.p
-            orders.append(order)
+            orders.append(o)
     return orders

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .ffield import FieldSpec
 from .groupalg import CyclicSeq
-from .intfactor import factor_int, is_prime
+from .intfactor import is_prime, order
 
 
 def legendre_symbol(i: int, n: int) -> int:
@@ -40,37 +40,24 @@ def arnold_log_seq(spec: FieldSpec, n: int) -> CyclicSeq:
 
 def legendre_seq(spec: FieldSpec, n: int) -> CyclicSeq:
     """Nonresidue indicator mod n itself for i = 1..n-1, with the last value 0."""
-    if n < 3 or n % 2 == 0 or not is_prime(n):
+    if n < 3 or not is_prime(n):
         raise DomainError(f"{n} is not an odd prime")
-    vals = [0 if legendre_symbol(i, n) == 1 else 1 for i in range(1, n)]
-    vals.append(0)
-    return CyclicSeq(spec, [spec.from_int(v) for v in vals])
+    return CyclicSeq(spec, arnold_log_seq(spec, n - 1).value_encs + (0,))
 
 
 def primitive_root_mod(n: int) -> int:
     """Smallest primitive root modulo the prime n."""
     if not is_prime(n):
         raise DomainError(f"{n} is not prime")
-    if n == 2:
-        return 1
-    fac = factor_int(n - 1)
-    for g in range(2, n):
-        if all(pow(g, (n - 1) // ell, n) != 1 for ell in fac):
-            return g
-    raise DomainError(f"no primitive root found mod {n}")  # unreachable
+    return next(g for g in range(1, n)
+                if order(n - 1, lambda k: pow(g, k, n) == 1) == n - 1)
 
 
 def multiplicative_generator(spec: FieldSpec):
     """Smallest-encoding generator of the multiplicative group of GF(q)."""
     q = spec.q
-    if q == 2:
-        return spec.one
-    fac = factor_int(q - 1)
-    for enc in range(2, q):
-        a = spec.element(enc)
-        if all((a ** ((q - 1) // ell)).enc != 1 for ell in fac):
-            return a
-    raise DomainError("no multiplicative generator found")  # unreachable
+    return next(a for a in map(spec.element, range(1, q))
+                if order(q - 1, lambda k: (a ** k).enc == 1) == q - 1)
 
 
 def multiplicative_family(spec: FieldSpec, n: int) -> list[CyclicSeq]:

@@ -4,10 +4,17 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import random  # noqa: E402
+from functools import reduce  # noqa: E402
+
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_mul, gf_rem  # noqa: E402
+
 from ffdyn import FieldSpec  # noqa: E402
-from ffdyn.groupalg import crt_split  # noqa: E402
+from ffdyn.dynamics import orbit_algebraic, orbit_brute  # noqa: E402
+from ffdyn.groupalg import CyclicSeq, build_operator, crt_split  # noqa: E402
 from ffdyn.intfactor import is_prime  # noqa: E402
-from ffdyn.polyring import mult_order_int  # noqa: E402
+from ffdyn.polyring import Poly, is_irreducible, mult_order_int, t_pow_minus_one  # noqa: E402
 
 T = sympy.Symbol("t")
 LENGTHS = [1, 2, 6, 15, 31, 63, 64, 81, 105, 127, 210, 243, 255, 300]
@@ -37,3 +44,50 @@ def test_mult_order_int_matches_sympy():
         for base in (2, 3, 5, 7, 10):
             if base % n:
                 assert mult_order_int(base, n) == sympy.n_order(base, n), (base, n)
+
+
+# -- extension fields above the 512-element table limit ------------------------
+# These answer through base-p digits and the polynomial kernel's lookup
+# stand-ins, not through tables.
+
+GF1024 = FieldSpec.of_order(2**10)
+GF2187 = FieldSpec.of_order(3**7)
+
+
+def _to_gf(enc, spec):
+    """Encoding -> sympy dense coefficients over GF(p), high-to-low."""
+    digits = []
+    while enc:
+        enc, d = divmod(enc, spec.p)
+        digits.append(d)
+    return digits[::-1]
+
+
+@pytest.mark.parametrize("spec", [GF1024, GF2187])
+def test_large_extension_mul_matches_sympy(spec):
+    rng = random.Random(spec.q)
+    modulus = list(reversed(spec.modulus))
+    for _ in range(200):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        want = gf_rem(gf_mul(_to_gf(a, spec), _to_gf(b, spec), spec.p, ZZ), modulus, spec.p, ZZ)
+        assert _to_gf(spec.mul_enc(a, b), spec) == [int(c) for c in want], (a, b)
+
+
+@pytest.mark.parametrize("spec, lengths", [(GF1024, (3, 5, 7, 11)), (GF2187, (2, 4, 5))])
+def test_large_extension_crt_split_reconstructs(spec, lengths):
+    for n in lengths:
+        factors = crt_split(spec, n)
+        assert reduce(lambda acc, f: acc * f[0] ** f[1], factors, Poly.one(spec)) \
+            == t_pow_minus_one(spec, n), n
+        assert all(is_irreducible(pi) for pi, _e in factors), n
+
+
+@pytest.mark.parametrize("spec", [GF1024, GF2187])
+def test_large_extension_orbits_agree_at_n2(spec):
+    # over GF(2187) the live component t + 1 has periods up to 2186, so the
+    # brute walk is long and the sample small
+    rng = random.Random(spec.q + 2)
+    for coeffs in ([1], [rng.randrange(1, spec.q), 1]):
+        D = build_operator(spec, 2, coeffs)
+        f = CyclicSeq(spec, [rng.randrange(spec.q) for _ in range(2)])
+        assert orbit_algebraic(D, f) == orbit_brute(D, f), (coeffs, f.value_encs)

@@ -158,9 +158,21 @@ def test_verify_quota_trend_reports_the_known_failure(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--bogus"])
-    assert exc.value.code == 2
+    # argparse's own errors, dead flags included: each handler registers
+    # only the flags it reads
+    for argv in (["classify", "--bogus"], ["classify", "--q", "abc"],
+                 ["gen", "--q", "2", "--n", "3"],
+                 ["spectrum", "--q", "2", "--n", "7", "--seed", "1"],
+                 ["spectrum", "--q", "2", "--n", "7", "--cap-states", "9"],
+                 ["graph", "--q", "2", "--n", "3", "--cap-ops", "9"],
+                 ["census", "--q", "2", "--n", "5", "--seed", "1"],
+                 ["gen", "--q", "2", "--n", "3", "--gen", "const", "--cap-ops", "9"],
+                 ["orbit", "--q", "2", "--seq", "1,0,0", "--format", "text"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
     code, _out = run_cli(capsys, "classify", "--q", "2")
     assert code == 2  # no sequence source
     code, _out = run_cli(capsys, "classify", "--q", "2", "--n", "4",
@@ -198,6 +210,9 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv) == 2  # --n missing
         err = capsys.readouterr().err
         assert err == "error: --n is required\n"
+    for n in ("0", "-2"):
+        assert main(["graph", "--q", "2", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
 
 
 def test_resource_errors_exit_1(capsys):

@@ -76,6 +76,14 @@ def test_delta_examples():
     assert delta(seq(F3, 1, 2, 0)).value_encs == (1, 1, 1)
 
 
+def test_operator_rejects_nonpositive_length():
+    for n in (0, -2):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            delta_operator(F2, n)
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            build_operator(F3, n, [1])
+
+
 def test_delta_equals_operator_action_exhaustive():
     # the canonical multiplier t^(n-1) - 1 reproduces the componentwise
     # difference map on every state space up to 2^12

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from ffdyn.errors import ResourceLimitError
-from ffdyn.intfactor import divisors, factor_int, is_prime
+from ffdyn.intfactor import divisors, factor_int, is_prime, order
 
 
 def test_is_prime_small():
@@ -50,3 +52,13 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert divisors(49) == [1, 7, 49]
+
+
+def test_order_is_least_divisor_passing_the_test():
+    for m in (2, 9, 13, 25, 97, 1000):
+        for base in range(1, m):
+            if math.gcd(base, m) != 1:
+                continue
+            phi = sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1)
+            first = next(k for k in range(1, phi + 1) if pow(base, k, m) == 1)
+            assert order(phi, lambda k: pow(base, k, m) == 1) == first, (base, m)

@@ -368,12 +368,12 @@ def test_mult_order_mod_prime_power_modulus():
 
 
 def test_mult_order_mod_effort_cap_propagates(monkeypatch):
-    import ffdyn.polyring as pr
+    import ffdyn.intfactor as intfactor
 
     def tiny_factor(n, trial_bound=10, rho_budget=5):
         raise ResourceLimitError("forced")
 
-    monkeypatch.setattr(pr, "factor_int", tiny_factor)
+    monkeypatch.setattr(intfactor, "factor_int", tiny_factor)
     with pytest.raises(ResourceLimitError):
         _order(Poly(F2, [1, 1]), Poly(F2, [1, 1, 1]))
 
