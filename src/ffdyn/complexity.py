@@ -19,7 +19,7 @@ from .dynamics import max_period, max_preperiod, orbit_brute, orbit_from_valuati
 from .errors import DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
-                       delta_operator, seq_to_poly)
+                       delta_operator, linear_images, seq_to_poly)
 from .intfactor import is_prime
 from .polyring import Poly, geometric_sum, mult_order_int, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
@@ -178,54 +178,36 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     """Count the states whose projection onto every factor of t^n - 1 other
     than t - 1 is nonzero.
 
-    f -> f mod pi is GF(p)-linear, so each base-p digit of each coefficient
-    of f mod pi is an integer combination of the base-p digits of f, which
-    are the base-p digits of the state index (q = p^e). The combination is
-    accumulated exactly and reduced mod p once.
+    f -> f mod pi is GF(p)-linear. Base-p digit j*e + s of a state index is
+    digit s of the coefficient of t^j (q = p^e), so basis row j*e + s lists
+    the base-p digits of p^s t^j mod pi for every pi != t - 1 in turn, and
+    linear_images gives every state's residues as digit planes.
     """
     import numpy as np
-    q, p, e = spec.q, spec.p, spec.e
+    p, e = spec.p, spec.e
     t_minus_1 = t_minus_one(spec)
     t = Poly.x(spec)
-    tables = []
+    basis = [[] for _ in range(n * e)]
+    spans = []  # the image digits of each pi
     for pi, _m in crt_split(spec, n):
         if pi == t_minus_1:
             continue
-        # table[k*e + r][j*e + s] = digit r of coefficient k of p^s t^j mod pi
-        table = [[0] * (n * e) for _ in range(pi.degree * e)]
+        d = pi.degree
+        start = len(basis[0])
+        spans.append(slice(start, start + d * e))
         power = Poly.one(spec)
         for j in range(n):
-            for k, c in enumerate(power.coeff_encs):
-                for s in range(e):
-                    prod = spec.mul_enc(c, p**s)
-                    for r in range(e):
-                        table[k * e + r][j * e + s] = prod // p**r % p
+            coeffs = power.coeff_encs + (0,) * (d - len(power.coeff_encs))
+            for s in range(e):
+                basis[j * e + s] += [spec.mul_enc(c, p**s) // p**r % p
+                                     for c in coeffs for r in range(e)]
             power = (power * t) % pi
-        tables.append(table)
-    dtype = np.min_scalar_type(n * e * (p - 1) ** 2)  # largest digit sum
-
     total = 0
-    # 2^16 states per block keeps each int64 temporary at 512 KiB; blocks of
-    # 2^18 ran slower and let resident memory grow with every census run
-    block = 1 << 16
-    n_states = q**n
-    for start in range(0, n_states, block):
-        idx = np.arange(start, min(start + block, n_states), dtype=np.int64)
-        digits = []
-        for _ in range(n * e):
-            idx, digit = np.divmod(idx, p)
-            digits.append(digit.astype(dtype))
-        ok = np.ones(len(digits[0]), dtype=bool)
-        for table in tables:
-            nz = np.zeros_like(ok)
-            for row in table:
-                acc = np.zeros(len(ok), dtype=dtype)
-                for c, digit in zip(row, digits):
-                    if c:
-                        acc += c * digit
-                nz |= acc % p != 0
-            ok &= nz
-        total += int(ok.sum())
+    for planes in linear_images(p, basis):
+        ok = np.ones(planes.shape[1], dtype=bool)
+        for span in spans:
+            ok &= planes[span].any(axis=0)
+        total += int(np.count_nonzero(ok))
     return total
 
 

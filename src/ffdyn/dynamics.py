@@ -9,16 +9,16 @@ factor components of t^n - 1, where each component either dies
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import ResourceLimitError
 from .ffield import FieldSpec
-from .groupalg import CyclicSeq, DiffOperator, component_valuations, crt_split, seq_to_poly
-from .polyring import _order_prime_power
+from .groupalg import (CyclicSeq, DiffOperator, _check_dimensions,
+                       component_valuations, crt_split, linear_images, seq_to_poly)
+from .polyring import _order_prime_power, kernel
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,17 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
     `max_steps` bounds the orbit size (preperiod + period); the default is
     the whole state space q^n, which can never be exceeded.
     """
+    _check_dimensions(D, f)
+    spec, n = f.spec, f.n
     if max_steps is None:
-        max_steps = f.spec.q**f.n
+        max_steps = spec.q**n
     step = D.apply_values
     x0 = f.value_encs
+    if spec.q == 2:
+        # iterate on the packed residue: one product and one fold per step
+        kern = kernel(spec)
+        step = partial(kern.cyclic_packed, kern.pack(D.op_poly.coeff_encs), n)
+        x0 = kern.pack(x0)
     # phase 1: cycle length; a hare that runs 3*max_steps + 4 steps without
     # closing proves the orbit exceeds max_steps
     power = lam = 1
@@ -82,7 +89,10 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
         if mu + lam > max_steps:
             raise ResourceLimitError(
                 f"orbit exceeds the configured cap of {max_steps} states")
-    return OrbitSummary(mu, lam, CyclicSeq(f.spec, tortoise))
+    if spec.q == 2:
+        tortoise = kern.unpack(tortoise)
+        tortoise += (0,) * (n - len(tortoise))
+    return OrbitSummary(mu, lam, CyclicSeq(spec, tortoise))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +146,7 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders."""
+    _check_dimensions(D, f)
     pre, per = orbit_from_valuations(D, component_valuations(seq_to_poly(f), f.n))
     v = f.value_encs
     for _ in range(pre):
@@ -201,15 +212,28 @@ def index_of_state(spec: FieldSpec, v: tuple[int, ...]) -> int:
 
 
 def successor_array(D: DiffOperator, cap: int = 2**20) -> list[int]:
-    """succ[i] = index of D applied to the i-th state (big-endian indexing)."""
+    """succ[i] = index of D applied to the i-th state (big-endian indexing).
+
+    D is GF(p)-linear and a state index read in base p is a GF(p)-coordinate
+    vector of the state, so the n*e images of the states p^k fix every
+    successor.
+    """
+    import numpy as np
     spec, n = D.spec, D.n
     total = spec.q**n
     if total > cap:
         raise ResourceLimitError(
             f"state space {total} exceeds cap {cap}; use cycle_spectrum instead")
+    p, digits = spec.p, n * spec.e
+    basis = []
+    for k in range(digits):
+        w = index_of_state(spec, D.apply_values(state_of_index(spec, n, p**k)))
+        basis.append([w // p**j % p for j in range(digits)])
+    weights = p ** np.arange(digits, dtype=np.int64)
     succ = []
-    for v in itertools.product(range(spec.q), repeat=n):
-        succ.append(index_of_state(spec, D.apply_values(v)))
+    for planes in linear_images(p, basis):
+        # einsum casts the planes in small buffers; np.dot would copy them to int64
+        succ += np.einsum("k,kn->n", weights, planes).tolist()
     return succ
 
 
@@ -252,8 +276,8 @@ def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
 def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]]:
     """(preperiod, period) for every state, by pure iteration with memoization.
 
-    One successor application per state overall; this is the exhaustive
-    brute-force oracle used by the sweep tests.
+    Each state's successor is read once from the successor array; this is
+    the exhaustive brute-force oracle used by the sweep tests.
     """
     return _orbits(successor_array(D, cap))
 
@@ -277,7 +301,8 @@ def build_graph(D: DiffOperator, cap: int = 2**20) -> tuple[GraphSummary, list[i
     """Full functional graph: spectrum, tree depth, tree isomorphism check.
 
     Everything is read from the successor array and one orbit pass over it,
-    with no algebra, so it checks the algebraic route independently.
+    with no polynomial algebra, so it checks the algebraic route
+    independently.
     Returns the summary and the successor array (the edge list i -> succ[i]).
     """
     succ = successor_array(D, cap)

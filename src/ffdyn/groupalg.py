@@ -166,10 +166,14 @@ def build_operator(spec: FieldSpec, n: int, coeffs) -> DiffOperator:
     return DiffOperator(spec, n, acc)
 
 
-def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
-    """The sequence of the algebra product op_poly * f~ mod (t^n - 1)."""
+def _check_dimensions(D: DiffOperator, f: CyclicSeq) -> None:
     if D.spec != f.spec or D.n != f.n:
         raise DomainError("operator and sequence dimensions do not match")
+
+
+def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
+    """The sequence of the algebra product op_poly * f~ mod (t^n - 1)."""
+    _check_dimensions(D, f)
     return CyclicSeq(f.spec, D.apply_values(f.value_encs))
 
 
@@ -248,6 +252,51 @@ def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
             v += 1
         out.append(v)
     return tuple(out)
+
+
+# states per block of linear_images; memory stays at one block of planes
+_BLOCK = 1 << 16
+
+
+def linear_images(p: int, basis):
+    """Images of every state under a GF(p)-linear map, one block of at most
+    _BLOCK states at a time, as base-p digit planes.
+
+    A state index is read as its base-p digit vector, digit j worth p^j, and
+    basis[j] holds the M base-p digits of the image of state p^j. Yields an
+    (M, size) integer array per block of consecutive states, in index order:
+    column i holds the image digits of the block's i-th state. The array is
+    reused by the next block.
+
+    The images over the low L coordinates, p^L <= _BLOCK, and over the high
+    ones are each filled once by doubling: the states c*p^j + r with r < p^j
+    are the states r shifted by c*basis[j]. Block h adds column h of the
+    high table to the low one. Digits stay below p*(p - 1) before each
+    reduction, which fixes the dtype.
+    """
+    import numpy as np
+    rows = np.array(basis, dtype=np.int64) % p
+    dtype = np.min_scalar_type(p * (p - 1))
+
+    def images(part):
+        table = np.zeros((part.shape[1], p ** len(part)), dtype=dtype)
+        for j, row in enumerate(part):
+            pj = p**j
+            for c in range(1, p):
+                dst = table[:, c * pj:(c + 1) * pj]
+                np.add(table[:, :pj], (c * row).astype(dtype)[:, None], out=dst)
+                np.remainder(dst, p, out=dst)
+        return table
+
+    low = 0
+    while low < len(rows) and p ** (low + 1) <= _BLOCK:
+        low += 1
+    table, high = images(rows[:low]), images(rows[low:])
+    out = np.empty_like(table)
+    for h in range(high.shape[1]):
+        np.add(table, high[:, h:h + 1], out=out)
+        np.remainder(out, p, out=out)
+        yield out
 
 
 # -- text / JSON forms ------------------------------------------------------

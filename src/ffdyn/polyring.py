@@ -89,9 +89,13 @@ class _GF2Kernel:
             quot |= 1 << (la - db)
         return quot, a
 
+    def cyclic_packed(self, a: int, n: int, x: int) -> int:
+        """a * x mod t^n - 1 on packed residues of degree < n."""
+        x = self.mul(a, x)
+        return (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
+
     def cyclic(self, a: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        x = self.mul(a, self.pack(v))
-        x = (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
+        x = self.cyclic_packed(a, n, self.pack(v))
         return tuple(format(x, f"0{n}b")[::-1].encode().translate(_FROM_ASCII))
 
 

@@ -34,7 +34,9 @@ def arnold_log_seq(spec: FieldSpec, n: int) -> CyclicSeq:
         raise DomainError(f"n + 1 = {r} must be prime")
     if r == 2:
         return CyclicSeq(spec, (0,))
-    vals = [0 if legendre_symbol(i, r) == 1 else 1 for i in range(1, n + 1)]
+    # Euler's criterion, as in legendre_symbol, without re-testing r per i
+    half = (r - 1) // 2
+    vals = [0 if pow(i, half, r) == 1 else 1 for i in range(1, n + 1)]
     return CyclicSeq(spec, [spec.from_int(v) for v in vals])
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
-from ffdyn import DomainError, Poly
-from ffdyn.complexity import (census, classify, d_complicated_gcd,
+from ffdyn import DomainError, FieldSpec, Poly
+from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
                               projection_profile, quota, verify_thm2,
@@ -203,9 +203,11 @@ def test_census_cap():
 
 
 def test_census_matches_per_sequence_classifier():
-    for spec, n in [(F2, 5), (F3, 5), (F4, 3), (F5, 3), (F8, 3), (F9, 2)]:
+    # the counting kernel alone, against per-state gcd tests: no quota formula
+    for spec, n in [(F2, 5), (F2, 11), (F3, 2), (F3, 5), (F3, 7), (F4, 3), (F4, 5),
+                    (F5, 3), (F8, 3), (F9, 2), (FieldSpec.of_order(25), 2)]:
         direct = sum(1 for f in all_seqs(spec, n) if d_complicated_gcd(f))
-        assert census(spec, n).census_count == direct
+        assert _census_count(spec, n) == direct, (spec.q, n)
 
 
 # -- the eigenvalue product ------------------------------------------------------

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import F2, F3, F4, all_seqs, seq
+from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
+from ffdyn import DomainError, FieldSpec
 from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot,
                             index_of_state, max_period, max_preperiod,
                             orbit_algebraic, orbit_brute, orbit_table,
                             state_of_index, successor_array)
-from ffdyn.errors import ResourceLimitError
+from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
 from ffdyn.groupalg import (CyclicSeq, apply_op, build_operator,
                             delta_operator, seq_to_poly)
 from ffdyn.polyring import gcd, t_pow_minus_one
@@ -66,6 +67,15 @@ def test_orbit_brute_cap():
     s = orbit_brute(D, f, max_steps=32)
     assert (s.preperiod, s.period) == (orbit_brute(D, f).preperiod,
                                        orbit_brute(D, f).period)
+
+
+@pytest.mark.parametrize("route", [orbit_brute, orbit_algebraic])
+def test_orbit_routes_reject_mismatched_dimensions(route):
+    D = delta_operator(F2, 5)
+    with pytest.raises(DomainError, match="dimensions"):
+        route(D, seq(F2, 0, 1, 1))  # shorter sequence
+    with pytest.raises(DomainError, match="dimensions"):
+        route(D, seq(F3, 0, 1, 2, 1, 0))  # another field
 
 
 def test_max_period_examples():
@@ -188,6 +198,40 @@ def test_orbit_table_matches_per_state_brent():
             f = CyclicSeq(spec, state_of_index(spec, n, idx))
             s = orbit_brute(D, f)
             assert (s.preperiod, s.period) == (pre[idx], per[idx])
+
+
+def test_successor_array_matches_per_state_application():
+    rng = random.Random(31)
+    # (field, n, random operators); GF(251) n=2 has the uint16 planes
+    cases = [(F2, 1, 1), (F2, 7, 3), (F3, 5, 3), (F5, 3, 3), (F4, 4, 3), (F8, 3, 3),
+             (F9, 3, 3), (FieldSpec.of_order(25), 2, 3), (FieldSpec.prime(251), 2, 1)]
+    for spec, n, count in cases:
+        for _ in range(count):
+            coeffs = [rng.randrange(spec.q) for _ in range(rng.randrange(1, n + 2))]
+            try:
+                D = build_operator(spec, n, coeffs)
+            except DegenerateOperatorError:
+                continue
+            succ = successor_array(D)
+            assert len(succ) == spec.q**n
+            for i, s in enumerate(succ):
+                v = state_of_index(spec, n, i)
+                assert s == index_of_state(spec, D.apply_values(v)), (spec.q, n, i)
+
+
+def test_gf2_brent_attractor_entry_has_full_length():
+    rng = random.Random(17)
+    for n in (5, 8, 12, 23):
+        D = delta_operator(F2, n)
+        states = [[rng.randrange(2) for _ in range(n)] for _ in range(4)]
+        # zero top values: the packed residue has fewer than n bits
+        states.append([1] + [0] * (n - 1))
+        states.append([0] * n)
+        for vals in states:
+            f = CyclicSeq(F2, vals)
+            b, a = orbit_brute(D, f), orbit_algebraic(D, f)
+            assert b.attractor_entry.n == n
+            assert b == a
 
 
 def test_state_index_round_trip():

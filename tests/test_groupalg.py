@@ -3,11 +3,12 @@ import random
 import pytest
 
 from conftest import F2, F3, F4, F5, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec, Poly
+from ffdyn import DomainError, FieldSpec, Poly, groupalg
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
                             component_valuations, crt_split, delta,
-                            delta_operator, delta_poly, parse_seq, poly_to_seq,
+                            delta_operator, delta_poly, linear_images,
+                            parse_seq, poly_to_seq,
                             seq_from_json, seq_text, seq_to_json, seq_to_poly)
 from ffdyn.polyring import t_pow_minus_one
 
@@ -261,6 +262,46 @@ def test_component_valuations_match_repeated_division(spec, n):
             vals = component_valuations(r, n)
             assert vals == _repeated_division(r, n)
             assert vals[i] >= j
+
+
+# -- the GF(p)-linear block kernel ------------------------------------------------
+
+
+def _images_by_enumeration(p, basis):
+    """Reference: the image digits of every state, one state at a time."""
+    out = []
+    for s in range(p ** len(basis)):
+        digits = [s // p**j % p for j in range(len(basis))]
+        out.append(tuple(sum(d * row[k] for d, row in zip(digits, basis)) % p
+                         for k in range(len(basis[0]))))
+    return out
+
+
+# (p, digits per state, digits per image, block): tiny blocks run several
+# blocks and carry through the high digits; p = 251 and 257 at two digits
+# straddle the uint16 plane dtype and the 2^16-state block. Extension fields
+# reach the kernel through successor_array and the census.
+LINEAR_CASES = [(2, 6, 4, 4), (2, 5, 3, 1), (3, 4, 5, 5), (3, 5, 2, 9),
+                (5, 3, 3, 30), (7, 3, 2, 1 << 16), (251, 2, 2, 1 << 16),
+                (257, 2, 3, 1 << 16), (257, 2, 1, 300)]
+
+
+@pytest.mark.parametrize("p, n_digits, m_digits, block", LINEAR_CASES)
+def test_linear_images_match_enumeration(p, n_digits, m_digits, block,
+                                         monkeypatch):
+    monkeypatch.setattr(groupalg, "_BLOCK", block)
+    rng = random.Random(p * 1000 + n_digits)
+    basis = [[rng.randrange(p) for _ in range(m_digits)] for _ in range(n_digits)]
+    if p > 200:
+        basis[0] = [p - 1] * m_digits  # the largest digit sums
+    got = []
+    blocks = 0
+    for planes in linear_images(p, basis):
+        assert planes.shape[0] == m_digits and planes.shape[1] <= block
+        got += [tuple(int(d) for d in col) for col in planes.T]
+        blocks += 1
+    assert (blocks > 1) == (p**n_digits > block)
+    assert got == _images_by_enumeration(p, basis)
 
 
 # -- text / JSON -----------------------------------------------------------------
