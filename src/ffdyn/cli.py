@@ -13,38 +13,21 @@ import sys
 
 from . import complexity, dynamics, groupalg, seqgen, verify
 from .errors import DomainError, ResourceLimitError
-from .ffield import FieldSpec
+from .ffield import FieldSpec, parse_ints
 
 SCHEMA = "ffdyn-report/1"
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError:
-        raise DomainError(f"{flag} needs comma-separated integers, got {text!r}") from None
-
-
 def _field_from_args(args) -> FieldSpec:
-    mod = tuple(_int_list(args.mod, "--mod")) if args.mod else None
-    if args.p is not None:
-        spec = FieldSpec(args.p, 1 if args.e is None else args.e, mod)
-        if args.q is not None and args.q != spec.q:
-            raise DomainError(f"--q {args.q} disagrees with --p {args.p} --e {spec.e}")
-        return spec
-    if args.q is None:
-        raise DomainError("either --q or --p/--e must be given")
-    spec = FieldSpec.of_order(args.q)
-    if args.e is not None and args.e != spec.e:
-        raise DomainError(f"--e {args.e} disagrees with --q {args.q} = {spec.p}^{spec.e}")
-    return spec if mod is None else FieldSpec(spec.p, spec.e, mod)
+    mod = parse_ints(args.mod, "--mod") if args.mod else None
+    return FieldSpec.of_order(args.q, args.p, args.e, mod)
 
 
 def _sequences_from_args(args, spec: FieldSpec) -> list[groupalg.CyclicSeq]:
     if (args.seq is None) == (args.gen is None):
         raise DomainError("exactly one of --seq or --gen is required")
     if args.seq is not None:
-        values = _int_list(args.seq, "--seq")
+        values = parse_ints(args.seq, "--seq")
         if args.n is not None and args.n != len(values):
             raise DomainError(f"--n {args.n} does not match {len(values)} values")
         return [groupalg.CyclicSeq(spec, values)]
@@ -61,7 +44,7 @@ def _n_from_args(args) -> int:
 
 def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
     if args.op:
-        return groupalg.build_operator(spec, n, _int_list(args.op, "--op"))
+        return groupalg.build_operator(spec, n, parse_ints(args.op, "--op"))
     return groupalg.delta_operator(spec, n)
 
 
@@ -70,14 +53,6 @@ def _check_caps(args):
     for flag in ("cap_states", "cap_ops"):
         if getattr(args, flag, 0) < 0:
             raise DomainError(f"--{flag.replace('_', '-')} must be >= 0")
-
-
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _verdict_json(verdict: complexity.ComplexityVerdict) -> dict:
@@ -90,14 +65,12 @@ def _verdict_json(verdict: complexity.ComplexityVerdict) -> dict:
     }
 
 
-def _dump(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
 # -- subcommand handlers ------------------------------------------------------
+# Each returns its report dict (main adds schema and command and writes JSON)
+# or its rendered text; verify also returns whether the suite passed.
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     spec = _field_from_args(args)
     seqs = _sequences_from_args(args, spec)
     reports = []
@@ -105,11 +78,10 @@ def _cmd_classify(args) -> int:
         verdict = complexity.classify(f, op_cap=args.cap_ops, state_cap=args.cap_states)
         reports.append({"sequence": groupalg.seq_to_json(f),
                         "verdict": _verdict_json(verdict)})
-    _emit(args, _dump({"schema": SCHEMA, "command": "classify", "results": reports}))
-    return 0
+    return {"results": reports}
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     spec = _field_from_args(args)
     f = _sequences_from_args(args, spec)[0]
     D = _operator_from_args(args, spec, f.n)
@@ -121,46 +93,37 @@ def _cmd_orbit(args) -> int:
         if spec.q**f.n > args.cap_states:
             raise
         s = dynamics.orbit_brute(D, f, max_steps=args.cap_states)
-    report = {
-        "schema": SCHEMA, "command": "orbit",
+    return {
         "sequence": groupalg.seq_to_json(f),
         "operator": str(D.op_poly),
         "preperiod": s.preperiod, "period": s.period,
         "attractorEntry": list(s.attractor_entry.value_encs),
     }
-    _emit(args, _dump(report))
-    return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     spec = _field_from_args(args)
     n = _n_from_args(args)
     D = _operator_from_args(args, spec, n)
     spectrum = dynamics.cycle_spectrum(D)
     if args.format == "csv":
         lines = ["length,count"] + [f"{k},{v}" for k, v in spectrum.items()]
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-    report = {
-        "schema": SCHEMA, "command": "spectrum",
+        return "\n".join(lines) + "\n"
+    return {
         "q": spec.q, "n": n, "operator": str(D.op_poly),
         "stateCount": spec.q**n,
         "spectrum": {str(k): v for k, v in spectrum.items()},
     }
-    _emit(args, _dump(report))
-    return 0
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     spec = _field_from_args(args)
     n = _n_from_args(args)
     D = _operator_from_args(args, spec, n)
     summary, succ = dynamics.build_graph(D, cap=args.cap_states)
     if args.format == "dot":
-        _emit(args, dynamics.graph_dot(D, succ))
-        return 0
-    report = {
-        "schema": SCHEMA, "command": "graph",
+        return dynamics.graph_dot(D, succ)
+    return {
         "q": spec.q, "n": n, "operator": str(D.op_poly),
         "stateCount": summary.state_count,
         "spectrum": {str(k): v for k, v in summary.cycle_spectrum.items()},
@@ -170,21 +133,17 @@ def _cmd_graph(args) -> int:
         "allTreesIsomorphic": summary.all_trees_isomorphic,
         "perNodeIndegree": summary.per_node_indegree,
     }
-    _emit(args, _dump(report))
-    return 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     spec = _field_from_args(args)
     n = _n_from_args(args)
     rep = complexity.census(spec, n, cap=args.cap_states)
     if args.format == "csv":
         lines = ["n,q,d,quota,censusCount,stateCount",
                  f"{rep.n},{rep.q},{rep.d},{rep.quota_formula},{rep.census_count},{rep.state_count}"]
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-    report = {
-        "schema": SCHEMA, "command": "census",
+        return "\n".join(lines) + "\n"
+    return {
         "n": rep.n, "q": rep.q, "d": rep.d,
         "quotaFormula": str(rep.quota_formula),
         "censusCount": rep.census_count,
@@ -192,39 +151,29 @@ def _cmd_census(args) -> int:
         "censusQuota": str(rep.census_quota),
         "matchesFormula": rep.census_quota == rep.quota_formula,
     }
-    _emit(args, _dump(report))
-    return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     spec = _field_from_args(args)
     n = _n_from_args(args)
     seqs = seqgen.GeneratorSpec(args.gen, args.seed).build(spec, n)
     if args.format == "text":
-        _emit(args, "".join(groupalg.seq_text(f) + "\n" for f in seqs))
-        return 0
-    report = {"schema": SCHEMA, "command": "gen",
-              "sequences": [groupalg.seq_to_json(f) for f in seqs]}
-    _emit(args, _dump(report))
-    return 0
+        return "".join(groupalg.seq_text(f) + "\n" for f in seqs)
+    return {"sequences": [groupalg.seq_to_json(f) for f in seqs]}
 
 
-def _cmd_verify(args) -> int:
-    suite_fn = verify.SUITES[args.suite]
-    report = suite_fn()
-    report = {"schema": SCHEMA, "command": "verify", **report}
-    if args.format == "text":
-        lines = []
-        for row in report["rows"]:
-            status = row.get("status", "PASS" if row.get("ok", True) else "FAIL")
-            detail = " ".join(f"{k}={v}" for k, v in row.items()
-                              if k not in ("ok", "status"))
-            lines.append(f"{status:4s} {detail}")
-        lines.append(f"suite {report['suite']}: {'PASS' if report['ok'] else 'FAIL'}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump(report))
-    return 0 if report["ok"] else 1
+def _cmd_verify(args):
+    report = verify.SUITES[args.suite]()
+    if args.format == "json":
+        return report, report["ok"]
+    lines = []
+    for row in report["rows"]:
+        status = row.get("status", "PASS" if row.get("ok", True) else "FAIL")
+        detail = " ".join(f"{k}={v}" for k, v in row.items()
+                          if k not in ("ok", "status"))
+        lines.append(f"{status:4s} {detail}")
+    lines.append(f"suite {report['suite']}: {'PASS' if report['ok'] else 'FAIL'}")
+    return "\n".join(lines) + "\n", report["ok"]
 
 
 # -----------------------------------------------------------------------------
@@ -306,13 +255,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_caps(args)
-        return args.fn(args)
+        output = args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 1
+    output, ok = output if isinstance(output, tuple) else (output, True)
+    if isinstance(output, dict):
+        report = {"schema": SCHEMA, "command": args.command, **output}
+        output = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(output)
+    else:
+        sys.stdout.write(output)
+    return 0 if ok else 1
 
 
 def main_entry():

@@ -282,21 +282,6 @@ def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]
     return _orbits(successor_array(D, cap))
 
 
-def _ahu_code(root: int, children: list[list[int]]) -> str:
-    """Canonical encoding of a rooted tree (iterative post-order)."""
-    codes: dict[int, str] = {}
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            codes[node] = "(" + "".join(sorted(codes[c] for c in children[node])) + ")"
-        else:
-            stack.append((node, True))
-            for c in children[node]:
-                stack.append((c, False))
-    return codes[root]
-
-
 def build_graph(D: DiffOperator, cap: int = 2**20) -> tuple[GraphSummary, list[int]]:
     """Full functional graph: spectrum, tree depth, tree isomorphism check.
 
@@ -312,15 +297,27 @@ def build_graph(D: DiffOperator, cap: int = 2**20) -> tuple[GraphSummary, list[i
     # an L-cycle holds L attractor states of period L
     states = Counter(per[i] for i in attractor)
     spectrum = {length: cnt // length for length, cnt in sorted(states.items())}
-    # tree children exclude attractor-to-attractor edges
-    children: list[list[int]] = [[] for _ in range(total)]
-    for i, s in enumerate(succ):
+    # canonical tree shapes: a state's shape is the sorted tuple of its tree
+    # children's shapes (attractor-to-attractor edges excluded), and a child
+    # lies one step further from the attractor, so descending preperiod
+    # visits every child before its parent
+    shapes: dict[tuple, int] = {}
+    kids: dict[int, list[int]] = {}
+    roots = set()
+    for i in sorted(range(total), key=pre.__getitem__, reverse=True):
+        shape = shapes.setdefault(tuple(sorted(kids.pop(i, ()))), len(shapes))
         if pre[i]:
-            children[s].append(i)
-    # tree isomorphism across attractor vertices
-    codes = [_ahu_code(i, children) for i in attractor]
-    all_iso = len(set(codes)) <= 1
-    tree_hash = hashlib.sha256(codes[0].encode()).hexdigest()[:16] if all_iso and codes else None
+            kids.setdefault(succ[i], []).append(shape)
+        else:
+            roots.add(shape)
+    all_iso = len(roots) == 1  # a finite functional graph has a cycle
+    tree_hash = None
+    if all_iso:
+        # AHU strings, one per distinct shape, in id order (children first)
+        codes = []
+        for children in shapes:
+            codes.append("(" + "".join(sorted(codes[c] for c in children)) + ")")
+        tree_hash = hashlib.sha256(codes[roots.pop()].encode()).hexdigest()[:16]
     summary = GraphSummary(
         state_count=total,
         cycle_spectrum=spectrum,

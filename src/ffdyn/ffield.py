@@ -93,23 +93,23 @@ class FieldSpec:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
-    def extension(cls, p: int, e: int, modulus=None) -> "FieldSpec":
-        return cls(p, e, tuple(modulus) if modulus is not None else None)
-
-    @classmethod
-    def of_order(cls, q: int) -> "FieldSpec":
-        """GF(q) for a prime power q, with the deterministic default modulus."""
-        if q < 2:
-            raise DomainError(f"{q} is not a prime power")
-        fac = factor_int(q)
-        if len(fac) != 1:
-            raise DomainError(f"{q} is not a prime power")
-        (p, e), = fac.items()
-        return cls(p) if e == 1 else cls(p, e)
+    def of_order(cls, q: int | None = None, p: int | None = None, e: int | None = None,
+                 modulus=None) -> "FieldSpec":
+        """GF(q) from any consistent part of q, p and e, with the given modulus
+        or the deterministic default one. p and e come from q when missing;
+        e is 1 when only p is given."""
+        if q is not None:
+            fac = factor_int(q) if q >= 2 else {}
+            if len(fac) != 1:
+                raise DomainError(f"{q} is not a prime power")
+            (qp, qe), = fac.items()
+            if p not in (None, qp) or e not in (None, qe):
+                given = ", ".join(f"{k}={v}" for k, v in (("p", p), ("e", e)) if v is not None)
+                raise DomainError(f"q={q} is {qp}^{qe}, which contradicts {given}")
+            p, e = qp, qe
+        elif p is None:
+            raise DomainError("either q or p must be given")
+        return cls(p, 1 if e is None else e, modulus)
 
     # -- basic data -----------------------------------------------------
 
@@ -389,21 +389,21 @@ class FieldElem:
         return f"FieldElem({self.enc} in GF({self.spec.q}))"
 
 
-def parse_field_spec(text: str) -> FieldSpec:
-    """Parse 'q=3' or 'q=4;p=2;e=2;mod=1,1,1'."""
+def parse_ints(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated list such as '1,0,2'."""
     try:
-        parts = dict(
-            kv.split("=", 1) for kv in text.strip().split(";") if kv)
-        ints = {k: int(v) for k, v in parts.items() if k in ("q", "p", "e")}
-        mod = tuple(int(c) for c in parts["mod"].split(",")) if "mod" in parts else None
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{what} needs comma-separated integers, got {text!r}") from None
+
+
+def parse_field_spec(text: str) -> FieldSpec:
+    """Parse 'q=3' or 'q=4;p=2;e=2;mod=1,1,1': any consistent part of q, p
+    and e, and an optional mod, names a field (see FieldSpec.of_order)."""
+    try:
+        parts = dict(kv.split("=", 1) for kv in text.strip().split(";") if kv)
+        nums = {k: int(parts[k]) for k in ("q", "p", "e") if k in parts}
     except ValueError:
         raise DomainError(f"malformed field spec {text!r}") from None
-    if "q" not in ints:
-        raise DomainError("field spec needs q=")
-    q = ints["q"]
-    if "p" in parts or "e" in parts or "mod" in parts:
-        p, e = ints.get("p", q), ints.get("e", 1)
-        if p**e != q:
-            raise DomainError(f"q={q} inconsistent with p={p}, e={e}")
-        return FieldSpec.extension(p, e, mod) if e > 1 else FieldSpec.prime(p)
-    return FieldSpec.of_order(q)
+    mod = parse_ints(parts["mod"], "mod") if "mod" in parts else None
+    return FieldSpec.of_order(**nums, modulus=mod)

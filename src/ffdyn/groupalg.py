@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 from .errors import DegenerateOperatorError, DomainError
-from .ffield import FieldElem, FieldSpec, parse_field_spec
+from .ffield import FieldElem, FieldSpec, parse_field_spec, parse_ints
 from .polyring import Poly, cyclic_multiplier, factorize, kernel, t_pow_minus_one
 
 
@@ -271,12 +271,13 @@ def linear_images(p: int, basis):
     The images over the low L coordinates, p^L <= _BLOCK, and over the high
     ones are each filled once by doubling: the states c*p^j + r with r < p^j
     are the states r shifted by c*basis[j]. Block h adds column h of the
-    high table to the low one. Digits stay below p*(p - 1) before each
-    reduction, which fixes the dtype.
+    high table to the low one. Both addends of every sum are reduced digits,
+    so a sum stays below 2p - 1 and one conditional subtraction on unsigned
+    planes reduces it: x - p wraps past x unless x >= p.
     """
     import numpy as np
     rows = np.array(basis, dtype=np.int64) % p
-    dtype = np.min_scalar_type(p * (p - 1))
+    dtype = np.min_scalar_type(2 * p - 2)
 
     def images(part):
         table = np.zeros((part.shape[1], p ** len(part)), dtype=dtype)
@@ -284,8 +285,8 @@ def linear_images(p: int, basis):
             pj = p**j
             for c in range(1, p):
                 dst = table[:, c * pj:(c + 1) * pj]
-                np.add(table[:, :pj], (c * row).astype(dtype)[:, None], out=dst)
-                np.remainder(dst, p, out=dst)
+                np.add(table[:, :pj], (c * row % p).astype(dtype)[:, None], out=dst)
+                np.minimum(dst, dst - p, out=dst)
         return table
 
     low = 0
@@ -295,7 +296,7 @@ def linear_images(p: int, basis):
     out = np.empty_like(table)
     for h in range(high.shape[1]):
         np.add(table, high[:, h:h + 1], out=out)
-        np.remainder(out, p, out=out)
+        np.minimum(out, out - p, out=out)
         yield out
 
 
@@ -312,16 +313,12 @@ def parse_seq(text: str) -> CyclicSeq:
     head, _, vals = text.strip().rpartition(" ")
     clauses = head.replace(";", " ").split()
     lengths = [c[2:] for c in clauses if c.startswith("n=")]
-    if len(lengths) != 1:
-        raise DomainError("sequence text needs one n=")
+    if len(lengths) != 1 or not lengths[0].isdecimal():
+        raise DomainError(f"sequence text needs one n=<length>, got {text!r}")
     spec = parse_field_spec(";".join(c for c in clauses if not c.startswith("n=")))
-    try:
-        values = [int(v) for v in vals.split(",")]
-        n = int(lengths[0])
-    except ValueError:
-        raise DomainError(f"malformed sequence text {text!r}") from None
-    if len(values) != n:
-        raise DomainError(f"expected {n} values, got {len(values)}")
+    values = parse_ints(vals, "sequence values")
+    if len(values) != int(lengths[0]):
+        raise DomainError(f"expected {lengths[0]} values, got {len(values)}")
     return CyclicSeq(spec, values)
 
 
@@ -333,7 +330,11 @@ def seq_to_json(f: CyclicSeq) -> dict:
 
 
 def seq_from_json(data) -> CyclicSeq:
-    if isinstance(data, str):
-        data = json.loads(data)
-    spec = parse_field_spec(data.get("field", f"q={data['q']}"))
-    return CyclicSeq(spec, data["values"])
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        field = data["field"] if "field" in data else f"q={data['q']}"
+        values = data["values"]
+    except (ValueError, TypeError, KeyError):
+        raise DomainError("sequence JSON needs an object with values and q or field") from None
+    return CyclicSeq(parse_field_spec(field), values)

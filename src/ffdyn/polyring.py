@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import DomainError
-from .ffield import FieldElem, FieldSpec
+from .ffield import FieldElem, FieldSpec, parse_ints
 from .intfactor import factor_int, is_prime, order
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -357,7 +357,7 @@ class Poly:
     @classmethod
     def from_text(cls, spec: FieldSpec, text: str) -> "Poly":
         """Comma-separated coefficient encodings, low degree first."""
-        return cls(spec, (int(c) for c in text.split(",")))
+        return cls(spec, parse_ints(text, "polynomial coefficients"))
 
     # -- data -------------------------------------------------------------
 

@@ -3,10 +3,10 @@ import itertools
 from ffdyn import FieldSpec
 from ffdyn.groupalg import CyclicSeq
 
-F2 = FieldSpec.prime(2)
-F3 = FieldSpec.prime(3)
-F5 = FieldSpec.prime(5)
-F7 = FieldSpec.prime(7)
+F2 = FieldSpec(2)
+F3 = FieldSpec(3)
+F5 = FieldSpec(5)
+F7 = FieldSpec(7)
 F4 = FieldSpec.of_order(4)
 F8 = FieldSpec.of_order(8)
 F9 = FieldSpec.of_order(9)

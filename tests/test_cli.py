@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ffdyn import dynamics
 from ffdyn.cli import main
+from ffdyn.errors import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,28 @@ def test_q_flag_keeps_the_given_modulus(capsys):
     assert json.loads(by_q[1])["sequences"][0]["field"] == "q=9;p=3;e=2;mod=2,2,1"
 
 
+def test_orbit_falls_back_to_iteration_on_a_factoring_cap(capsys, monkeypatch):
+    _, want = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0")
+
+    def capped(D, f):
+        raise ResourceLimitError("factoring cap")
+    monkeypatch.setattr(dynamics, "orbit_algebraic", capped)
+    assert run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0") == (0, want)
+    # a state space above --cap-states is not walked
+    assert main(["orbit", "--q", "2", "--seq", "1,0,0", "--cap-states", "4"]) == 1
+    assert capsys.readouterr() == ("", "resource limit: factoring cap\n")
+
+
+def test_any_consistent_part_of_q_p_e_names_the_field(capsys):
+    for field, want in ((["--q", "9", "--p", "3"], "q=9;p=3;e=2;mod=1,0,1"),
+                        (["--q", "8", "--p", "2"], "q=8;p=2;e=3;mod=1,1,0,1"),
+                        (["--q", "4", "--e", "2"], "q=4;p=2;e=2;mod=1,1,1"),
+                        (["--q", "4", "--mod", "1,1,1"], "q=4;p=2;e=2;mod=1,1,1")):
+        code, report = run_json(capsys, "gen", *field, "--n", "2", "--gen", "const")
+        assert code == 0
+        assert report["sequences"][0]["field"] == want
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0",
@@ -155,6 +179,9 @@ def test_verify_quota_trend_reports_the_known_failure(capsys):
     failing = [r for r in report["rows"] if not r["ok"]]
     assert [r["n"] for r in failing] == [127]
     assert all(r["boundOk"] for r in report["rows"])
+    code, out = run_cli(capsys, "verify", "quota-trend", "--format", "text")
+    assert code == 1
+    assert out.endswith("suite quota-trend: FAIL\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -188,17 +215,14 @@ def test_usage_errors_exit_2(capsys):
     code, _out = run_cli(capsys, "census", "--p", "2", "--e", "2",
                          "--mod", "1,z", "--n", "3")
     assert code == 2  # malformed --mod
-    code, _out = run_cli(capsys, "census", "--q", "5", "--p", "2", "--e", "2",
-                         "--n", "3")
-    assert code == 2  # --q disagrees with p**e
-    code, _out = run_cli(capsys, "census", "--q", "4", "--e", "3", "--n", "3")
-    assert code == 2  # --e disagrees with q = 2^2
-    code, _out = run_cli(capsys, "census", "--q", "9", "--mod", "2,0,1", "--n", "5")
-    assert code == 2  # t^2 + 2 = (t - 1)(t + 1) is reducible over GF(3)
-    for field in (["--p", "2", "--e", "0"], ["--p", "2", "--e", "-1"],
-                  ["--p", "3", "--mod", "9,9"]):
-        code, _out = run_cli(capsys, "census", *field, "--n", "5")
-        assert code == 2  # extension degree below 1, or a modulus for a prime field
+    # contradictory fields, extension degrees below 1, a modulus for a prime
+    # field, and a reducible modulus: t^2 + 2 = (t - 1)(t + 1) over GF(3)
+    for field in (["--q", "5", "--p", "2", "--e", "2"], ["--q", "4", "--e", "3"],
+                  ["--p", "2", "--e", "0"], ["--p", "2", "--e", "-1"],
+                  ["--p", "3", "--mod", "9,9"], ["--q", "9", "--mod", "2,0,1"]):
+        assert main(["census", *field, "--n", "5"]) == 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, field
     for argv in (["census", "--q", "2", "--n", "5", "--cap-states", "-1"],
                  ["classify", "--q", "2", "--n", "4", "--gen", "random", "--seed", "1",
                   "--cap-ops", "-1"]):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -204,7 +205,7 @@ def test_successor_array_matches_per_state_application():
     rng = random.Random(31)
     # (field, n, random operators); GF(251) n=2 has the uint16 planes
     cases = [(F2, 1, 1), (F2, 7, 3), (F3, 5, 3), (F5, 3, 3), (F4, 4, 3), (F8, 3, 3),
-             (F9, 3, 3), (FieldSpec.of_order(25), 2, 3), (FieldSpec.prime(251), 2, 1)]
+             (F9, 3, 3), (FieldSpec.of_order(25), 2, 3), (FieldSpec(251), 2, 1)]
     for spec, n, count in cases:
         for _ in range(count):
             coeffs = [rng.randrange(spec.q) for _ in range(rng.randrange(1, n + 2))]
@@ -246,6 +247,27 @@ def test_tree_isomorphism_detects_shapes():
     assert g.cycle_spectrum == {1: 1}
     assert g.all_trees_isomorphic
     assert g.tree_depth == 4
+
+
+def _ahu(node, children):
+    return "(" + "".join(sorted(_ahu(c, children) for c in children[node])) + ")"
+
+
+def test_tree_shape_hash_is_the_ahu_code_of_the_trees():
+    # the reference: one AHU string per attractor vertex, built by recursion
+    # over per-vertex children lists
+    for spec, n, coeffs in [(F2, 4, (1,)), (F2, 6, (1,)), (F2, 6, (1, 1)), (F3, 3, (1,)),
+                            (F3, 6, (0, 1)), (F4, 4, (1,)), (F5, 5, (1, 1))]:
+        D = build_operator(spec, n, coeffs)
+        g, succ = build_graph(D)
+        pre, _per = orbit_table(D)
+        children = [[] for _ in succ]
+        for i, s in enumerate(succ):
+            if pre[i]:
+                children[s].append(i)
+        codes = {_ahu(i, children) for i in range(len(succ)) if pre[i] == 0}
+        assert g.all_trees_isomorphic == (len(codes) == 1)
+        assert g.tree_shape_hash == hashlib.sha256(codes.pop().encode()).hexdigest()[:16]
 
 
 def test_graph_dot_output():

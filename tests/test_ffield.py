@@ -58,7 +58,7 @@ def test_frobenius_fixes_everything(spec):
 
 
 def test_frobenius_sampled_larger_field():
-    spec = FieldSpec.prime(101)
+    spec = FieldSpec(101)
     rng = random.Random(7)
     for _ in range(50):
         a = spec.element(rng.randrange(101))
@@ -92,7 +92,7 @@ def test_tables_match_digit_polynomials(q):
     """The add/neg/mul tables against the digit polynomials over GF(p),
     multiplied and reduced by the modulus in GF(p)[t]."""
     spec = FieldSpec.of_order(q)
-    fp = FieldSpec.prime(spec.p)
+    fp = FieldSpec(spec.p)
     modulus = Poly(fp, spec.modulus)
 
     def poly(a):
@@ -112,11 +112,11 @@ def test_tables_match_digit_polynomials(q):
 
 def test_spec_validation():
     with pytest.raises(DomainError):
-        FieldSpec.prime(4)
+        FieldSpec(4)
     with pytest.raises(DomainError):
         FieldSpec(2, 0)
     with pytest.raises(DomainError):
-        FieldSpec.extension(2, 2, (1, 0, 1))  # u^2+1 = (u+1)^2 over GF(2)
+        FieldSpec(2, 2, (1, 0, 1))  # u^2+1 = (u+1)^2 over GF(2)
     with pytest.raises(DomainError):
         FieldSpec.of_order(6)
     with pytest.raises(DomainError):
@@ -140,9 +140,22 @@ def test_spec_text_round_trip():
     assert parse_field_spec("q=3") == F3
 
 
+def test_spec_text_any_consistent_part_names_the_field():
+    assert parse_field_spec("q=4;e=2") == F4
+    assert parse_field_spec("q=4;mod=1,1,1") == F4
+    assert parse_field_spec("q=8;p=2") == F8
+    assert parse_field_spec("q=9;p=3") == F9
+    assert parse_field_spec("p=5") == F5
+    assert parse_field_spec("q=9;mod=2,2,1") == FieldSpec(3, 2, (2, 2, 1)) != F9
+    assert FieldSpec.of_order(p=2, e=3) == F8
+
+
 def test_spec_text_inconsistency_rejected():
-    with pytest.raises(DomainError):
-        parse_field_spec("q=8;p=2;e=2;mod=1,1,1")
+    for text in ("q=8;p=2;e=2;mod=1,1,1", "q=8;p=2;e=2", "q=9;p=9", "q=5;p=2",
+                 "q=4;e=3", "p=2;e=0", "p=3;mod=9,9", "e=2", ""):
+        with pytest.raises(DomainError) as exc:
+            parse_field_spec(text)
+        assert "\n" not in str(exc.value)
 
 
 def test_spec_text_malformed_rejected():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -339,8 +340,12 @@ def test_parse_seq_length_mismatch():
 
 
 def test_parse_seq_rejects_malformed_text():
-    for text in ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1",
-                 "q=2 n=x 1,0,1"):
+    cases = [partial(parse_seq, text) for text in
+             ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1", "q=2 n=x 1,0,1")]
+    cases += [partial(seq_from_json, data) for data in
+              ({"values": [1]}, {"q": 2}, [1, 0], "{")]
+    cases.append(partial(Poly.from_text, F2, "1,x"))
+    for case in cases:
         with pytest.raises(DomainError) as exc:
-            parse_seq(text)
+            case()
         assert "\n" not in str(exc.value)
