@@ -10,8 +10,7 @@ from .dynamics import (GraphSummary, OrbitSummary, build_graph, cycle_spectrum,
                        max_period, max_preperiod, orbit_algebraic, orbit_brute)
 from .complexity import (ComplexityVerdict, ProjectionProfile, QuotaReport,
                          census, classify, d_complicated_oracle, eigen_product,
-                         is_delta1, is_delta2, projection_profile, quota,
-                         verify_thm2, verify_thm3)
+                         is_delta1, is_delta2, projection_profile, quota)
 from .seqgen import (GeneratorSpec, arnold_log_seq, legendre_seq,
                      legendre_symbol, multiplicative_family, random_seq,
                      regular_seqs)

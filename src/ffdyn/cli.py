@@ -19,7 +19,7 @@ SCHEMA = "ffdyn-report/1"
 
 
 def _field_from_args(args) -> FieldSpec:
-    mod = parse_ints(args.mod, "--mod") if args.mod else None
+    mod = parse_ints(args.mod, "--mod") if args.mod is not None else None
     return FieldSpec.of_order(args.q, args.p, args.e, mod)
 
 
@@ -43,7 +43,7 @@ def _n_from_args(args) -> int:
 
 
 def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
-    if args.op:
+    if args.op is not None:
         return groupalg.build_operator(spec, n, parse_ints(args.op, "--op"))
     return groupalg.delta_operator(spec, n)
 

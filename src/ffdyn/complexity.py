@@ -11,8 +11,7 @@ enumeration is kept as an independent oracle.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dynamics import max_period, max_preperiod, orbit_brute, orbit_from_valuations
@@ -20,10 +19,9 @@ from .errors import DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
                        delta_operator, linear_images, seq_to_poly)
-from .intfactor import is_prime
-from .polyring import Poly, geometric_sum, mult_order_int, resultant, t_minus_one
+from .intfactor import is_prime, order
+from .polyring import Poly, geometric_sum, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
-from .seqgen import legendre_seq, multiplicative_family
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def quota(spec: FieldSpec, n: int) -> QuotaReport:
         raise DomainError(f"quota needs prime n, got {n}")
     if n == spec.p:
         raise DomainError("quota is undefined for n equal to the characteristic")
-    d = mult_order_int(q, n)
+    d = order(n - 1, lambda k: pow(q, k, n) == 1)
     formula = Fraction(q**d - 1, q**d) ** ((n - 1) // d)
     return QuotaReport(n=n, q=q, d=d, quota_formula=formula, state_count=q**n)
 
@@ -225,13 +223,12 @@ def census(spec: FieldSpec, n: int, cap: int = 2**21) -> QuotaReport:
     if count != expected:
         raise RuntimeError(
             f"census mismatch for n={n}, q={spec.q}: counted {count}, formula gives {expected}")
-    return QuotaReport(n=rep.n, q=rep.q, d=rep.d, quota_formula=rep.quota_formula,
-                       state_count=rep.state_count, census_count=count,
-                       census_quota=Fraction(count, rep.state_count))
+    return replace(rep, census_count=count,
+                   census_quota=Fraction(count, rep.state_count))
 
 
 # ---------------------------------------------------------------------------
-# Theorem verifiers
+# Eigenvalue product
 
 
 def eigen_product(f: CyclicSeq) -> FieldElem:
@@ -243,65 +240,3 @@ def eigen_product(f: CyclicSeq) -> FieldElem:
     if ft.is_zero:
         return f.spec.zero
     return resultant(geometric_sum(f.spec, f.n), ft)
-
-
-def _closest_quarter(n: int) -> int:
-    """Integer closest to n/4 for odd prime n (n = 4k+1 -> k, 4k+3 -> k+1)."""
-    return n // 4 if n % 4 == 1 else n // 4 + 1
-
-
-def verify_thm2(spec: FieldSpec, n_values) -> dict:
-    """Check the quadratic-residue sequence: classifier verdict vs the
-    closed-form eigenvalue product and the divisor condition on round(n/4)."""
-    rows = []
-    ok = True
-    for n in n_values:
-        if n == spec.p or n == 2 or not is_prime(n):
-            continue
-        f = legendre_seq(spec, n)
-        d_comp = d_complicated_gcd(f)
-        prod = eigen_product(f)
-        base = _closest_quarter(n)
-        closed = spec.from_int(base) ** ((n - 1) // 2)
-        checks = {
-            "closedFormMatches": prod == closed,
-            "nonvanishingMatchesVerdict": bool(prod.enc) == d_comp,
-            "divisorConditionMatches": (base % spec.p != 0) == d_comp,
-        }
-        if spec.q == 2:
-            checks["mod8Matches"] = (n % 8 in (3, 5)) == d_comp
-        row = {
-            "n": n, "q": spec.q,
-            "isDComplicated": d_comp,
-            "eigenProduct": prod.enc,
-            "closedForm": closed.enc,
-            **checks,
-        }
-        row_ok = all(checks.values())
-        row["ok"] = row_ok
-        ok = ok and row_ok
-        rows.append(row)
-    return {"theorem": "legendre-criterion", "rows": rows, "ok": ok}
-
-
-def verify_thm3(spec: FieldSpec, n: int) -> dict:
-    """Every multiplicative function of prime length n != p is D-complicated;
-    the family has exactly gcd(n-1, q-1) members."""
-    if not is_prime(n):
-        raise DomainError(f"n={n} is not prime")
-    if n == spec.p:
-        raise DomainError("n equal to the characteristic is excluded")
-    family = multiplicative_family(spec, n)
-    expected = math.gcd(n - 1, spec.q - 1)
-    rows = []
-    ok = len(family) == expected
-    for f in family:
-        d_comp = d_complicated_gcd(f)
-        rows.append({
-            "n": n, "q": spec.q, "values": list(f.value_encs),
-            "isDComplicated": d_comp,
-        })
-        ok = ok and d_comp
-    return {"theorem": "multiplicative-functions", "n": n, "q": spec.q,
-            "familySize": len(family), "expectedSize": expected,
-            "rows": rows, "ok": ok}

@@ -7,6 +7,7 @@ degree first. For prime fields the encoding is the residue itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -141,7 +142,11 @@ class FieldSpec:
     def encodings(self, values) -> tuple[int, ...]:
         """Validated encodings of FieldElems of this field or of integers in
         [0, q); plain ints are range-checked in bulk."""
-        encs = tuple(values)
+        try:
+            encs = tuple(values)
+        except TypeError:
+            raise DomainError(
+                f"field values must be a sequence, got {type(values).__name__}") from None
         if set(map(type, encs)) <= {int} and (not encs or 0 <= min(encs) and max(encs) < self.q):
             return encs
         return tuple(map(self._encoding, encs))
@@ -151,7 +156,11 @@ class FieldSpec:
             if value.spec != self:
                 raise DomainError("element belongs to a different field")
             return value.enc
-        value = int(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise DomainError(
+                f"field values must be integers, got {type(value).__name__}") from None
         if not 0 <= value < self.q:
             raise DomainError(f"encoding {value} outside [0, {self.q})")
         return value

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 from .errors import DomainError
 from .ffield import FieldElem, FieldSpec, parse_ints
-from .intfactor import factor_int, is_prime, order
+from .intfactor import factor_int, order
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -710,15 +710,6 @@ def resultant(a: Poly, b: Poly) -> FieldElem:
 
 # ---------------------------------------------------------------------------
 # Multiplicative orders
-
-
-def mult_order_int(base: int, n: int) -> int:
-    """Order of base in (Z/n)^* for prime n."""
-    if not is_prime(n):
-        raise DomainError(f"{n} is not prime")
-    if base % n == 0:
-        raise DomainError(f"{base} is divisible by {n}")
-    return order(n - 1, lambda k: pow(base, k, n) == 1)
 
 
 def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:

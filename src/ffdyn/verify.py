@@ -1,129 +1,142 @@
 """Named verification sweeps behind the CLI `verify` command and the
-acceptance tests. Each suite returns {"suite": ..., "rows": [...], "ok": bool}
-with deterministic row ordering.
+acceptance tests. Each suite takes no arguments: it holds its own grid and
+its own checks, and returns {"suite": ..., "rows": [...], "ok": bool} with
+deterministic row ordering.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .complexity import census, quota, verify_thm2, verify_thm3
+from .complexity import census, d_complicated_gcd, eigen_product, quota
 from .dynamics import max_period, orbit_algebraic
 from .errors import ResourceLimitError
 from .ffield import FieldSpec
 from .groupalg import delta_operator
 from .intfactor import is_prime
-from .seqgen import arnold_log_seq
+from .seqgen import arnold_log_seq, legendre_seq, multiplicative_family
 
 
 def _primes_upto(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if is_prime(n)]
 
 
-def thm1_census_suite(q_values=(2, 3, 4, 5), n_values=(3, 5, 7, 11, 13),
-                      state_cap: int = 2**21) -> dict:
+def thm1_census_suite() -> dict:
     """Exhaustive census equals the quota formula, exactly, on the whole grid."""
+    state_cap = 2**21
     rows = []
-    ok = True
-    for q in q_values:
+    for q in (2, 3, 4, 5):
         spec = FieldSpec.of_order(q)
-        for n in n_values:
+        for n in (3, 5, 7, 11, 13):
             if n == spec.p or q**n > state_cap:
                 continue
             try:
                 rep = census(spec, n, cap=state_cap)
-                row_ok = rep.census_quota == rep.quota_formula
                 rows.append({
                     "n": n, "q": q, "d": rep.d,
                     "quotaFormula": str(rep.quota_formula),
                     "censusCount": rep.census_count,
                     "stateCount": rep.state_count,
-                    "ok": row_ok,
+                    "ok": rep.census_quota == rep.quota_formula,
                 })
             except RuntimeError as exc:  # census mismatch is a hard failure
                 rows.append({"n": n, "q": q, "error": str(exc), "ok": False})
-                row_ok = False
-            ok = ok and row_ok
-    return {"suite": "thm1", "rows": rows, "ok": ok}
+    return {"suite": "thm1", "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
-def quota_trend_suite(n_max: int = 2000, q_values=(2, 3),
-                      threshold_range=(100, 2000)) -> dict:
-    """Exact-rational quota bounds across primes.
+def quota_trend_suite() -> dict:
+    """Exact-rational quota bounds across primes n <= 2000, q = 2 and 3.
 
     Checks (1 - q^-d)^((n-1)/d) >= (1 - 1/(n+1))^(n-1) for every prime, and
-    quota > 9/10 for q = 2 on the threshold range.
+    quota > 9/10 for q = 2 at 100 <= n <= 2000.
     """
     rows = []
-    ok = True
-    lo, hi = threshold_range
-    for q in q_values:
+    for q in (2, 3):
         spec = FieldSpec.of_order(q)
-        for n in _primes_upto(n_max):
+        for n in _primes_upto(2000):
             if n == spec.p:
                 continue
             rep = quota(spec, n)
-            bound = Fraction(n, n + 1) ** (n - 1)
-            bound_ok = rep.quota_formula >= bound
+            bound_ok = rep.quota_formula >= Fraction(n, n + 1) ** (n - 1)
             row = {"n": n, "q": q, "d": rep.d, "boundOk": bound_ok}
             row_ok = bound_ok
-            if q == 2 and lo <= n <= hi:
-                above = rep.quota_formula > Fraction(9, 10)
-                row["above0.9"] = above
-                row_ok = row_ok and above
+            if q == 2 and n >= 100:
+                row["above0.9"] = rep.quota_formula > Fraction(9, 10)
+                row_ok = row_ok and row["above0.9"]
             row["ok"] = row_ok
-            ok = ok and row_ok
             if not row_ok:
                 row["quota"] = str(rep.quota_formula)
             rows.append(row)
-    return {"suite": "quota-trend", "rows": rows, "ok": ok}
+    return {"suite": "quota-trend", "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
-def thm2_suite(q_values=(2, 3, 5, 7), n_max_default: int = 50,
-               n_max_binary: int = 200) -> dict:
-    """Legendre-sequence criterion: closed form and the mod-8 corollary."""
+def thm2_suite() -> dict:
+    """Legendre-sequence criterion at odd primes n != p (n < 200 for q = 2,
+    n < 50 otherwise): the D-complicated verdict against the closed-form
+    eigenvalue product round(n/4)^((n-1)/2), the divisor condition on
+    round(n/4), and for q = 2 the mod-8 corollary."""
     rows = []
-    ok = True
-    for q in q_values:
+    for q in (2, 3, 5, 7):
         spec = FieldSpec.of_order(q)
-        n_max = n_max_binary if q == 2 else n_max_default
-        report = verify_thm2(spec, [n for n in _primes_upto(n_max) if n % 2 == 1])
-        rows.extend(report["rows"])
-        ok = ok and report["ok"]
-    return {"suite": "thm2", "rows": rows, "ok": ok}
-
-
-def thm3_suite(q_values=(2, 3, 4, 5, 7, 8, 9), n_max: int = 31) -> dict:
-    """Every multiplicative function is D-complicated; family sizes match."""
-    rows = []
-    ok = True
-    for q in q_values:
-        spec = FieldSpec.of_order(q)
-        for n in _primes_upto(n_max):
-            if n == spec.p:
+        for n in _primes_upto(200 if q == 2 else 50):
+            if n == 2 or n == spec.p:
                 continue
-            report = verify_thm3(spec, n)
+            f = legendre_seq(spec, n)
+            d_comp = d_complicated_gcd(f)
+            prod = eigen_product(f)
+            base = (n + 2) // 4  # the integer closest to n/4 for odd n
+            closed = spec.from_int(base) ** ((n - 1) // 2)
+            checks = {
+                "closedFormMatches": prod == closed,
+                "nonvanishingMatchesVerdict": bool(prod.enc) == d_comp,
+                "divisorConditionMatches": (base % spec.p != 0) == d_comp,
+            }
+            if q == 2:
+                checks["mod8Matches"] = (n % 8 in (3, 5)) == d_comp
             rows.append({
                 "n": n, "q": q,
-                "familySize": report["familySize"],
-                "expectedSize": report["expectedSize"],
-                "allDComplicated": all(r["isDComplicated"] for r in report["rows"]),
-                "ok": report["ok"],
+                "isDComplicated": d_comp,
+                "eigenProduct": prod.enc,
+                "closedForm": closed.enc,
+                **checks,
+                "ok": all(checks.values()),
             })
-            ok = ok and report["ok"]
-    return {"suite": "thm3", "rows": rows, "ok": ok}
+    return {"suite": "thm2", "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
-def arnold_delta2_suite(n_limit: int = 64, q: int = 2) -> dict:
-    """The logarithmic sequence reaches a maximal-period cycle for every
-    n < n_limit with n + 1 prime. Resource caps produce SKIP, not failure."""
-    spec = FieldSpec.of_order(q)
+def thm3_suite() -> dict:
+    """Every multiplicative function of prime length n != p, n <= 31, is
+    D-complicated, and the family has exactly gcd(n-1, q-1) members."""
+    rows = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = FieldSpec.of_order(q)
+        for n in _primes_upto(31):
+            if n == spec.p:
+                continue
+            family = multiplicative_family(spec, n)
+            expected = math.gcd(n - 1, q - 1)
+            all_dc = all(d_complicated_gcd(f) for f in family)
+            rows.append({
+                "n": n, "q": q,
+                "familySize": len(family),
+                "expectedSize": expected,
+                "allDComplicated": all_dc,
+                "ok": len(family) == expected and all_dc,
+            })
+    return {"suite": "thm3", "rows": rows, "ok": all(r["ok"] for r in rows)}
+
+
+def arnold_delta2_suite() -> dict:
+    """The q = 2 logarithmic sequence reaches a maximal-period cycle for
+    every n < 64 with n + 1 prime. Resource caps produce SKIP, not failure."""
+    spec = FieldSpec.of_order(2)
     rows = []
     ok = True
-    for n in range(1, n_limit):
+    for n in range(1, 64):
         if not is_prime(n + 1):
             continue
-        row = {"n": n, "q": q}
+        row = {"n": n, "q": 2}
         try:
             f = arnold_log_seq(spec, n)
             D = delta_operator(spec, n)
@@ -134,8 +147,7 @@ def arnold_delta2_suite(n_limit: int = 64, q: int = 2) -> dict:
                 "preperiod": s.preperiod,
                 "status": "PASS" if s.period == mp else "FAIL",
             })
-            if s.period != mp:
-                ok = False
+            ok = ok and s.period == mp
         except ResourceLimitError as exc:
             row.update({"status": "SKIP", "reason": str(exc)})
         rows.append(row)

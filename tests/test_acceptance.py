@@ -7,6 +7,7 @@ Mersenne primes, and the only one in that range is n = 127, where the quota
 is (127/128)^18 ~ 0.868 (see the README, "C2 threshold law").
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -38,8 +39,7 @@ def _grid(state_bound, q_values=(2, 3, 4, 5, 7, 8, 9)):
 
 
 def test_c1_quota_identity():
-    report = thm1_census_suite(q_values=(2, 3, 4, 5), n_values=(3, 5, 7, 11, 13),
-                               state_cap=2**21)
+    report = thm1_census_suite()
     ok = report["ok"] and all(row["ok"] for row in report["rows"])
     assert _report("C1", "quota-census-identity", ok), report["rows"]
     # integer equality, zero tolerance, on every grid point that fits
@@ -47,7 +47,7 @@ def test_c1_quota_identity():
 
 
 def test_c2_quota_trend_bound():
-    report = quota_trend_suite(n_max=2000, q_values=(2, 3))
+    report = quota_trend_suite()
     bound_ok = all(row["boundOk"] for row in report["rows"])
     assert _report("C2", "quota-trend-bound", bound_ok)
 
@@ -76,8 +76,8 @@ def test_c2_quota_threshold_above_0_9():
     The only Mersenne prime in 100..2000 is 127 (d = 7, quota = (127/128)^18).
     """
     lo, hi = 100, 2000
-    report = quota_trend_suite(n_max=hi, q_values=(2,))
-    rows = [row for row in report["rows"] if lo <= row["n"] <= hi]
+    report = quota_trend_suite()
+    rows = [row for row in report["rows"] if row["q"] == 2 and lo <= row["n"] <= hi]
     primes = [n for n in range(lo, hi + 1) if _is_prime(n)]
     bad = []
     if [row["n"] for row in rows] != primes:
@@ -122,7 +122,7 @@ def test_c3_lemma1_vs_oracle():
 
 
 def test_c4_legendre_criterion():
-    report = thm2_suite(q_values=(2, 3, 5, 7), n_max_default=50, n_max_binary=200)
+    report = thm2_suite()
     bad = [row for row in report["rows"] if not row["ok"]]
     ok = _report("C4", "legendre-sequence-criterion", report["ok"] and not bad)
     assert ok, bad
@@ -133,7 +133,7 @@ def test_c4_legendre_criterion():
 
 
 def test_c5_multiplicative_functions():
-    report = thm3_suite(q_values=(2, 3, 4, 5, 7, 8, 9), n_max=31)
+    report = thm3_suite()
     bad = [row for row in report["rows"] if not row["ok"]]
     ok = _report("C5", "multiplicative-functions-d-complicated", report["ok"])
     assert ok, bad
@@ -195,7 +195,7 @@ def test_c8_delta1_iff_delta2_when_p_coprime():
 
 
 def test_c9_arnold_log_delta2_sweep():
-    report = arnold_delta2_suite(n_limit=64, q=2)
+    report = arnold_delta2_suite()
     statuses = {row["n"]: row["status"] for row in report["rows"]}
     failures = [n for n, s in statuses.items() if s == "FAIL"]
     skips = [n for n, s in statuses.items() if s == "SKIP"]
@@ -213,13 +213,18 @@ def _run_cli(*argv) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+# sha256 of each suite's JSON report; a change to any row must update these
+VERIFY_SHA256 = {
+    "thm1": "2074eea81c63cade628e8c2db5d5eafd1189e1c2e458825756f3867532cdc21a",
+    "thm2": "9be4ed4363af4309b2ed13a29f93d98d00242a3c6c8829a76c12d11b868ce452",
+    "thm3": "4a78155353326295a788eec290705931921f14c0f08d7c9e1e38060ecee32a81",
+    "arnold-delta2": "c4060b2af52956cb58e0d4a3a9a598685ce689e282b5007f93e73a97a015f33c",
+    "quota-trend": "f11d3da3a57d1faad022369b2c04f9b935dc2974a7ae5e33bc886dba1cb0725a",
+}
+
+
 def test_c10_cli_determinism():
-    commands = [
-        ("verify", "thm1"),
-        ("verify", "thm2"),
-        ("verify", "thm3"),
-        ("verify", "arnold-delta2"),
-        ("verify", "quota-trend"),
+    commands = [("verify", suite) for suite in VERIFY_SHA256] + [
         ("gen", "--q", "5", "--n", "8", "--gen", "random", "--seed", "99"),
         ("spectrum", "--q", "2", "--n", "7"),
     ]
@@ -228,6 +233,8 @@ def test_c10_cli_determinism():
         code1, out1 = _run_cli(*argv)
         code2, out2 = _run_cli(*argv)
         same = code1 == code2 and out1 == out2 and out1
+        if argv[0] == "verify":
+            same = same and hashlib.sha256(out1).hexdigest() == VERIFY_SHA256[argv[1]]
         print(f"  C10 {' '.join(argv)}: {'identical' if same else 'DIFFERS'}")
         ok = ok and bool(same)
         json.loads(out1)  # every report must re-parse

@@ -13,8 +13,8 @@ from sympy.polys.galoistools import gf_mul, gf_rem  # noqa: E402
 from ffdyn import FieldSpec  # noqa: E402
 from ffdyn.dynamics import orbit_algebraic, orbit_brute  # noqa: E402
 from ffdyn.groupalg import CyclicSeq, build_operator, crt_split  # noqa: E402
-from ffdyn.intfactor import is_prime  # noqa: E402
-from ffdyn.polyring import Poly, is_irreducible, mult_order_int, t_pow_minus_one  # noqa: E402
+from ffdyn.intfactor import is_prime, order  # noqa: E402
+from ffdyn.polyring import Poly, is_irreducible, t_pow_minus_one  # noqa: E402
 
 T = sympy.Symbol("t")
 LENGTHS = [1, 2, 6, 15, 31, 63, 64, 81, 105, 127, 210, 243, 255, 300]
@@ -39,11 +39,12 @@ def test_crt_split_matches_sympy(p):
         assert ours == sympy_factors(p, n), n
 
 
-def test_mult_order_int_matches_sympy():
+def test_order_matches_sympy():
     for n in [m for m in range(3, 2000) if is_prime(m)][::7]:
         for base in (2, 3, 5, 7, 10):
             if base % n:
-                assert mult_order_int(base, n) == sympy.n_order(base, n), (base, n)
+                got = order(n - 1, lambda k: pow(base, k, n) == 1)
+                assert got == sympy.n_order(base, n), (base, n)
 
 
 # -- extension fields above the 512-element table limit ------------------------

@@ -234,6 +234,11 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv) == 2  # --n missing
         err = capsys.readouterr().err
         assert err == "error: --n is required\n"
+    for argv in (["gen", "--q", "2", "--n", "3", "--gen", "const", "--mod", ""],
+                 ["orbit", "--q", "2", "--seq", "1,0,0", "--op", ""]):
+        assert main(argv) == 2  # an empty list is malformed, not absent
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
     for n in ("0", "-2"):
         assert main(["graph", "--q", "2", "--n", n]) == 2
         assert capsys.readouterr().err == "error: n must be >= 1\n"

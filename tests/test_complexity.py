@@ -8,13 +8,13 @@ from ffdyn import DomainError, FieldSpec, Poly
 from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
-                              projection_profile, quota, verify_thm2,
-                              verify_thm3)
+                              projection_profile, quota)
 from ffdyn.dynamics import orbit_brute, orbit_table
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import (CyclicSeq, crt_split, delta_operator, poly_to_seq,
                             seq_to_poly)
 from ffdyn.seqgen import legendre_seq
+from ffdyn.verify import thm2_suite, thm3_suite
 
 
 # -- projection profiles -----------------------------------------------------
@@ -174,6 +174,7 @@ def test_quota_examples():
     assert (r.d, r.quota_formula) == (3, Fraction(49, 64))
     r = quota(F2, 5)
     assert (r.d, r.quota_formula) == (4, Fraction(15, 16))
+    assert quota(F3, 13).d == 3  # 3^3 = 27 = 2 * 13 + 1
 
 
 def test_quota_rejects_bad_inputs():
@@ -245,33 +246,30 @@ def test_eigen_product_of_constant_is_power():
 
 
 def test_verify_thm2_rows():
-    report = verify_thm2(F2, [11, 17])
-    rows = {r["n"]: r for r in report["rows"]}
-    assert rows[11]["isDComplicated"] is True   # 11 = 8 + 3
-    assert rows[17]["isDComplicated"] is False  # 17 = 8*2 + 1
-    assert report["ok"]
+    rows = {(r["q"], r["n"]): r for r in thm2_suite()["rows"]}
+    assert rows[2, 11]["isDComplicated"] is True   # 11 = 8 + 3
+    assert rows[2, 17]["isDComplicated"] is False  # 17 = 8*2 + 1
+    assert rows[2, 11]["ok"] and rows[2, 17]["ok"]
 
 
 def test_verify_thm2_f3_n5():
-    report = verify_thm2(F3, [5])
-    row = report["rows"][0]
+    row = next(r for r in thm2_suite()["rows"] if (r["q"], r["n"]) == (3, 5))
     assert row["eigenProduct"] == 1 and row["isDComplicated"] is True
-    assert report["ok"]
+    assert row["ok"]
 
 
 def test_verify_thm3_examples():
-    r = verify_thm3(F3, 5)
-    assert r["familySize"] == 2 and r["ok"]
-    values = [tuple(row["values"]) for row in r["rows"]]
-    assert (1, 1, 1, 1, 0) in values and (1, 2, 2, 1, 0) in values
-    assert verify_thm3(F2, 3)["familySize"] == 1
-    assert verify_thm3(F2, 7)["familySize"] == 1
-    assert verify_thm3(F2, 7)["ok"]
+    rows = {(r["q"], r["n"]): r for r in thm3_suite()["rows"]}
+    assert rows[3, 5]["familySize"] == 2 and rows[3, 5]["ok"]
+    assert rows[2, 3]["familySize"] == 1
+    assert rows[2, 7]["familySize"] == 1
+    assert rows[2, 7]["ok"]
 
 
 def test_verify_thm3_rejects_n_equal_p():
-    with pytest.raises(DomainError):
-        verify_thm3(F3, 3)
+    rows = thm3_suite()["rows"]
+    assert not [r for r in rows if r["n"] == FieldSpec.of_order(r["q"]).p]
+    assert {(2, 3), (3, 2)} <= {(r["q"], r["n"]) for r in rows}
 
 
 # -- necessity probe (spec open question) -------------------------------------------

@@ -343,7 +343,9 @@ def test_parse_seq_rejects_malformed_text():
     cases = [partial(parse_seq, text) for text in
              ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1", "q=2 n=x 1,0,1")]
     cases += [partial(seq_from_json, data) for data in
-              ({"values": [1]}, {"q": 2}, [1, 0], "{")]
+              ({"values": [1]}, {"q": 2}, [1, 0], "{",
+               {"q": 2, "values": ["a"]}, {"q": 2, "values": [None]},
+               {"q": 2, "values": 5}, {"q": 2, "values": [1.5]})]
     cases.append(partial(Poly.from_text, F2, "1,x"))
     for case in cases:
         with pytest.raises(DomainError) as exc:

@@ -6,8 +6,9 @@ from conftest import F2, F3, F4, F5, F8, F9
 from ffdyn import DomainError, Poly, factorize, resultant
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import crt_split
+from ffdyn.intfactor import order
 from ffdyn.polyring import (NEG_INF, _order_prime_power, gcd, geometric_sum,
-                            is_irreducible, mult_order_int, powmod, t_pow_minus_one)
+                            is_irreducible, powmod, t_pow_minus_one)
 
 
 def rand_poly(spec, max_deg, rng, nonzero=False):
@@ -319,16 +320,9 @@ def test_resultant_multiplicativity():
 
 
 def test_mult_order_int_examples():
-    assert mult_order_int(2, 5) == 4
-    assert mult_order_int(2, 7) == 3
-    assert mult_order_int(3, 13) == 3
-
-
-def test_mult_order_int_domain_errors():
-    with pytest.raises(DomainError):
-        mult_order_int(2, 9)
-    with pytest.raises(DomainError):
-        mult_order_int(10, 5)
+    assert order(5 - 1, lambda k: pow(2, k, 5) == 1) == 4
+    assert order(7 - 1, lambda k: pow(2, k, 7) == 1) == 3
+    assert order(13 - 1, lambda k: pow(3, k, 13) == 1) == 3
 
 
 def _order(a, pi, e=1):
