@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmt_choices, default="json")
         p.add_argument("--out", help="write output to FILE instead of stdout")
         if cap_states:
-            p.add_argument("--cap-states", type=int, default=2**20)
+            p.add_argument("--cap-states", type=int, default=dynamics.STATE_CAP)
         if cap_ops:
             p.add_argument("--cap-ops", type=int, default=2**16)
         if seed:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seq_source(p):
         p.add_argument("--seq", help="comma-separated values for i = 1..n")
-        p.add_argument("--gen", choices=seqgen._KINDS, help="named generator")
+        p.add_argument("--gen", choices=seqgen.KINDS, help="named generator")
 
     p = sub.add_parser("classify", help="complexity verdict for sequences")
     add_common(p, cap_states=True, cap_ops=True, seed=True)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit named sequences")
     add_common(p, ("json", "text"), seed=True)
-    p.add_argument("--gen", choices=seqgen._KINDS, required=True)
+    p.add_argument("--gen", choices=seqgen.KINDS, required=True)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("verify", help="run a named verification sweep")

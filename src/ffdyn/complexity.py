@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .dynamics import max_period, max_preperiod, orbit_brute, orbit_from_valuations
+from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
-from .ffield import FieldElem, FieldSpec
+from .ffield import FieldElem, FieldSpec, digits
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
                        delta_operator, linear_images, seq_to_poly)
 from .intfactor import is_prime, order
@@ -92,7 +92,7 @@ def operator_family(spec: FieldSpec, n: int):
 
 
 def d_complicated_oracle(f: CyclicSeq, op_cap: int = 2**16,
-                         state_cap: int = 2**20) -> bool:
+                         state_cap: int = STATE_CAP) -> bool:
     """Ground truth by enumeration: maximal period and near-maximal preperiod
     under every differential operator."""
     return _oracle_with_witness(f, op_cap, state_cap)[0]
@@ -127,7 +127,7 @@ def _delta_verdict(f: CyclicSeq, vals: tuple[int, ...]) -> tuple[bool, bool]:
 
 
 def classify(f: CyclicSeq, op_cap: int = 2**16,
-             state_cap: int = 2**20) -> ComplexityVerdict:
+             state_cap: int = STATE_CAP) -> ComplexityVerdict:
     """Full verdict: difference-map complexity plus D-complexity.
 
     Lengths coprime to the characteristic use the Lemma-1 criterion: f~
@@ -197,8 +197,8 @@ def _census_count(spec: FieldSpec, n: int) -> int:
         for j in range(n):
             coeffs = power.coeff_encs + (0,) * (d - len(power.coeff_encs))
             for s in range(e):
-                basis[j * e + s] += [spec.mul_enc(c, p**s) // p**r % p
-                                     for c in coeffs for r in range(e)]
+                basis[j * e + s] += [r for c in coeffs
+                                     for r in digits(spec.mul_enc(c, p**s), p, e)]
             power = (power * t) % pi
     total = 0
     for planes in linear_images(p, basis):
@@ -209,7 +209,7 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     return total
 
 
-def census(spec: FieldSpec, n: int, cap: int = 2**21) -> QuotaReport:
+def census(spec: FieldSpec, n: int, cap: int = STATE_CAP) -> QuotaReport:
     """Exhaustively count D-complicated sequences and check the quota formula.
 
     Raises RuntimeError if the exhaustive count ever disagrees with the

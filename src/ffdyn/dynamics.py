@@ -12,13 +12,16 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .ffield import FieldSpec
-from .groupalg import (CyclicSeq, DiffOperator, _check_dimensions,
-                       component_valuations, crt_split, linear_images, seq_to_poly)
-from .polyring import _order_prime_power, kernel
+from .ffield import FieldSpec, digits, undigits
+from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
+                       linear_images, seq_to_poly)
+from .polyring import _order_prime_power
+
+# default cap on the states that one enumeration walks
+STATE_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -49,17 +52,13 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
     `max_steps` bounds the orbit size (preperiod + period); the default is
     the whole state space q^n, which can never be exceeded.
     """
-    _check_dimensions(D, f)
+    D.check_dimensions(f)
     spec, n = f.spec, f.n
     if max_steps is None:
         max_steps = spec.q**n
-    step = D.apply_values
-    x0 = f.value_encs
-    if spec.q == 2:
-        # iterate on the packed residue: one product and one fold per step
-        kern = kernel(spec)
-        step = partial(kern.cyclic_packed, kern.pack(D.op_poly.coeff_encs), n)
-        x0 = kern.pack(x0)
+    # iterate on the kernel's native form of the state
+    step = D.step
+    x0 = D.kern.pack(f.value_encs)
     # phase 1: cycle length; a hare that runs 3*max_steps + 4 steps without
     # closing proves the orbit exceeds max_steps
     power = lam = 1
@@ -89,10 +88,7 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
         if mu + lam > max_steps:
             raise ResourceLimitError(
                 f"orbit exceeds the configured cap of {max_steps} states")
-    if spec.q == 2:
-        tortoise = kern.unpack(tortoise)
-        tortoise += (0,) * (n - len(tortoise))
-    return OrbitSummary(mu, lam, CyclicSeq(spec, tortoise))
+    return OrbitSummary(mu, lam, CyclicSeq(spec, D.kern.values(tortoise, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +142,12 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders."""
-    _check_dimensions(D, f)
+    D.check_dimensions(f)
     pre, per = orbit_from_valuations(D, component_valuations(seq_to_poly(f), f.n))
-    v = f.value_encs
+    x = D.kern.pack(f.value_encs)
     for _ in range(pre):
-        v = D.apply_values(v)
-    return OrbitSummary(pre, per, CyclicSeq(f.spec, v))
+        x = D.step(x)
+    return OrbitSummary(pre, per, CyclicSeq(f.spec, D.kern.values(x, f.n)))
 
 
 def max_period(D: DiffOperator) -> int:
@@ -198,20 +194,16 @@ def cycle_spectrum(D: DiffOperator) -> dict[int, int]:
 
 
 def state_of_index(spec: FieldSpec, n: int, idx: int) -> tuple[int, ...]:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        idx, out[i] = divmod(idx, spec.q)
-    return tuple(out)
+    """The state whose values are the base-q digits of idx, most
+    significant first."""
+    return digits(idx, spec.q, n)[::-1]
 
 
 def index_of_state(spec: FieldSpec, v: tuple[int, ...]) -> int:
-    idx = 0
-    for d in v:
-        idx = idx * spec.q + d
-    return idx
+    return undigits(v[::-1], spec.q)
 
 
-def successor_array(D: DiffOperator, cap: int = 2**20) -> list[int]:
+def successor_array(D: DiffOperator, cap: int = STATE_CAP) -> list[int]:
     """succ[i] = index of D applied to the i-th state (big-endian indexing).
 
     D is GF(p)-linear and a state index read in base p is a GF(p)-coordinate
@@ -224,12 +216,12 @@ def successor_array(D: DiffOperator, cap: int = 2**20) -> list[int]:
     if total > cap:
         raise ResourceLimitError(
             f"state space {total} exceeds cap {cap}; use cycle_spectrum instead")
-    p, digits = spec.p, n * spec.e
+    p, width = spec.p, n * spec.e
     basis = []
-    for k in range(digits):
+    for k in range(width):
         w = index_of_state(spec, D.apply_values(state_of_index(spec, n, p**k)))
-        basis.append([w // p**j % p for j in range(digits)])
-    weights = p ** np.arange(digits, dtype=np.int64)
+        basis.append(digits(w, p, width))
+    weights = p ** np.arange(width, dtype=np.int64)
     succ = []
     for planes in linear_images(p, basis):
         # einsum casts the planes in small buffers; np.dot would copy them to int64
@@ -273,7 +265,7 @@ def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
     return pre, per
 
 
-def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]]:
+def orbit_table(D: DiffOperator, cap: int = STATE_CAP) -> tuple[list[int], list[int]]:
     """(preperiod, period) for every state, by pure iteration with memoization.
 
     Each state's successor is read once from the successor array; this is
@@ -282,7 +274,7 @@ def orbit_table(D: DiffOperator, cap: int = 2**20) -> tuple[list[int], list[int]
     return _orbits(successor_array(D, cap))
 
 
-def build_graph(D: DiffOperator, cap: int = 2**20) -> tuple[GraphSummary, list[int]]:
+def build_graph(D: DiffOperator, cap: int = STATE_CAP) -> tuple[GraphSummary, list[int]]:
     """Full functional graph: spectrum, tree depth, tree isomorphism check.
 
     Everything is read from the successor array and one orbit pass over it,

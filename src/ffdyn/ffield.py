@@ -9,26 +9,29 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import DomainError
 from .intfactor import factor_int, is_prime
 
-_TABLE_LIMIT = 512  # build full multiplication tables only for small fields
+_TABLE_LIMIT = 512  # build full operation tables only for small fields
 
 
-def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
+def digits(value: int, base: int, width: int) -> tuple[int, ...]:
+    """The low `width` base-`base` digits of value, least significant first."""
     out = []
     for _ in range(width):
-        value, r = divmod(value, p)
+        value, r = divmod(value, base)
         out.append(r)
     return tuple(out)
 
 
-def _encode(digits, p: int) -> int:
+def undigits(ds, base: int) -> int:
+    """Inverse of digits: the integer whose base-`base` digits, least
+    significant first, are ds."""
     out = 0
-    for d in reversed(list(digits)):
-        out = out * p + d
+    for d in reversed(list(ds)):
+        out = out * base + d
     return out
 
 
@@ -43,7 +46,7 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lowest monic irreducible of degree e over Z/p, in encoding order."""
     for low in range(p**e):
-        cand = _digits(low, p, e) + (1,)
+        cand = digits(low, p, e) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise DomainError(f"no irreducible of degree {e} over GF({p})")  # unreachable
@@ -131,13 +134,19 @@ class FieldSpec:
     # -- elements --------------------------------------------------------
 
     def element(self, value) -> "FieldElem":
-        """Coerce an encoding, digit sequence, or FieldElem into this field."""
-        if isinstance(value, (FieldElem, int)):
+        """Coerce an encoding (any integer-like value), a sequence of integer
+        digits (residues mod p, low degree first) or a FieldElem into this
+        field."""
+        if isinstance(value, FieldElem) or hasattr(type(value), "__index__"):
             return FieldElem(self, self._encoding(value))
-        digits = [int(c) % self.p for c in value]
-        if len(digits) > self.e:
+        try:
+            ds = [operator.index(c) % self.p for c in value]
+        except TypeError:
+            raise DomainError("a field element is an integer encoding or a sequence "
+                              f"of integer digits, got {type(value).__name__}") from None
+        if len(ds) > self.e:
             raise DomainError("too many residues for this field")
-        return FieldElem(self, _encode(digits, self.p))
+        return FieldElem(self, undigits(ds, self.p))
 
     def encodings(self, values) -> tuple[int, ...]:
         """Validated encodings of FieldElems of this field or of integers in
@@ -181,20 +190,13 @@ class FieldSpec:
         return (FieldElem(self, v) for v in range(self.q))
 
     # -- encoded arithmetic ----------------------------------------------
-    # Hot paths (orbit sweeps, censuses) run on raw encodings. Extension
-    # fields up to _TABLE_LIMIT elements answer from tables built once;
-    # larger ones split encodings into base-p digits.
+    # Hot paths (orbit sweeps, censuses) run on raw encodings: prime fields
+    # inline their mod-p arithmetic, extension fields read _tables.
 
     def add_enc(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self.q <= _TABLE_LIMIT:
-            return self._add_table[a][b]
-        p = self.p
-        da, db = _digits(a, p, self.e), _digits(b, p, self.e)
-        return _encode([(x + y) % p for x, y in zip(da, db)], p)
+        return self._tables[0][a][b]
 
     def sub_enc(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -204,28 +206,19 @@ class FieldSpec:
     def neg_enc(self, a: int) -> int:
         if self.e == 1:
             return -a % self.p
-        if self.p == 2:
-            return a
-        if self.q <= _TABLE_LIMIT:
-            return self._neg_table[a]
-        p = self.p
-        return _encode([-x % p for x in _digits(a, p, self.e)], p)
+        return self._tables[1][a]
 
     def mul_enc(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        if self.q <= _TABLE_LIMIT:
-            return self._mul_table[a][b]
-        return self._ext_mul(a, b)
+        return self._tables[2][a][b]
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self.q <= _TABLE_LIMIT:
-            return self._inv_table[a]
-        return self.pow_enc(a, self.q - 2)
+        return self._tables[3][a]
 
     def pow_enc(self, a: int, k: int) -> int:
         if k < 0:
@@ -238,9 +231,62 @@ class FieldSpec:
             k >>= 1
         return result
 
-    def _ext_mul(self, a: int, b: int) -> int:
+    # -- the operation tables of an extension field -------------------------
+
+    def op_tables(self):
+        """The (add, neg, mul) tables of an extension field, indexed by
+        encoding: add[a][b], neg[a], mul[a][b]."""
+        return self._tables[:3]
+
+    @cached_property
+    def _tables(self):
+        """(add, neg, mul, inv) of an extension field, indexed by encoding
+        (inv[0] is unused). Fields of at most _TABLE_LIMIT elements get lists
+        built once; larger ones get lookups that compute on base-p digits."""
+        p, e, q = self.p, self.e, self.q
+        if q > _TABLE_LIMIT:
+            if p == 2:
+                add, neg = operator.xor, operator.pos
+            else:
+                def add(a, b):
+                    return undigits([(x + y) % p for x, y in
+                                     zip(digits(a, p, e), digits(b, p, e))], p)
+
+                def neg(a):
+                    return undigits([-x % p for x in digits(a, p, e)], p)
+            return (_call_table(add), _Lookup(neg), _call_table(self._digit_mul),
+                    _Lookup(partial(self.pow_enc, k=q - 2)))
+        # add: with a = a0 + p*a', the low digits add mod p and the rest is
+        # the table of the field with one digit less
+        add = [[0]]
+        for size in (p**k for k in range(1, e + 1)):
+            low = add
+            add = [[(a + b) % p + p * low[a // p][b // p] for b in range(size)]
+                   for a in range(size)]
+        neg = [row.index(0) for row in add]
+        # mul and inv from exp[k] = g^k for the first primitive element g,
+        # 0 <= k < 2(q - 1), so exp[log a + log b] needs no reduction
+        for g in range(2, q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._digit_mul(x, g)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        exp += exp
+        logs = log[1:]
+        mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        inv = [0] + [exp[q - 1 - la] for la in logs]
+        return add, neg, mul, inv
+
+    def _digit_mul(self, a: int, b: int) -> int:
+        """a * b in an extension field: the digit polynomials multiplied over
+        GF(p) and reduced by the modulus."""
         p, e = self.p, self.e
-        da, db = _digits(a, p, e), _digits(b, p, e)
+        da, db = digits(a, p, e), digits(b, p, e)
         prod = [0] * (2 * e - 1)
         for i, x in enumerate(da):
             if x:
@@ -253,63 +299,24 @@ class FieldSpec:
                 for j in range(e):
                     prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
                 prod[i] = 0
-        return _encode(prod[:e], p)
+        return undigits(prod[:e], p)
 
-    # -- tables of small extension fields (q <= _TABLE_LIMIT) ---------------
 
-    def op_tables(self):
-        """(add, neg, mul) tables indexed by encoding, built once:
-        add[a][b], neg[a], mul[a][b]. None for prime fields and for fields
-        above _TABLE_LIMIT elements."""
-        if self.e == 1 or self.q > _TABLE_LIMIT:
-            return None
-        return self._add_table, self._neg_table, self._mul_table
+class _Lookup:
+    """Indexes like a table but computes: t[a] == f(a)."""
 
-    @cached_property
-    def _add_table(self):
-        """add[a][b], digitwise mod p. With a = a0 + p*a', the low digits add
-        mod p and the rest is the table of the field with one digit less."""
-        p = self.p
-        table = [[0]]
-        for size in (p**k for k in range(1, self.e + 1)):
-            low = table
-            table = [[(a + b) % p + p * low[a // p][b // p] for b in range(size)]
-                     for a in range(size)]
-        return table
+    __slots__ = ("f",)
 
-    @cached_property
-    def _neg_table(self):
-        p, e = self.p, self.e
-        return [_encode([-x % p for x in _digits(a, p, e)], p) for a in range(self.q)]
+    def __init__(self, f):
+        self.f = f
 
-    @cached_property
-    def _log_exp(self):
-        """(log, exp) for the first primitive element g: exp[k] = g^k for
-        0 <= k < 2(q - 1), so exp[log a + log b] needs no reduction."""
-        q = self.q
-        for g in range(2, q):
-            exp = [1]
-            x = g
-            while x != 1:
-                exp.append(x)
-                x = self._ext_mul(x, g)
-            if len(exp) == q - 1:
-                log = [0] * q
-                for k, x in enumerate(exp):
-                    log[x] = k
-                return log, exp + exp
-        raise DomainError(f"GF({q}) has no primitive element")  # unreachable
+    def __getitem__(self, a):
+        return self.f(a)
 
-    @cached_property
-    def _mul_table(self):
-        log, exp = self._log_exp
-        logs = log[1:]
-        return [[0] * self.q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
-    @cached_property
-    def _inv_table(self):
-        log, exp = self._log_exp
-        return [0] + [exp[self.q - 1 - la] for la in log[1:]]
+def _call_table(op) -> _Lookup:
+    """A computing binary table: t[a][b] == op(a, b)."""
+    return _Lookup(lambda a: _Lookup(partial(op, a)))
 
 
 class FieldElem:
@@ -327,7 +334,7 @@ class FieldElem:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Residues mod p of the representative polynomial, low degree first."""
-        return _digits(self.enc, self.spec.p, self.spec.e)
+        return digits(self.enc, self.spec.p, self.spec.e)
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import FieldElem, FieldSpec, parse_field_spec, parse_ints
-from .polyring import Poly, cyclic_multiplier, factorize, kernel, t_pow_minus_one
+from .polyring import Poly, factorize, kernel, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -60,10 +60,6 @@ class CyclicSeq:
         return f"CyclicSeq({seq_text(self)!r})"
 
 
-def zero_seq(spec: FieldSpec, n: int) -> CyclicSeq:
-    return CyclicSeq(spec, (0,) * n)
-
-
 def seq_to_poly(f: CyclicSeq) -> Poly:
     """The algebra avatar: sum of f(i) t^i for i = 0..n-1, with f(0) = f(n)."""
     v = f.value_encs
@@ -93,15 +89,18 @@ def delta_poly(spec: FieldSpec, n: int) -> Poly:
     """
     if n == 1:
         return Poly.zero(spec)
-    coeffs = [spec.neg_enc(1)] + [0] * (n - 2) + [1]
-    return Poly(spec, coeffs)
+    return t_pow_minus_one(spec, n - 1)
 
 
 class DiffOperator:
     """A differential operator on length-n sequences, stored as its
-    multiplier polynomial reduced mod t^n - 1 (vanishing at t = 1)."""
+    multiplier polynomial reduced mod t^n - 1 (vanishing at t = 1).
 
-    __slots__ = ("spec", "n", "op_poly", "_times_op")
+    step is the operator on a state in the field kernel's native form
+    (kern.pack of its value tuple; kern.values(x, n) gives the values back).
+    """
+
+    __slots__ = ("spec", "n", "op_poly", "kern", "step")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
         if n < 1:
@@ -117,7 +116,9 @@ class DiffOperator:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "op_poly", op_poly)
-        object.__setattr__(self, "_times_op", cyclic_multiplier(op_poly, n))
+        kern = kernel(spec)
+        object.__setattr__(self, "kern", kern)
+        object.__setattr__(self, "step", partial(kern.cyclic, kern.pack(op_poly.coeff_encs), n))
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOperator is immutable")
@@ -126,7 +127,12 @@ class DiffOperator:
         """Action on a raw value tuple (encodings, index 0 holds f(1)): the
         product with op_poly mod t^n - 1, which commutes with the shift
         between value index and exponent."""
-        return self._times_op(v)
+        kern = self.kern
+        return kern.values(self.step(kern.pack(v)), self.n)
+
+    def check_dimensions(self, f: CyclicSeq) -> None:
+        if self.spec != f.spec or self.n != f.n:
+            raise DomainError("operator and sequence dimensions do not match")
 
     def __eq__(self, other):
         if isinstance(other, DiffOperator):
@@ -166,14 +172,9 @@ def build_operator(spec: FieldSpec, n: int, coeffs) -> DiffOperator:
     return DiffOperator(spec, n, acc)
 
 
-def _check_dimensions(D: DiffOperator, f: CyclicSeq) -> None:
-    if D.spec != f.spec or D.n != f.n:
-        raise DomainError("operator and sequence dimensions do not match")
-
-
 def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
     """The sequence of the algebra product op_poly * f~ mod (t^n - 1)."""
-    _check_dimensions(D, f)
+    D.check_dimensions(f)
     return CyclicSeq(f.spec, D.apply_values(f.value_encs))
 
 

@@ -13,7 +13,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import DomainError
 from .ffield import FieldElem, FieldSpec, parse_ints
@@ -27,7 +27,8 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # works on its own native form of a coefficient tuple (pack; unpack gives back
 # the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem,
 # is_zero (list results such as remainders may carry trailing zeros), and
-# cyclic: the product with a fixed a mod t^n - 1 on a raw length-n tuple.
+# cyclic: the product with a fixed a mod t^n - 1, from native form to native
+# form; values(x, n) gives back the n coefficients of such a residue.
 
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
@@ -89,13 +90,13 @@ class _GF2Kernel:
             quot |= 1 << (la - db)
         return quot, a
 
-    def cyclic_packed(self, a: int, n: int, x: int) -> int:
+    def cyclic(self, a: int, n: int, x: int) -> int:
         """a * x mod t^n - 1 on packed residues of degree < n."""
         x = self.mul(a, x)
         return (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
 
-    def cyclic(self, a: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        x = self.cyclic_packed(a, n, self.pack(v))
+    @staticmethod
+    def values(x: int, n: int) -> tuple[int, ...]:
         return tuple(format(x, f"0{n}b")[::-1].encode().translate(_FROM_ASCII))
 
 
@@ -123,10 +124,15 @@ class _ListKernel:
         return self.divmod(a, b)[1]
 
     def cyclic(self, a, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+        """a * v mod t^n - 1 on length-n tuples."""
         prod = self.mul(a, v)
         out, high = prod[:n], prod[n:]
         out[:len(high)] = self.add(out[:len(high)], high)
         return tuple(out) + (0,) * (n - len(out))
+
+    @staticmethod
+    def values(v: tuple[int, ...], n: int) -> tuple[int, ...]:
+        return v
 
 
 class _PrimeKernel(_ListKernel):
@@ -241,15 +247,10 @@ class _KroneckerModulus:
 
 class _TableKernel(_ListKernel):
     """GF(p^e)[t] through the field's add/neg/mul tables (indexable by
-    encoding). Fields above _TABLE_LIMIT have none; _Lookup stand-ins then
-    make one FieldSpec call per lookup."""
+    encoding; they compute on digits above _TABLE_LIMIT elements)."""
 
     def __init__(self, spec: FieldSpec):
-        tables = spec.op_tables()
-        if tables is None:
-            tables = (_call_table(spec.add_enc), _Lookup(spec.neg_enc),
-                      _call_table(spec.mul_enc))
-        self.add_t, self.neg_t, self.mul_t = tables
+        self.add_t, self.neg_t, self.mul_t = spec.op_tables()
         self.spec = spec
 
     def add(self, a, b):
@@ -293,23 +294,6 @@ class _TableKernel(_ListKernel):
                 row = M[N[c]]
                 rem[k:k + db] = [A[r][row[y]] for r, y in zip(rem[k:k + db], low)]
         return quot, rem[:db]
-
-
-class _Lookup:
-    """Indexes like a table but calls f: t[a] == f(a)."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __getitem__(self, a):
-        return self.f(a)
-
-
-def _call_table(op) -> _Lookup:
-    """Stand-in for the table of a binary op: t[a][b] == op(a, b)."""
-    return _Lookup(lambda a: _Lookup(partial(op, a)))
 
 
 @lru_cache(maxsize=64)
@@ -555,13 +539,6 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
         if k:
             a = kern.rem(kern.mul(a, a), m_k)
     return _poly(m.spec, kern.unpack(result))
-
-
-def cyclic_multiplier(a: Poly, n: int):
-    """The map v -> coefficients of a * v mod t^n - 1, on raw length-n
-    tuples of encodings (always n entries, zeros included)."""
-    kern = kernel(a.spec)
-    return partial(kern.cyclic, kern.pack(a.coeff_encs), n)
 
 
 # ---------------------------------------------------------------------------

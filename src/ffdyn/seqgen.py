@@ -119,7 +119,7 @@ def random_seq(spec: FieldSpec, n: int, seed: int) -> CyclicSeq:
     return CyclicSeq(spec, tuple(rng.randrange(spec.q) for _ in range(n)))
 
 
-_KINDS = ("legendre", "arnold", "mult", "const", "alt", "random")
+KINDS = ("legendre", "arnold", "mult", "const", "alt", "random")
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class GeneratorSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown generator {self.kind!r}; pick from {_KINDS}")
+        if self.kind not in KINDS:
+            raise DomainError(f"unknown generator {self.kind!r}; pick from {KINDS}")
 
     def build(self, spec: FieldSpec, n: int) -> list[CyclicSeq]:
         if self.kind == "legendre":

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .complexity import census, d_complicated_gcd, eigen_product, quota
-from .dynamics import max_period, orbit_algebraic
+from .dynamics import STATE_CAP, max_period, orbit_algebraic
 from .errors import ResourceLimitError
 from .ffield import FieldSpec
 from .groupalg import delta_operator
@@ -24,15 +24,14 @@ def _primes_upto(limit: int) -> list[int]:
 
 def thm1_census_suite() -> dict:
     """Exhaustive census equals the quota formula, exactly, on the whole grid."""
-    state_cap = 2**21
     rows = []
     for q in (2, 3, 4, 5):
         spec = FieldSpec.of_order(q)
         for n in (3, 5, 7, 11, 13):
-            if n == spec.p or q**n > state_cap:
+            if n == spec.p or q**n > STATE_CAP:
                 continue
             try:
-                rep = census(spec, n, cap=state_cap)
+                rep = census(spec, n)
                 rows.append({
                     "n": n, "q": q, "d": rep.d,
                     "quotaFormula": str(rep.quota_formula),

@@ -57,6 +57,14 @@ def test_census_n7(capsys):
     assert report["quotaFormula"] == "49/64"
 
 
+def test_readme_census_fits_the_default_state_cap(capsys):
+    """The README example: 3^13 states, above 2^20 and within STATE_CAP."""
+    code, report = run_json(capsys, "census", "--q", "3", "--n", "13")
+    assert code == 0
+    assert report["stateCount"] == 3**13 <= dynamics.STATE_CAP
+    assert report["matchesFormula"] is True
+
+
 def test_census_csv(capsys):
     code, out = run_cli(capsys, "census", "--q", "2", "--n", "3",
                         "--format", "csv")

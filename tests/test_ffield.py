@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
@@ -87,10 +88,12 @@ def test_mixed_field_operations_fail_fast():
         F4.element(2) * F2.one
 
 
-@pytest.mark.parametrize("q", [4, 9, 25, 27, 256])
+@pytest.mark.parametrize("q", [4, 9, 25, 27, 256, 1024, 2187])
 def test_tables_match_digit_polynomials(q):
     """The add/neg/mul tables against the digit polynomials over GF(p),
-    multiplied and reduced by the modulus in GF(p)[t]."""
+    multiplied and reduced by the modulus in GF(p)[t]. GF(1024) and GF(2187)
+    lie above the table limit, so their lookups compute on digits; every
+    nonzero sample times its inverse is 1."""
     spec = FieldSpec.of_order(q)
     fp = FieldSpec(spec.p)
     modulus = Poly(fp, spec.modulus)
@@ -108,6 +111,8 @@ def test_tables_match_digit_polynomials(q):
         assert spec.sub_enc(a, b) == enc(poly(a) - poly(b))
         assert spec.neg_enc(a) == enc(-poly(a))
         assert spec.mul_enc(a, b) == enc(poly(a) * poly(b) % modulus)
+        if a:
+            assert spec.mul_enc(a, spec.inv_enc(a)) == 1
 
 
 def test_spec_validation():
@@ -185,6 +190,15 @@ def test_element_coercion_and_bounds():
         F2.element(2)
     with pytest.raises(DomainError):
         F3.element(-1)
+
+
+def test_element_takes_integer_likes_and_integer_digits_only():
+    assert F9.element(np.int64(1)).enc == 1
+    assert F9.element([np.int64(1), 2]).enc == 7
+    for bad in ([1.7, 2], 1.5, "ab"):
+        with pytest.raises(DomainError) as exc:
+            F9.element(bad)
+        assert "\n" not in str(exc.value)
 
 
 def test_from_int_embeds_through_prime_subfield():

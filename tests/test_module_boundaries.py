@@ -1,0 +1,63 @@
+"""No ffdyn module reaches into another one's private names: each uses only
+what the other exports. The one exception is polyring._order_prime_power,
+which the benchmark's tracer wraps by that name."""
+
+import ast
+from pathlib import Path
+
+import ffdyn
+
+SRC = Path(ffdyn.__file__).resolve().parent
+MODULES = {path.stem for path in SRC.glob("*.py")}
+ALLOWED = {("polyring", "_order_prime_power")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _crossings(path: Path):
+    """(module, private name) for each import or attribute use of another
+    ffdyn module's private name in the source file path."""
+    tree = ast.parse(path.read_text(), str(path))
+    aliases = {}  # local name -> ffdyn module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").startswith("ffdyn."):
+                module = node.module[len("ffdyn."):]
+            elif node.module == "ffdyn":
+                module = None
+            else:
+                continue
+            for alias in node.names:
+                if module is None:  # from . import x: x is a module
+                    if alias.name in MODULES:
+                        aliases[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    yield module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ffdyn.") and alias.asname:
+                    aliases[alias.asname] = alias.name[len("ffdyn."):]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            yield aliases[node.value.id], node.attr
+
+
+def test_no_private_names_cross_modules():
+    found = {(path.name, module, name)
+             for path in sorted(SRC.glob("*.py"))
+             for module, name in _crossings(path)
+             if module != path.stem and (module, name) not in ALLOWED}
+    assert not found
+
+
+def test_the_checker_sees_both_forms(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .polyring import _KroneckerModulus, kernel\n"
+                   "from . import seqgen\n"
+                   "x = seqgen._hidden\n")
+    assert set(_crossings(src)) == {("polyring", "_KroneckerModulus"), ("seqgen", "_hidden")}
