@@ -17,8 +17,8 @@ from fractions import Fraction
 from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec, digits
-from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
-                       delta_operator, linear_images, seq_to_poly)
+from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator, linear_images,
+                       seq_to_poly, seq_valuations)
 from .intfactor import is_prime, order
 from .polyring import Poly, geometric_sum, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
@@ -61,7 +61,7 @@ def projection_profile(f: CyclicSeq) -> ProjectionProfile:
     """Which irreducible factors of t^n - 1 divide the sequence polynomial."""
     spec = f.spec
     t_minus_1 = t_minus_one(spec)
-    vals = component_valuations(seq_to_poly(f), f.n)
+    vals = seq_valuations(f)
     return ProjectionProfile(tuple(
         ProjectionEntry(pi, e, v == 0, pi == t_minus_1)
         for (pi, e), v in zip(crt_split(spec, f.n), vals)))
@@ -135,7 +135,7 @@ def classify(f: CyclicSeq, op_cap: int = 2**16,
     oracle runs (subject to the caps).
     """
     spec, n = f.spec, f.n
-    vals = component_valuations(seq_to_poly(f), n)
+    vals = seq_valuations(f)
     d1, d2 = _delta_verdict(f, vals)
     if n % spec.p != 0:
         t_minus_1 = t_minus_one(spec)
@@ -148,12 +148,12 @@ def classify(f: CyclicSeq, op_cap: int = 2**16,
 
 def is_delta2(f: CyclicSeq) -> bool:
     """Orbit period under the difference map equals the maximal period."""
-    return _delta_verdict(f, component_valuations(seq_to_poly(f), f.n))[1]
+    return _delta_verdict(f, seq_valuations(f))[1]
 
 
 def is_delta1(f: CyclicSeq) -> bool:
     """is_delta2 plus preperiod within one of the maximum."""
-    return _delta_verdict(f, component_valuations(seq_to_poly(f), f.n))[0]
+    return _delta_verdict(f, seq_valuations(f))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
-                       linear_images, seq_to_poly)
-from .polyring import _order_prime_power
+                       linear_images, seq_valuations)
+from .polyring import _order_prime_power, powmod, t_pow_minus_one
 
 # default cap on the states that one enumeration walks
 STATE_CAP = 2**21
@@ -105,6 +105,7 @@ class _OrbitAnalyzer:
 
     def __init__(self, D: DiffOperator):
         self.factors = crt_split(D.spec, D.n)
+        self.modulus = t_pow_minus_one(D.spec, D.n)
         self.op_vals = component_valuations(D.op_poly, D.n)
         self.orders = []
         for (pi, e), val in zip(self.factors, self.op_vals):
@@ -141,13 +142,15 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
-    """Preperiod/period from component valuations and unit orders."""
+    """Preperiod/period from component valuations and unit orders; the
+    attractor entry D^pre f is one product with op_poly^pre mod t^n - 1."""
     D.check_dimensions(f)
-    pre, per = orbit_from_valuations(D, component_valuations(seq_to_poly(f), f.n))
-    x = D.kern.pack(f.value_encs)
-    for _ in range(pre):
-        x = D.step(x)
-    return OrbitSummary(pre, per, CyclicSeq(f.spec, D.kern.values(x, f.n)))
+    an = _analyzer(D)
+    pre, per = an.analyze(seq_valuations(f))
+    kern, n = D.kern, f.n
+    op = kern.pack(powmod(D.op_poly, pre, an.modulus).coeff_encs)
+    x = kern.cyclic(op, n, kern.pack(f.value_encs))
+    return OrbitSummary(pre, per, CyclicSeq(f.spec, kern.values(x, n)))
 
 
 def max_period(D: DiffOperator) -> int:

@@ -8,11 +8,12 @@ multiplication with a fixed algebra element vanishing at t = 1.
 from __future__ import annotations
 
 import json
-import math
-from functools import lru_cache, partial
+import operator
+from functools import lru_cache, partial, reduce
+from itertools import repeat
 
 from .errors import DegenerateOperatorError, DomainError
-from .ffield import FieldElem, FieldSpec, parse_field_spec, parse_ints
+from .ffield import FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, undigits
 from .polyring import Poly, factorize, kernel, t_pow_minus_one
 
 
@@ -100,7 +101,7 @@ class DiffOperator:
     (kern.pack of its value tuple; kern.values(x, n) gives the values back).
     """
 
-    __slots__ = ("spec", "n", "op_poly", "kern", "step")
+    __slots__ = ("spec", "n", "op_poly", "kern", "step", "_hash")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
         if n < 1:
@@ -119,6 +120,8 @@ class DiffOperator:
         kern = kernel(spec)
         object.__setattr__(self, "kern", kern)
         object.__setattr__(self, "step", partial(kern.cyclic, kern.pack(op_poly.coeff_encs), n))
+        # the orbit analyzer's cache keys on the operator: hash it once
+        object.__setattr__(self, "_hash", hash((spec, n, op_poly)))
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOperator is immutable")
@@ -141,7 +144,7 @@ class DiffOperator:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.n, self.op_poly))
+        return self._hash
 
     def __repr__(self):
         return f"DiffOperator(n={self.n}, op=[{self.op_poly}])"
@@ -194,65 +197,188 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
     return tuple((pi, e * pk) for pi, e in factorize(t_pow_minus_one(spec, n)).factors)
 
 
-@lru_cache(maxsize=256)
-def _valuation_plan(spec: FieldSpec, n: int):
-    """The remainder tree of component_valuations for (spec, n) in the
-    kernel's native form: (kernel, nodes, leaves).
+# payload bytes allowed for the chunk tables of one valuation map
+_TABLE_BYTES = 1 << 20
+_DIGIT_CHARS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_MARKS = b"0" + b"1" * 255
 
-    The crt_split list is halved until single components remain; a node is
-    the product of the pi^e below it. Residue 0 is r itself (valuations need
-    no reduction mod t^n - 1); nodes[k] = (parent, m) makes residue k + 1 as
-    residue parent mod m, parents first. leaves[i] = (parent, pi, e):
-    component i reads residue parent.
+
+def _read_layout(spec: FieldSpec, n: int) -> tuple[int, int, int]:
+    """(input digits per chunk table, bits per slot, payload bytes of the
+    chunk tables; 0 when states are read by columns) of (spec, n)'s
+    valuation map. A slot holds a step of the recurrence and, with tables,
+    the sum of n reduced entries."""
+    p, ef, q = spec.p, spec.e, spec.q
+    size, chunk = n * ef, 4 if p == 2 else ef  # a hex digit, or a value
+    build = (p - 1) * (1 + ef * (p - 1))
+
+    def bits(bound):  # 1 for p = 2, else 8, 16, 32, ... as needed
+        return 1 if p == 2 else 8 << max(0, (bound.bit_length() - 1) // 8).bit_length()
+
+    w = bits(max(build, (p - 1) * n))
+    full, rest = divmod(size, chunk)
+    tables = (full * p**chunk + (p**rest if rest else 0)) * -(-size * w // 8)
+    if (p == 2 or q <= 256) and tables <= _TABLE_BYTES:
+        return chunk, w, tables
+    return chunk, bits(build), 0
+
+
+class _ValuationMap:
+    """The GF(p)-linear map sending sum v_i t^i to the pi-adic digits
+    c_0 + c_1 pi + ... of its residue mod every pi^e of crt_split(spec, n),
+    laid end to end, so min(v_pi, e) is the index of the first nonzero digit
+    block (deg pi coefficients). Each coefficient is its base-p digits, one
+    per slot of an int: a bit for p = 2 (sums are XORs), else 8, 16, ...
+    bits, reduced mod p. A sequence's values read as they are, since
+    seq_to_poly(f) = t * sum f(i+1) t^i and t is a unit mod t^n - 1.
+
+    Column j, the image of t^j, follows from column j - 1 by multiplying the
+    digits by t: c_i's coefficient b of t^d spills into c_(i+1) and leaves
+    b * (t^d - pi) in c_i; the spill out of c_(e-1) is a multiple of pi^e.
+    The components of one (deg pi, e) sit side by side and take each step
+    as one int: b is copied across its block and multiplied by the digits
+    of t^d - pi one bit plane at a time. spans keeps crt_split order; the
+    slots are in order of shape. A state is read as its digits times the
+    columns or, on the per-state path, as a sum of chunk-table entries (a
+    hex digit of the packed state for p = 2, a value for odd q <= 256;
+    built on first use unless they would pass _TABLE_BYTES).
     """
-    kern = kernel(spec)
-    factors = crt_split(spec, n)
-    nodes, parents = [], [0] * len(factors)
 
-    def split(lo, hi, parent):
-        if hi - lo == 1:
-            parents[lo] = parent
-            return
-        mid = (lo + hi) // 2
-        for a, b in ((lo, mid), (mid, hi)):
-            below = parent
-            if b - a > 1:
-                prod = math.prod((pi**e for pi, e in factors[a:b]), start=Poly.one(spec))
-                nodes.append((parent, kern.pack(prod.coeff_encs)))
-                below = len(nodes)
-            split(a, b, below)
+    def __init__(self, spec: FieldSpec, n: int):
+        p, ef, q = spec.p, spec.e, spec.q
+        self.p, self.ef, self.q, self.size = p, ef, q, n * ef
+        self.chunk, w, tables = _read_layout(spec, n)
+        self.w, self.tabled, self.tables = w, tables > 0, None
+        self.mod = (bytes(range(p)) * -(-256 // p))[:256] if w == 8 else None
+        # columns summed between two reductions mod p
+        self.group = (2**w - p) // (p - 1) ** 2 if p > 2 else self.size
+        add, red = (operator.xor, None) if p == 2 else (operator.add, self._reduce)
+        slot, step = (1 << w) - 1, ef * w
+        comps = crt_split(spec, n)
+        by_shape = {}
+        for k, (pi, e) in enumerate(comps):
+            by_shape.setdefault((pi.degree, e), []).append(k)
+        self.spans = [None] * len(comps)  # (first slot, end slot, slots per digit block, e)
+        shapes, off = [], 0
+        for (d, e), members in by_shape.items():
+            blk = d * ef
+            width = blk * e
+            count = width * len(members)
+            firsts = sum(1 << i * width * w for i in range(len(members)))
+            tiles = sum(1 << i * blk * w for i in range(e))
+            # the shift carries a component's top coefficient into the next
+            # component's first one; keep clears it
+            keep = ((1 << count * w) - 1) ^ ((1 << step) - 1) * firsts
+            # digit s of each block's top coefficient, moved to the block's
+            # first slot and copied across the block, times the digits of
+            # p^s * (t^d - pi): one (shift, mask, j) term per bit plane j
+            terms = []
+            for s in range(ef):
+                masks = [0] * (p - 1).bit_length()
+                for i, k in enumerate(members):
+                    low = [spec.mul_enc(p**s, spec.neg_enc(c)) for c in comps[k][0].coeff_encs[:d]]
+                    if ef > 1:
+                        low = [r for c in low for r in digits(c, p, ef)]
+                    for j in range(len(masks)):
+                        plane = sum(slot << h * w for h, v in enumerate(low) if v >> j & 1)
+                        masks[j] |= plane * tiles << i * width * w
+                terms += [(((d - 1) * ef + s) * w, m, j) for j, m in enumerate(masks) if m]
+            for i, k in enumerate(members):
+                self.spans[k] = (off + i * width, off + (i + 1) * width, blk, e)
+            copy = sum(1 << h * w for h in range(blk))
+            shapes.append((off * w, count, keep, slot * tiles * firsts, copy, terms, firsts))
+            off += count
 
-    split(0, len(factors), 0)
-    leaves = [(parent, kern.pack(pi.coeff_encs), e)
-              for parent, (pi, e) in zip(parents, factors)]
-    return kern, nodes, leaves
+        # cols[i * ef + s]: the image of p^s * t^i; each shape fills its
+        # share of every column, and the shares are joined once at the end
+        cols = None
+        for at, count, keep, starts, copy, terms, firsts in shapes:
+            part = [0] * self.size
+            for s in range(ef):
+                x = firsts << s * w
+                for i in range(s, self.size, ef):  # x = t^(i // ef) * p^s
+                    part[i] = x
+                    y = (x << step) & keep
+                    for shift, mask, j in terms:
+                        y = add(y, ((((x >> shift) & starts) * copy) & mask) << j)
+                    x = red(y, count) if red else y
+            if at:
+                part = map(operator.lshift, part, repeat(at))
+            cols = part if cols is None else map(operator.or_, cols, part)
+        self.cols = list(cols)
+
+    def _tabulate(self) -> list[list[int]]:
+        p, size, tables = self.p, self.size, []
+        for k in range(0, size, self.chunk):
+            table = [0]
+            for col in self.cols[k:k + self.chunk]:
+                table += [t ^ col if p == 2 else t + c * col for c in range(1, p) for t in table]
+            tables.append(table if p == 2 else [self._reduce(t, size) for t in table])
+        return tables
+
+    def _slots(self, x: int, count: int) -> list[int]:
+        """The low count slots of x, for w >= 16."""
+        k = self.w // 8
+        b = x.to_bytes(count * k, "little")
+        return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
+
+    def _reduce(self, x: int, count: int) -> int:
+        """x with each of its low count slots reduced mod p (odd p)."""
+        if self.w == 8:
+            return int.from_bytes(x.to_bytes(count, "little").translate(self.mod), "little")
+        k, p = self.w // 8, self.p
+        return int.from_bytes(b"".join((v % p).to_bytes(k, "little")
+                                       for v in self._slots(x, count)), "little")
+
+    def read(self, values, tables: bool = False) -> tuple[int, ...]:
+        """min(v_pi, e) on each component for the state with these values;
+        tables: through the chunk tables, for a map that reads many states."""
+        p, q, size = self.p, self.q, self.size
+        if tables and self.tabled:
+            if self.tables is None:
+                self.tables = self._tabulate()
+            if p == 2:
+                x = (int(bytes(values[::-1]).translate(_DIGIT_CHARS), q) if q <= 32
+                     else undigits(values, q))
+                values = format(x, f"0{len(self.tables)}x")[::-1].encode().translate(_HEX_VALUES)
+            terms = map(operator.getitem, self.tables, values)
+            acc = reduce(operator.xor, terms) if p == 2 else sum(terms)
+        else:
+            coords = values if q == p else [d for v in values for d in digits(v, p, self.ef)]
+            acc, cols, g = 0, self.cols, self.group
+            for k in range(0, size, g):
+                terms = map(operator.mul, cols[k:k + g], coords[k:k + g])
+                acc = (reduce(operator.xor, terms, acc) if p == 2
+                       else self._reduce(acc + sum(terms), size))
+        # one character per digit: "1" where it is nonzero
+        if p == 2:
+            marks = format(acc, f"0{size}b")[::-1]
+        elif self.w == 8:
+            marks = acc.to_bytes(size, "little").translate(self.mod).translate(_MARKS).decode()
+        else:
+            marks = "".join("01"[v % p != 0] for v in self._slots(acc, size))
+        return tuple([e if (i := marks.find("1", a, b)) < 0 else (i - a) // blk
+                      for a, b, blk, e in self.spans])
+
+
+@lru_cache(maxsize=64)
+def _valuation_map(spec: FieldSpec, n: int) -> _ValuationMap:
+    return _ValuationMap(spec, n)
+
+
+def seq_valuations(f: CyclicSeq) -> tuple[int, ...]:
+    """component_valuations of seq_to_poly(f), read off f's values through
+    the chunk tables of (f.spec, f.n)."""
+    return _valuation_map(f.spec, f.n).read(f.value_encs, tables=True)
 
 
 def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
     """pi-adic valuation of r on each component pi^e of t^n - 1, in
-    crt_split order: 0 where r is a unit, e where r vanishes.
-
-    r is packed once and reduced down the cached remainder tree. A component
-    reads a residue x = r mod (a multiple of pi^e), so the capped valuation
-    min(v_pi(r), e) is min(v_pi(x), e), found by at most e divisions by pi.
-    x is not reduced mod pi^e first: on the list kernels that division is
-    quadratic in e.
-    """
-    kern, nodes, leaves = _valuation_plan(r.spec, n)
-    rem, divmod_, is_zero = kern.rem, kern.divmod, kern.is_zero
-    xs = [kern.pack(r.coeff_encs)]
-    for parent, m in nodes:
-        xs.append(rem(xs[parent], m))
-    out = []
-    for parent, pi, e in leaves:
-        x, v = xs[parent], 0
-        while v < e:
-            x, rest = divmod_(x, pi)
-            if not is_zero(rest):
-                break
-            v += 1
-        out.append(v)
-    return tuple(out)
+    crt_split order: 0 where r is a unit, e where r vanishes."""
+    if r.degree != float("-inf") and r.degree >= n:
+        r = r % t_pow_minus_one(r.spec, n)
+    return _valuation_map(r.spec, n).read(r.coeff_encs)
 
 
 # states per block of linear_images; memory stays at one block of planes

@@ -25,8 +25,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
 # works on its own native form of a coefficient tuple (pack; unpack gives back
-# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem,
-# is_zero (list results such as remainders may carry trailing zeros), and
+# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem and
 # cyclic: the product with a fixed a mod t^n - 1, from native form to native
 # form; values(x, n) gives back the n coefficients of such a residue.
 
@@ -47,10 +46,6 @@ class _GF2Kernel:
     @staticmethod
     def unpack(x: int) -> tuple[int, ...]:
         return tuple(bin(x)[:1:-1].encode().translate(_FROM_ASCII)) if x else ()
-
-    @staticmethod
-    def is_zero(a: int) -> bool:
-        return not a
 
     @staticmethod
     def add(a: int, b: int) -> int:
@@ -115,10 +110,6 @@ class _ListKernel:
         while k and not c[k - 1]:
             k -= 1
         return tuple(c[:k])
-
-    @staticmethod
-    def is_zero(c) -> bool:
-        return not any(c)
 
     def rem(self, a, b):
         return self.divmod(a, b)[1]

@@ -19,7 +19,7 @@ from ffdyn import FieldSpec
 from ffdyn.complexity import d_complicated_gcd, d_complicated_oracle, is_delta1, is_delta2
 from ffdyn.dynamics import (build_graph, cycle_spectrum, orbit_brute,
                             orbit_from_valuations, orbit_table, state_of_index)
-from ffdyn.groupalg import CyclicSeq, component_valuations, delta_operator, seq_to_poly
+from ffdyn.groupalg import CyclicSeq, delta_operator, seq_valuations
 from ffdyn.verify import (arnold_delta2_suite, quota_trend_suite,
                           thm1_census_suite, thm2_suite, thm3_suite)
 
@@ -148,7 +148,7 @@ def test_c6_dynamics_oracle_equivalence():
         pre, per = orbit_table(D)
         for idx in range(spec.q**n):
             f = CyclicSeq(spec, state_of_index(spec, n, idx))
-            got = orbit_from_valuations(D, component_valuations(seq_to_poly(f), n))
+            got = orbit_from_valuations(D, seq_valuations(f))
             if got != (pre[idx], per[idx]):
                 bad.append((spec.q, n, f.value_encs, got, (pre[idx], per[idx])))
         # the per-orbit Brent path must agree too; deterministic sample

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec, Poly
+from ffdyn import DomainError, FieldSpec, Poly, polyring
 from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
@@ -101,6 +101,48 @@ def test_classify_uses_oracle_when_p_divides_n():
     # n=2 over GF(2): the only operator is Delta itself (nilpotent), so the
     # maximal period is 1 and every sequence reaches it
     assert v.is_d_complicated == d_complicated_oracle(seq(F2, 1, 0))
+
+
+def test_warm_classify_divides_nothing(monkeypatch):
+    # the per-state path reads valuations off one linear map: once the
+    # field's factorization, unit orders and map exist, classify must not
+    # fall back to polynomial division
+    rng = random.Random(5)
+    states = []
+    for spec, n in [(F3, 80), (F4, 63)]:
+        fs = [CyclicSeq(spec, [rng.randrange(spec.q) for _ in range(n)]) for _ in range(20)]
+        fs.append(CyclicSeq(spec, (0,) * n))
+        classify(fs[0])
+        states += fs
+    calls = []
+
+    def count(owner, name):
+        orig = owner.__dict__[name]
+        static = isinstance(orig, staticmethod)
+        func = orig.__func__ if static else orig
+
+        def counted(*args):
+            calls.append(f"{owner.__name__}.{name}")
+            return func(*args)
+
+        monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
+
+    count(Poly, "__divmod__")
+    kernels = (polyring._GF2Kernel, polyring._ListKernel, polyring._PrimeKernel,
+               polyring._TableKernel)
+    for cls in kernels:
+        for name in ("divmod", "rem"):
+            if name in cls.__dict__:
+                count(cls, name)
+    verdicts = [classify(f) for f in states]
+    assert calls == []
+    assert any(v.is_d_complicated for v in verdicts)
+    assert not all(v.is_d_complicated for v in verdicts)
+    # the counters do see a division on each field
+    for spec in (F3, F4):
+        Poly(spec, [1, 1, 1]) % Poly(spec, [1, 1])
+    assert calls.count("Poly.__divmod__") == 2
+    assert {"_PrimeKernel.divmod", "_TableKernel.divmod"} <= set(calls)
 
 
 def test_gcd_criterion_rejects_p_dividing_n():

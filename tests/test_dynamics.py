@@ -10,9 +10,9 @@ from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot,
                             orbit_algebraic, orbit_brute, orbit_table,
                             state_of_index, successor_array)
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
-from ffdyn.groupalg import (CyclicSeq, apply_op, build_operator,
-                            delta_operator, seq_to_poly)
-from ffdyn.polyring import gcd, t_pow_minus_one
+from ffdyn.groupalg import (CyclicSeq, apply_op, build_operator, component_valuations,
+                            crt_split, delta_operator, seq_to_poly)
+from ffdyn.polyring import gcd, t_minus_one, t_pow_minus_one
 
 
 def test_orbit_brute_example_n3():
@@ -233,6 +233,24 @@ def test_gf2_brent_attractor_entry_has_full_length():
             b, a = orbit_brute(D, f), orbit_algebraic(D, f)
             assert b.attractor_entry.n == n
             assert b == a
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 6), (F3, 6), (F4, 4), (F9, 3)],
+                         ids=["GF2-n6", "GF3-n6", "GF4-n4", "GF9-n3"])
+def test_attractor_entry_matches_brute_when_p_divides_n(spec, n):
+    # D^pre f comes from one product with op^pre mod t^n - 1: compare the
+    # whole summary, entry included, on every state
+    dead = [pi for pi, _e in crt_split(spec, n)].index(t_minus_one(spec))
+    pres = set()
+    for coeffs in ((1,), (0, 1)):
+        D = build_operator(spec, n, coeffs)
+        # Delta^2 vanishes to order 2 on its dead component t - 1
+        assert component_valuations(D.op_poly, n)[dead] == len(coeffs)
+        for f in all_seqs(spec, n):
+            a = orbit_algebraic(D, f)
+            assert a == orbit_brute(D, f), (coeffs, f)
+            pres.add(a.preperiod)
+    assert 0 in pres and max(pres) >= 2
 
 
 def test_state_index_round_trip():

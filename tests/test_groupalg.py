@@ -9,11 +9,13 @@ from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
                             component_valuations, crt_split, delta,
                             delta_operator, delta_poly, linear_images,
-                            parse_seq, poly_to_seq,
-                            seq_from_json, seq_text, seq_to_json, seq_to_poly)
+                            parse_seq, poly_to_seq, seq_from_json, seq_text,
+                            seq_to_json, seq_to_poly, seq_valuations)
 from ffdyn.polyring import t_pow_minus_one
 
 GF729 = FieldSpec.of_order(3**6)  # above the table limit: one field call per lookup
+F251, F257 = FieldSpec(251), FieldSpec(257)
+P61 = FieldSpec(2**61 - 1)  # a 61-bit prime
 
 
 def rand_seq(spec, n, rng):
@@ -160,6 +162,15 @@ def test_operator_extensional_equality():
     assert a == b and hash(a) == hash(b)
 
 
+def test_delta_built_two_ways_is_one_operator():
+    # the hash is fixed at construction; equal operators must share it
+    for spec, n in [(F2, 7), (F3, 6), (F4, 5), (F9, 4), (GF729, 3)]:
+        a, b = delta_operator(spec, n), build_operator(spec, n, [1])
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
 def test_apply_op_zero_sequence():
     rng = random.Random(4)
     for spec, n in [(F2, 5), (F3, 4)]:
@@ -241,12 +252,17 @@ def _repeated_division(r, n):
     return tuple(out)
 
 
-# p divides n in (F2, 96), (F3, 81), (F3, 12), (F5, 50), (F4, 6), (F9, 6) and
-# (GF729, 6); the remainder tree has an odd number of leaves in (F2, 15),
-# (F2, 255), (F3, 80), (F3, 12), (F4, 63), (F4, 6) and (GF729, 7)
-VALUATION_CASES = [(F2, 15), (F2, 255), (F2, 96), (F3, 80), (F3, 81), (F3, 12),
-                   (F5, 12), (F5, 50), (F4, 63), (F4, 6), (F9, 40), (F9, 6),
-                   (GF729, 7), (GF729, 6)]
+# p divides n in (F2, 96), (F3, 81), (F3, 12), (F5, 50), (F4, 6), (F9, 6),
+# (GF729, 6) and (GF729, 12). The packed GF(2^e) state is not a whole number
+# of hex-digit chunks in (F2, 15), (F2, 255), (F2, 257) and (F4, 63). Byte
+# slots hold the largest sum up to (F3, 127) and (F5, 63), and (F3, 128) and
+# (F5, 64) need two bytes. p = 251 still has a table per value, p = 257 and
+# the 61-bit prime multiply columns, and GF(729) reads its digits.
+VALUATION_CASES = [(F2, 15), (F2, 255), (F2, 257), (F2, 96), (F3, 80), (F3, 81),
+                   (F3, 12), (F3, 127), (F3, 128), (F5, 12), (F5, 50), (F5, 63),
+                   (F5, 64), (F4, 63), (F4, 6), (F9, 40), (F9, 6), (F251, 4),
+                   (F251, 6), (F257, 4), (F257, 6), (P61, 4), (P61, 6),
+                   (GF729, 7), (GF729, 6), (GF729, 12)]
 
 
 @pytest.mark.parametrize("spec, n", VALUATION_CASES,
@@ -255,7 +271,9 @@ def test_component_valuations_match_repeated_division(spec, n):
     rng = random.Random(n)
     modulus = t_pow_minus_one(spec, n)
     factors = crt_split(spec, n)
-    assert component_valuations(Poly.zero(spec), n) == tuple(e for _, e in factors)
+    zero = tuple(e for _, e in factors)
+    assert component_valuations(Poly.zero(spec), n) == zero
+    assert seq_valuations(CyclicSeq(spec, (0,) * n)) == zero
     for i, (pi, e) in enumerate(factors):
         g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
         for j in range(e + 1):
@@ -263,6 +281,56 @@ def test_component_valuations_match_repeated_division(spec, n):
             vals = component_valuations(r, n)
             assert vals == _repeated_division(r, n)
             assert vals[i] >= j
+            # the per-state route reads the same residue off its values
+            assert seq_valuations(poly_to_seq(spec, n, r)) == vals
+    # an element of degree >= n is read as its residue mod t^n - 1
+    assert component_valuations(g + modulus * g, n) == component_valuations(g, n)
+
+
+# (field, n, input digits per table, bits per slot, tables or columns)
+LAYOUTS = [(F2, 255, 4, 1, True), (F4, 63, 4, 1, True), (F3, 127, 1, 8, True),
+           (F3, 128, 1, 16, True), (F5, 63, 1, 8, True), (F5, 64, 1, 16, True),
+           (F9, 40, 2, 8, True), (F251, 6, 1, 16, True), (F257, 6, 1, 32, False),
+           (P61, 6, 1, 128, False), (GF729, 6, 6, 8, False),
+           (F2, 2003, 4, 1, False), (F4, 1021, 4, 1, False)]
+
+
+@pytest.mark.parametrize("spec, n, chunk, bits, tabled", LAYOUTS,
+                         ids=[f"GF{s.q}-n{n}" for s, n, *_ in LAYOUTS])
+def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
+    layout = groupalg._read_layout(spec, n)
+    assert layout[:2] == (chunk, bits)
+    assert (layout[2] > 0) == tabled
+    assert layout[2] <= groupalg._TABLE_BYTES
+    if n < 300:  # the large ones cost a factorization of t^n - 1
+        seq_valuations(CyclicSeq(spec, (0,) * n))  # builds the tables
+        vmap = groupalg._valuation_map(spec, n)
+        if tabled:  # the tables built are the ones the layout sized
+            assert sum(map(len, vmap.tables)) * -(-vmap.size * vmap.w // 8) == layout[2]
+            assert max(map(len, vmap.tables)) <= 256
+        else:
+            assert vmap.tables is None
+
+
+def test_interrupted_table_build_keeps_no_partial_tables(monkeypatch):
+    vmap = groupalg._ValuationMap(F3, 80)  # a private map, not the cached one
+    values = rand_seq(F3, 80, random.Random(3)).value_encs
+    calls, reduce_slots = 0, groupalg._ValuationMap._reduce
+
+    def failing(self, x, count):
+        nonlocal calls
+        calls += 1
+        if calls > 100:  # part way through the 80 tables
+            raise MemoryError
+        return reduce_slots(self, x, count)
+
+    monkeypatch.setattr(groupalg._ValuationMap, "_reduce", failing)
+    with pytest.raises(MemoryError):
+        vmap.read(values, tables=True)
+    assert vmap.tables is None
+    monkeypatch.undo()
+    assert vmap.read(values, tables=True) == vmap.read(values) == _repeated_division(
+        seq_to_poly(CyclicSeq(F3, values)), 80)
 
 
 # -- the GF(p)-linear block kernel ------------------------------------------------
