@@ -267,8 +267,12 @@ def main(argv=None) -> int:
         report = {"schema": SCHEMA, "command": args.command, **output}
         output = json.dumps(report, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return 0 if ok else 1

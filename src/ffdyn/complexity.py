@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
-from .ffield import FieldElem, FieldSpec, digits
+from .ffield import FieldElem, FieldSpec, read_slots
 from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator, linear_images,
-                       seq_to_poly, seq_valuations)
+                       seq_to_poly, seq_valuations, valuation_map)
 from .intfactor import is_prime, order
 from .polyring import Poly, geometric_sum, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
@@ -177,31 +177,18 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     than t - 1 is nonzero.
 
     f -> f mod pi is GF(p)-linear. Base-p digit j*e + s of a state index is
-    digit s of the coefficient of t^j (q = p^e), so basis row j*e + s lists
-    the base-p digits of p^s t^j mod pi for every pi != t - 1 in turn, and
-    linear_images gives every state's residues as digit planes.
+    digit s of the coefficient of t^j (q = p^e), and column j*e + s of the
+    valuation map holds p^s t^j mod every pi, as its first digit block on
+    pi, so linear_images gives every state's residues as digit planes.
     """
     import numpy as np
-    p, e = spec.p, spec.e
+    vmap = valuation_map(spec, n)
     t_minus_1 = t_minus_one(spec)
-    t = Poly.x(spec)
-    basis = [[] for _ in range(n * e)]
-    spans = []  # the image digits of each pi
-    for pi, _m in crt_split(spec, n):
-        if pi == t_minus_1:
-            continue
-        d = pi.degree
-        start = len(basis[0])
-        spans.append(slice(start, start + d * e))
-        power = Poly.one(spec)
-        for j in range(n):
-            coeffs = power.coeff_encs + (0,) * (d - len(power.coeff_encs))
-            for s in range(e):
-                basis[j * e + s] += [r for c in coeffs
-                                     for r in digits(spec.mul_enc(c, p**s), p, e)]
-            power = (power * t) % pi
+    basis = [list(read_slots(col, vmap.size, vmap.w)) for col in vmap.cols]
+    spans = [slice(a, a + blk) for (pi, _m), (a, _end, blk, _e) in
+             zip(crt_split(spec, n), vmap.spans) if pi != t_minus_1]
     total = 0
-    for planes in linear_images(p, basis):
+    for planes in linear_images(spec.p, basis):
         ok = np.ones(planes.shape[1], dtype=bool)
         for span in spans:
             ok &= planes[span].any(axis=0)

@@ -8,6 +8,8 @@ degree first. For prime fields the encoding is the residue itself.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -17,8 +19,24 @@ from .intfactor import factor_int, is_prime
 _TABLE_LIMIT = 512  # build full operation tables only for small fields
 
 
+# ---------------------------------------------------------------------------
+# The digit codec, the one place that lays digits out in an int: digits by
+# bin(), hex() and int(), slots of w = 8 * 2^k bits by bytes (8), array (16
+# to 64) or to_bytes (wider), little-endian on every host.
+
+_TEXT = b"0123456789abcdefghijklmnopqrstuv"
+_TO_TEXT = bytes.maketrans(bytes(range(32)), _TEXT)
+_FROM_TEXT = bytes.maketrans(_TEXT, bytes(range(32)))
+_ARRAY_CODES = {8 * array(c).itemsize: c for c in "HILQ"}  # by slot bits
+_BIG_ENDIAN = sys.byteorder == "big"
+_MARKS = b"0" + b"1" * 255  # translates a zero byte to "0", any other to "1"
+
+
 def digits(value: int, base: int, width: int) -> tuple[int, ...]:
     """The low `width` base-`base` digits of value, least significant first."""
+    if base in (2, 16):  # a marker bit above the digits keeps their zeros
+        text = bin(value | 1 << width) if base == 2 else hex(value | 1 << 4 * width)
+        return tuple(text[:-width - 1:-1].encode().translate(_FROM_TEXT))
     out = []
     for _ in range(width):
         value, r = divmod(value, base)
@@ -29,10 +47,70 @@ def digits(value: int, base: int, width: int) -> tuple[int, ...]:
 def undigits(ds, base: int) -> int:
     """Inverse of digits: the integer whose base-`base` digits, least
     significant first, are ds."""
+    if base <= 32 and not base & (base - 1):
+        return int(bytes(ds)[::-1].translate(_TO_TEXT) or b"0", base)
     out = 0
     for d in reversed(list(ds)):
         out = out * base + d
     return out
+
+
+def slot_bits(bound: int) -> int:
+    """Bits per slot, 8 * 2^k, for slots that hold values up to bound."""
+    return 8 << max(0, (bound.bit_length() - 1) // 8).bit_length()
+
+
+def pack_slots(values, w: int) -> int:
+    """The int whose w-bit slots, lowest first, hold values (each < 2^w)."""
+    if w == 8:
+        return int.from_bytes(bytes(values), "little")
+    if w > 64:
+        return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
+    slots = array(_ARRAY_CODES[w], values)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def read_slots(x: int, count: int, w: int):
+    """The count w-bit slots of x < 2^(count * w), lowest first, as a
+    sequence of ints; w = 1 reads bits."""
+    if w == 1:
+        return digits(x, 2, count)
+    k = w // 8
+    b = x.to_bytes(count * k, "little")
+    if k == 1:
+        return b
+    if k > 8:
+        return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
+    slots = array(_ARRAY_CODES[w], b)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots
+
+
+@lru_cache(maxsize=64)
+def _residues(p: int) -> bytes:
+    return bytes(v % p for v in range(256))
+
+
+def reduce_slots(x: int, count: int, w: int, p: int) -> int:
+    """x < 2^(count * w) with each of its w-bit slots reduced mod p."""
+    if w == 8:
+        return int.from_bytes(x.to_bytes(count, "little").translate(_residues(p)), "little")
+    return pack_slots([v % p for v in read_slots(x, count, w)], w)
+
+
+def slot_marks(x: int, count: int, w: int, p: int) -> str:
+    """One character per w-bit slot of x < 2^(count * w), lowest first: "1"
+    where the slot is nonzero mod p, else "0"; w = 1 reads bits."""
+    if w == 1:
+        return bin(x | 1 << count)[:-count - 1:-1]
+    if w == 8:
+        marks = x.to_bytes(count, "little").translate(_residues(p))
+    else:
+        marks = bytes([v % p != 0 for v in read_slots(x, count, w)])
+    return marks.translate(_MARKS).decode()
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:

@@ -13,7 +13,8 @@ from functools import lru_cache, partial, reduce
 from itertools import repeat
 
 from .errors import DegenerateOperatorError, DomainError
-from .ffield import FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, undigits
+from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, reduce_slots,
+                     slot_bits, slot_marks, undigits)
 from .polyring import Poly, factorize, kernel, t_pow_minus_one
 
 
@@ -199,9 +200,6 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
 
 # payload bytes allowed for the chunk tables of one valuation map
 _TABLE_BYTES = 1 << 20
-_DIGIT_CHARS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
-_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-_MARKS = b"0" + b"1" * 255
 
 
 def _read_layout(spec: FieldSpec, n: int) -> tuple[int, int, int]:
@@ -212,16 +210,12 @@ def _read_layout(spec: FieldSpec, n: int) -> tuple[int, int, int]:
     p, ef, q = spec.p, spec.e, spec.q
     size, chunk = n * ef, 4 if p == 2 else ef  # a hex digit, or a value
     build = (p - 1) * (1 + ef * (p - 1))
-
-    def bits(bound):  # 1 for p = 2, else 8, 16, 32, ... as needed
-        return 1 if p == 2 else 8 << max(0, (bound.bit_length() - 1) // 8).bit_length()
-
-    w = bits(max(build, (p - 1) * n))
+    w = 1 if p == 2 else slot_bits(max(build, (p - 1) * n))  # p = 2 sums are XORs
     full, rest = divmod(size, chunk)
     tables = (full * p**chunk + (p**rest if rest else 0)) * -(-size * w // 8)
     if (p == 2 or q <= 256) and tables <= _TABLE_BYTES:
         return chunk, w, tables
-    return chunk, bits(build), 0
+    return chunk, 1 if p == 2 else slot_bits(build), 0
 
 
 class _ValuationMap:
@@ -250,10 +244,9 @@ class _ValuationMap:
         self.p, self.ef, self.q, self.size = p, ef, q, n * ef
         self.chunk, w, tables = _read_layout(spec, n)
         self.w, self.tabled, self.tables = w, tables > 0, None
-        self.mod = (bytes(range(p)) * -(-256 // p))[:256] if w == 8 else None
         # columns summed between two reductions mod p
         self.group = (2**w - p) // (p - 1) ** 2 if p > 2 else self.size
-        add, red = (operator.xor, None) if p == 2 else (operator.add, self._reduce)
+        add = operator.xor if p == 2 else operator.add
         slot, step = (1 << w) - 1, ef * w
         comps = crt_split(spec, n)
         by_shape = {}
@@ -302,46 +295,30 @@ class _ValuationMap:
                     y = (x << step) & keep
                     for shift, mask, j in terms:
                         y = add(y, ((((x >> shift) & starts) * copy) & mask) << j)
-                    x = red(y, count) if red else y
+                    x = y if p == 2 else reduce_slots(y, count, w, p)
             if at:
                 part = map(operator.lshift, part, repeat(at))
             cols = part if cols is None else map(operator.or_, cols, part)
         self.cols = list(cols)
 
     def _tabulate(self) -> list[list[int]]:
-        p, size, tables = self.p, self.size, []
+        p, size, w, tables = self.p, self.size, self.w, []
         for k in range(0, size, self.chunk):
             table = [0]
             for col in self.cols[k:k + self.chunk]:
                 table += [t ^ col if p == 2 else t + c * col for c in range(1, p) for t in table]
-            tables.append(table if p == 2 else [self._reduce(t, size) for t in table])
+            tables.append(table if p == 2 else [reduce_slots(t, size, w, p) for t in table])
         return tables
-
-    def _slots(self, x: int, count: int) -> list[int]:
-        """The low count slots of x, for w >= 16."""
-        k = self.w // 8
-        b = x.to_bytes(count * k, "little")
-        return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
-
-    def _reduce(self, x: int, count: int) -> int:
-        """x with each of its low count slots reduced mod p (odd p)."""
-        if self.w == 8:
-            return int.from_bytes(x.to_bytes(count, "little").translate(self.mod), "little")
-        k, p = self.w // 8, self.p
-        return int.from_bytes(b"".join((v % p).to_bytes(k, "little")
-                                       for v in self._slots(x, count)), "little")
 
     def read(self, values, tables: bool = False) -> tuple[int, ...]:
         """min(v_pi, e) on each component for the state with these values;
         tables: through the chunk tables, for a map that reads many states."""
-        p, q, size = self.p, self.q, self.size
+        p, q, size, w = self.p, self.q, self.size, self.w
         if tables and self.tabled:
             if self.tables is None:
                 self.tables = self._tabulate()
             if p == 2:
-                x = (int(bytes(values[::-1]).translate(_DIGIT_CHARS), q) if q <= 32
-                     else undigits(values, q))
-                values = format(x, f"0{len(self.tables)}x")[::-1].encode().translate(_HEX_VALUES)
+                values = digits(undigits(values, q), 16, len(self.tables))
             terms = map(operator.getitem, self.tables, values)
             acc = reduce(operator.xor, terms) if p == 2 else sum(terms)
         else:
@@ -350,27 +327,19 @@ class _ValuationMap:
             for k in range(0, size, g):
                 terms = map(operator.mul, cols[k:k + g], coords[k:k + g])
                 acc = (reduce(operator.xor, terms, acc) if p == 2
-                       else self._reduce(acc + sum(terms), size))
-        # one character per digit: "1" where it is nonzero
-        if p == 2:
-            marks = format(acc, f"0{size}b")[::-1]
-        elif self.w == 8:
-            marks = acc.to_bytes(size, "little").translate(self.mod).translate(_MARKS).decode()
-        else:
-            marks = "".join("01"[v % p != 0] for v in self._slots(acc, size))
+                       else reduce_slots(acc + sum(terms), size, w, p))
+        marks = slot_marks(acc, size, w, p)
         return tuple([e if (i := marks.find("1", a, b)) < 0 else (i - a) // blk
                       for a, b, blk, e in self.spans])
 
 
-@lru_cache(maxsize=64)
-def _valuation_map(spec: FieldSpec, n: int) -> _ValuationMap:
-    return _ValuationMap(spec, n)
+valuation_map = lru_cache(maxsize=64)(_ValuationMap)  # one map per (spec, n)
 
 
 def seq_valuations(f: CyclicSeq) -> tuple[int, ...]:
     """component_valuations of seq_to_poly(f), read off f's values through
     the chunk tables of (f.spec, f.n)."""
-    return _valuation_map(f.spec, f.n).read(f.value_encs, tables=True)
+    return valuation_map(f.spec, f.n).read(f.value_encs, tables=True)
 
 
 def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
@@ -378,7 +347,7 @@ def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
     crt_split order: 0 where r is a unit, e where r vanishes."""
     if r.degree != float("-inf") and r.degree >= n:
         r = r % t_pow_minus_one(r.spec, n)
-    return _valuation_map(r.spec, n).read(r.coeff_encs)
+    return valuation_map(r.spec, n).read(r.coeff_encs)
 
 
 # states per block of linear_images; memory stays at one block of planes

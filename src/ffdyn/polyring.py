@@ -10,13 +10,12 @@ a modulus.
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .ffield import FieldElem, FieldSpec, parse_ints
+from .ffield import (FieldElem, FieldSpec, digits, pack_slots, parse_ints, read_slots,
+                     reduce_slots, slot_bits, undigits)
 from .intfactor import factor_int, order
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -30,22 +29,16 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # form; values(x, n) gives back the n coefficients of such a residue.
 
 
-_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class _GF2Kernel:
     """GF(2)[t] packed into a Python int: bit i is the coefficient of t^i."""
 
     one = 1
-
-    @staticmethod
-    def pack(c) -> int:
-        return int(bytes(c[::-1]).translate(_TO_ASCII), 2) if c else 0
+    pack = staticmethod(lambda c: undigits(c, 2))
+    values = staticmethod(lambda x, n: digits(x, 2, n))
 
     @staticmethod
     def unpack(x: int) -> tuple[int, ...]:
-        return tuple(bin(x)[:1:-1].encode().translate(_FROM_ASCII)) if x else ()
+        return digits(x, 2, x.bit_length())
 
     @staticmethod
     def add(a: int, b: int) -> int:
@@ -89,10 +82,6 @@ class _GF2Kernel:
         """a * x mod t^n - 1 on packed residues of degree < n."""
         x = self.mul(a, x)
         return (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
-
-    @staticmethod
-    def values(x: int, n: int) -> tuple[int, ...]:
-        return tuple(format(x, f"0{n}b")[::-1].encode().translate(_FROM_ASCII))
 
 
 class _ListKernel:
@@ -173,67 +162,41 @@ class _PrimeKernel(_ListKernel):
         return quot, [r % p for r in rem[:db]]
 
 
-# slot types by item size in bytes (1, 2, 4, 8, ascending); packing reads an
-# array's bytes as one little-endian int, so big-endian hosts get none
-_ARRAY_CODES = ({array(c).itemsize: c for c in "BHILQ"}
-                if sys.byteorder == "little" else {})
+def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
+    """a^k mod m over odd GF(p) for a residue list a (degree < d = deg m),
+    square-and-multiply from the left, as a sequence of d coefficients.
 
-
-class _KroneckerModulus:
-    """Products mod a fixed m over odd GF(p), for powmod at large deg m.
-
-    A residue (d = deg m coefficients) is packed into one int with a
-    fixed-width slot per coefficient (Kronecker substitution), so a product
-    is one big-int multiply followed by one % p per slot. The slots never
-    carry: no slot sum below exceeds (p - 1)^2 * d. The remainder is
-    Barrett's: with mu = t^(2d-2) // m, precomputed once (the reversal of
-    rev(m)^-1 mod t^(d-1)), any c of degree <= 2d - 2 has quotient
-    (c // t^d) * mu // t^(d-2) exactly, so c mod m costs two more packed
-    products and a subtraction. None of this needs m monic.
+    A residue is packed into one int with a fixed-width slot per coefficient
+    (Kronecker substitution), so a product is one big-int multiply followed
+    by one % p per slot. The slots never carry: no slot sum below exceeds
+    (p - 1)^2 * d. The remainder is Barrett's: with mu = t^(2d-2) // m,
+    precomputed once (the reversal of rev(m)^-1 mod t^(d-1)), any c of
+    degree <= 2d - 2 has quotient (c // t^d) * mu // t^(d-2) exactly, so
+    c mod m costs two more packed products and a subtraction. None of this
+    needs m monic.
     """
+    if not k:
+        return [1]
+    p, d = kern.p, len(m) - 1
+    w = slot_bits((p - 1) ** 2 * d)
+    shift, mask = (d - 2) * w, (1 << d * w) - 1
+    mu = pack_slots(kern.divmod([0] * (2 * d - 2) + [1], m)[0], w)
+    m_low = pack_slots(m[:d], w)
 
-    def __init__(self, kern: _PrimeKernel, m, size: int):
-        d = len(m) - 1
-        self.p, self.d, self.size = kern.p, d, size
-        self.code = _ARRAY_CODES[size]
-        self.shift = (d - 2) * 8 * size
-        self.mask = (1 << d * 8 * size) - 1
-        self.mu = self.pack(kern.divmod([0] * (2 * d - 2) + [1], m)[0])
-        self.m_low = self.pack(m[:d])
-
-    @staticmethod
-    def slot_size(p: int, d: int) -> int | None:
-        """Bytes per slot for deg m = d; None when no array type holds the
-        largest slot sum."""
-        need = ((p - 1) ** 2 * d).bit_length()
-        return next((s for s in _ARRAY_CODES if need <= 8 * s), None)
-
-    def pack(self, c) -> int:
-        return int.from_bytes(array(self.code, c).tobytes(), "little")
-
-    def slots(self, x: int, n: int) -> array:
-        """The low n slots of x, unreduced."""
-        return array(self.code, x.to_bytes(n * self.size, "little"))
-
-    def mulmod(self, x: int, y: int) -> int:
+    def mulmod(x: int, y: int) -> int:
         # only slots that feed a product are reduced before it
-        d, p = self.d, self.p
-        c = self.slots(x * y, 2 * d - 1)
-        high = self.pack([v % p for v in c[d:]])
-        quot = self.slots(high * self.mu >> self.shift, d - 1)
-        s = self.slots(self.pack([v % p for v in quot]) * self.m_low & self.mask, d)
-        return self.pack([(a - b) % p for a, b in zip(c, s)])
+        c = read_slots(x * y, 2 * d - 1, w)
+        high = pack_slots([v % p for v in c[d:]], w)
+        quot = reduce_slots(high * mu >> shift, d - 1, w, p)
+        s = read_slots(quot * m_low & mask, d, w)
+        return pack_slots([(a - b) % p for a, b in zip(c, s)], w)
 
-    def pow(self, a, k: int) -> list[int]:
-        """a^k mod m for a residue list a (degree < d), left to right."""
-        if not k:
-            return [1]
-        x = result = self.pack(a)
-        for bit in bin(k)[3:]:
-            result = self.mulmod(result, result)
-            if bit == "1":
-                result = self.mulmod(result, x)
-        return list(self.slots(result, self.d))
+    x = result = pack_slots(a, w)
+    for bit in bin(k)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, x)
+    return read_slots(result, d, w)
 
 
 class _TableKernel(_ListKernel):
@@ -493,7 +456,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-# deg m from which odd-p powmod packs (_KroneckerModulus). Measured per
+# deg m from which odd-p powmod packs (_kronecker_pow). Measured per
 # powmod, list route -> packed, best of 5 over 20 random monic moduli on an
 # idle 2-vCPU VM (Python 3.11.7). GF(3), k = (3^d - 1)/2: d = 3 0.054 -> 0.059,
 # d = 4 0.081 -> 0.074, d = 5 0.159 -> 0.118, d = 6 0.239 -> 0.148 ms;
@@ -506,7 +469,7 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
     """base^k mod m by square-and-multiply; k >= 0.
 
     Over odd GF(p) with deg m >= _KRONECKER_MIN_DEGREE the products are
-    packed big-int products reduced by Barrett's method (_KroneckerModulus).
+    packed big-int products reduced by Barrett's method (_kronecker_pow).
     """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
@@ -518,10 +481,7 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
     a, m_k = kern.pack(base.coeff_encs), kern.pack(m.coeff_encs)
     a = kern.rem(a, m_k)
     if type(kern) is _PrimeKernel and m.degree >= _KRONECKER_MIN_DEGREE:
-        size = _KroneckerModulus.slot_size(kern.p, m.degree)
-        if size:
-            mod = _KroneckerModulus(kern, m_k, size)
-            return _poly(m.spec, kern.unpack(mod.pow(a, k)))
+        return _poly(m.spec, kern.unpack(_kronecker_pow(kern, a, k, m_k)))
     result = kern.rem(kern.one, m_k)
     while k:
         if k & 1:

@@ -252,6 +252,15 @@ def test_usage_errors_exit_2(capsys):
         assert capsys.readouterr().err == "error: n must be >= 1\n"
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["classify", "--q", "2", "--seq", "1,0,1,1", "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_resource_errors_exit_1(capsys):
     code, _out = run_cli(capsys, "graph", "--q", "2", "--n", "12",
                          "--cap-states", "100")

@@ -247,10 +247,33 @@ def test_census_cap():
 
 def test_census_matches_per_sequence_classifier():
     # the counting kernel alone, against per-state gcd tests: no quota formula
+    # GF(17) n = 3 reads the valuation map's 16-bit slots
     for spec, n in [(F2, 5), (F2, 11), (F3, 2), (F3, 5), (F3, 7), (F4, 3), (F4, 5),
-                    (F5, 3), (F8, 3), (F9, 2), (FieldSpec.of_order(25), 2)]:
+                    (F5, 3), (F8, 3), (F9, 2), (FieldSpec.of_order(25), 2),
+                    (FieldSpec.of_order(17), 3)]:
         direct = sum(1 for f in all_seqs(spec, n) if d_complicated_gcd(f))
         assert _census_count(spec, n) == direct, (spec.q, n)
+
+
+def test_warm_census_multiplies_and_divides_no_polynomials(monkeypatch):
+    # the census reads its residues off the valuation map's columns
+    fields = [(F2, 11), (F3, 7), (F9, 5), (FieldSpec.of_order(17), 3)]
+    for spec, n in fields:
+        crt_split(spec, n)
+    calls = []
+    for name in ("__mul__", "__divmod__"):
+        orig = Poly.__dict__[name]
+
+        def counted(*args, name=name, orig=orig):
+            calls.append(name)
+            return orig(*args)
+
+        monkeypatch.setattr(Poly, name, counted)
+    counts = [_census_count(spec, n) for spec, n in fields]
+    assert calls == []
+    assert counts == [quota(spec, n).quota_formula * spec.q**n for spec, n in fields]
+    Poly(F3, [1, 1]) * Poly(F3, [1, 2])
+    assert calls == ["__mul__"]
 
 
 # -- the eigenvalue product ------------------------------------------------------

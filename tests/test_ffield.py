@@ -2,9 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
 from ffdyn import DomainError, FieldSpec, Poly, parse_field_spec
+from ffdyn.ffield import (digits, pack_slots, read_slots, reduce_slots, slot_bits, slot_marks,
+                          undigits)
 
 SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
 
@@ -211,3 +215,69 @@ def test_elements_are_hashable_and_comparable():
     seen = {a for a in F9.elements()}
     assert len(seen) == 9
     assert F9.element(4) in seen
+
+
+# -- the digit codec ------------------------------------------------------------
+
+
+def _ref_digits(value, base, width):
+    out = []
+    for _ in range(width):
+        out.append(value % base)
+        value //= base
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 16, 36, 37, 256])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_digits_round_trip_keeps_the_low_digits(base, data):
+    width = data.draw(st.integers(0, 70))
+    value = data.draw(st.integers(0, base ** (width + 2)))  # often >= base^width
+    ds = digits(value, base, width)
+    assert list(ds) == _ref_digits(value, base, width)
+    assert undigits(ds, base) == value % base**width
+    assert undigits(list(ds) + [0, 0], base) == value % base**width
+
+
+@pytest.mark.parametrize("base", [2, 3, 16, 32])
+def test_long_digit_lists_round_trip(base):
+    # longer than the 4300 digits int() parses in a base that is not 2^k
+    rng = random.Random(base)
+    ds = [rng.randrange(base) for _ in range(6000)]
+    assert undigits(ds, base) == sum(d * base**i for i, d in enumerate(ds))
+    assert digits(undigits(ds, base), base, 6000) == tuple(ds)
+
+
+def test_slot_bits_at_each_width():
+    for w in (8, 16, 32, 64, 128):
+        assert slot_bits(2**w - 1) == w
+        assert slot_bits(2**w) == 2 * w
+    assert slot_bits(0) == 8
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_slots_round_trip(w, data):
+    values = data.draw(st.lists(st.integers(0, 2**w - 1), max_size=40))
+    x = pack_slots(values, w)
+    assert x == sum(v << i * w for i, v in enumerate(values))
+    assert list(read_slots(x, len(values), w)) == values
+    top = [2**w - 1] * 3
+    assert list(read_slots(pack_slots(top, w), 3, w)) == top
+
+
+def test_bit_slots_read_the_low_bits():
+    assert read_slots(0b1101101, 6, 1) == (1, 0, 1, 1, 0, 1)
+    assert slot_marks(0b1101101, 6, 1, 2) == "101101"
+
+
+@pytest.mark.parametrize("w, p", [(8, 3), (8, 5), (8, 251), (16, 3), (16, 251), (16, 257)])
+def test_reduce_slots_and_marks(w, p):
+    rng = random.Random(w * p)
+    values = [rng.randrange(2**w) for _ in range(50)] + [0, p, 2**w - 1]
+    x = pack_slots(values, w)
+    assert list(read_slots(reduce_slots(x, len(values), w, p), len(values), w)) == \
+        [v % p for v in values]
+    assert slot_marks(x, len(values), w, p) == "".join("01"[v % p != 0] for v in values)

@@ -304,7 +304,7 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
     assert layout[2] <= groupalg._TABLE_BYTES
     if n < 300:  # the large ones cost a factorization of t^n - 1
         seq_valuations(CyclicSeq(spec, (0,) * n))  # builds the tables
-        vmap = groupalg._valuation_map(spec, n)
+        vmap = groupalg.valuation_map(spec, n)
         if tabled:  # the tables built are the ones the layout sized
             assert sum(map(len, vmap.tables)) * -(-vmap.size * vmap.w // 8) == layout[2]
             assert max(map(len, vmap.tables)) <= 256
@@ -315,16 +315,16 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
 def test_interrupted_table_build_keeps_no_partial_tables(monkeypatch):
     vmap = groupalg._ValuationMap(F3, 80)  # a private map, not the cached one
     values = rand_seq(F3, 80, random.Random(3)).value_encs
-    calls, reduce_slots = 0, groupalg._ValuationMap._reduce
+    calls, reduce_slots = 0, groupalg.reduce_slots
 
-    def failing(self, x, count):
+    def failing(x, count, w, p):
         nonlocal calls
         calls += 1
         if calls > 100:  # part way through the 80 tables
             raise MemoryError
-        return reduce_slots(self, x, count)
+        return reduce_slots(x, count, w, p)
 
-    monkeypatch.setattr(groupalg._ValuationMap, "_reduce", failing)
+    monkeypatch.setattr(groupalg, "reduce_slots", failing)
     with pytest.raises(MemoryError):
         vmap.read(values, tables=True)
     assert vmap.tables is None

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffdyn import FieldSpec, Poly
+from ffdyn import FieldSpec, Poly, polyring
 from ffdyn.errors import DegenerateOperatorError
+from ffdyn.ffield import slot_bits
 from ffdyn.groupalg import DiffOperator, crt_split
 from ffdyn.intfactor import factor_int
-from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _KroneckerModulus, _order_prime_power,
-                            kernel, powmod)
+from ffdyn.polyring import _KRONECKER_MIN_DEGREE, _order_prime_power, kernel, powmod
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
@@ -163,27 +163,36 @@ def test_powmod_odd_p_matches_reference(p, d):
 
 
 # (p, deg m) pairs on both sides of each slot-width boundary: the largest slot
-# sum (p - 1)^2 * deg m needs 8 or 9, 16 or 17, 32 or 33 bits; p = 2^31 - 1 is
-# too wide for any slot and keeps the list route
+# sum (p - 1)^2 * deg m needs 8 or 9, 16 or 17, 32 or 33 bits; p = 2^31 - 1
+# and 2^61 - 1 need 128-bit slots
 SLOT_EDGES = [(3, 63), (3, 64), (37, 50), (37, 51), (23167, 8), (23167, 9),
-              (2**31 - 1, 6)]
+              (2**31 - 1, 6), (2**61 - 1, 6)]
 
 
 def test_slot_edges_cover_every_width():
-    sizes = {_KroneckerModulus.slot_size(p, d) for p, d in SLOT_EDGES}
-    assert sizes == {1, 2, 4, 8, None}
+    assert {slot_bits((p - 1) ** 2 * d) for p, d in SLOT_EDGES} == {8, 16, 32, 64, 128}
 
 
 @pytest.mark.parametrize("p,d", SLOT_EDGES)
-def test_powmod_reaches_the_largest_slot_sum(p, d):
+def test_powmod_reaches_the_largest_slot_sum(p, d, monkeypatch):
     """Squaring the all-(p - 1) residue of degree d - 1 fills the middle slot
-    with exactly (p - 1)^2 * d, so a slot one bit too narrow carries."""
+    with exactly (p - 1)^2 * d, so a slot one bit too narrow carries. Every
+    edge takes the packed route."""
     spec = FieldSpec.of_order(p)
     rng = random.Random(d)
     m = Poly(spec, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
     base = Poly(spec, [p - 1] * d)
-    for k in (2, 3, rng.randrange(10**29)):
+    packed, pow_packed = [], polyring._kronecker_pow
+
+    def counted(kern, a, k, m):
+        packed.append(k)
+        return pow_packed(kern, a, k, m)
+
+    monkeypatch.setattr(polyring, "_kronecker_pow", counted)
+    ks = (2, 3, rng.randrange(10**29))
+    for k in ks:
         assert powmod(base, k, m) == ref_powmod(base, k, m)
+    assert packed == list(ks)
 
 
 def test_table_kernel_inverts_through_the_field(monkeypatch):

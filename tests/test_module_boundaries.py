@@ -1,6 +1,7 @@
 """No ffdyn module reaches into another one's private names: each uses only
 what the other exports. The one exception is polyring._order_prime_power,
-which the benchmark's tracer wraps by that name."""
+which the benchmark's tracer wraps by that name. Only ffield lays digits out
+in an int."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,36 @@ def test_the_checker_sees_both_forms(tmp_path):
                    "from . import seqgen\n"
                    "x = seqgen._hidden\n")
     assert set(_crossings(src)) == {("polyring", "_KroneckerModulus"), ("seqgen", "_hidden")}
+
+
+# the calls that lay digits out in bytes; ffield's codec owns them
+PACKING = {"from_bytes", "to_bytes", "maketrans"}
+
+
+def _packing(path: Path):
+    """'array' for each import of the array module and the attribute name for
+    each use of int.from_bytes, .to_bytes or bytes.maketrans in path."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name == "array")
+        elif isinstance(node, ast.ImportFrom) and node.module == "array" and not node.level:
+            yield "array"
+        elif isinstance(node, ast.Attribute) and node.attr in PACKING:
+            yield node.attr
+
+
+def test_only_ffield_lays_out_digits():
+    found = {(path.name, use)
+             for path in sorted(SRC.glob("*.py")) if path.stem != "ffield"
+             for use in _packing(path)}
+    assert not found
+
+
+def test_the_packing_checker_sees_both_forms(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import array\n"
+                   "from array import array as slots\n"
+                   "x = int.from_bytes(y.to_bytes(2, 'little'), 'little')\n"
+                   "t = bytes.maketrans(b'0', b'1')\n")
+    assert sorted(_packing(src)) == ["array", "array", "from_bytes", "maketrans", "to_bytes"]
