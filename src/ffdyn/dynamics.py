@@ -18,7 +18,7 @@ from .errors import ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
                        linear_images, seq_valuations)
-from .polyring import _order_prime_power, powmod, t_pow_minus_one
+from .polyring import _order_prime_power
 
 # default cap on the states that one enumeration walks
 STATE_CAP = 2**21
@@ -56,9 +56,9 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
     spec, n = f.spec, f.n
     if max_steps is None:
         max_steps = spec.q**n
-    # iterate on the kernel's native form of the state
+    # iterate on the kernel's cyclic form of the state
     step = D.step
-    x0 = D.kern.pack(f.value_encs)
+    x0 = D.kern.residue(f.value_encs, n)
     # phase 1: cycle length; a hare that runs 3*max_steps + 4 steps without
     # closing proves the orbit exceeds max_steps
     power = lam = 1
@@ -105,7 +105,6 @@ class _OrbitAnalyzer:
 
     def __init__(self, D: DiffOperator):
         self.factors = crt_split(D.spec, D.n)
-        self.modulus = t_pow_minus_one(D.spec, D.n)
         self.op_vals = component_valuations(D.op_poly, D.n)
         self.orders = []
         for (pi, e), val in zip(self.factors, self.op_vals):
@@ -143,13 +142,17 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders; the
-    attractor entry D^pre f is one product with op_poly^pre mod t^n - 1."""
+    attractor entry D^pre f by square-and-multiply on the cyclic product."""
     D.check_dimensions(f)
-    an = _analyzer(D)
-    pre, per = an.analyze(seq_valuations(f))
-    kern, n = D.kern, f.n
-    op = kern.pack(powmod(D.op_poly, pre, an.modulus).coeff_encs)
-    x = kern.cyclic(op, n, kern.pack(f.value_encs))
+    pre, per = _analyzer(D).analyze(seq_valuations(f))
+    kern, n, k = D.kern, f.n, pre
+    x, op = kern.residue(f.value_encs, n), D.op
+    while k:  # after i halvings of k: x = D^(pre mod 2^i) f, op = D^(2^i)
+        if k & 1:
+            x = kern.cyclic(op, n, x)
+        k >>= 1
+        if k:
+            op = kern.cyclic(op, n, op)
     return OrbitSummary(pre, per, CyclicSeq(f.spec, kern.values(x, n)))
 
 

@@ -94,11 +94,34 @@ def _residues(p: int) -> bytes:
     return bytes(v % p for v in range(256))
 
 
+@lru_cache(maxsize=256)
+def _byte_fold(count: int, w: int, p: int) -> tuple[int, int, list[int]]:
+    """(the low byte of every slot, the other bytes, 256^i mod p for each
+    byte i >= 1 of a slot) for count w-bit slots."""
+    low = int.from_bytes((b"\xff" + bytes(w // 8 - 1)) * count, "little")
+    return low, ((1 << count * w) - 1) ^ low, [pow(256, i, p) for i in range(1, w // 8)]
+
+
 def reduce_slots(x: int, count: int, w: int, p: int) -> int:
-    """x < 2^(count * w) with each of its w-bit slots reduced mod p."""
-    if w == 8:
-        return int.from_bytes(x.to_bytes(count, "little").translate(_residues(p)), "little")
-    return pack_slots([v % p for v in read_slots(x, count, w)], w)
+    """x < 2^(count * w) with each of its w-bit slots reduced mod p.
+
+    Wider slots with p < 256 fold their bytes: a slot sum b_0 + b_1 * 256 + ...
+    is congruent to b_0 + b_1 * (256 mod p) + ..., which is smaller while any
+    b_i with i >= 1 is nonzero and fits the slot, so repeated folding of the
+    whole int leaves every slot in its low byte, and one translate of the
+    bytes reduces it. Wider p reduces slot by slot.
+    """
+    if w > 8:
+        if p > 255:
+            return pack_slots([v % p for v in read_slots(x, count, w)], w)
+        low, high, weights = _byte_fold(count, w, p)
+        while x & high:
+            y = x & low
+            for i, r in enumerate(weights, 1):
+                y += r * (x >> 8 * i & low)
+            x = y
+    b = x.to_bytes(count * w // 8, "little").translate(_residues(p))
+    return int.from_bytes(b, "little")
 
 
 def slot_marks(x: int, count: int, w: int, p: int) -> str:

@@ -98,11 +98,12 @@ class DiffOperator:
     """A differential operator on length-n sequences, stored as its
     multiplier polynomial reduced mod t^n - 1 (vanishing at t = 1).
 
-    step is the operator on a state in the field kernel's native form
-    (kern.pack of its value tuple; kern.values(x, n) gives the values back).
+    op is op_poly in the field kernel's cyclic form and step the operator on
+    a state in that form (kern.residue(values, n); kern.values(x, n) gives
+    the values back).
     """
 
-    __slots__ = ("spec", "n", "op_poly", "kern", "step", "_hash")
+    __slots__ = ("spec", "n", "op_poly", "kern", "op", "step", "_hash")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
         if n < 1:
@@ -119,8 +120,10 @@ class DiffOperator:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "op_poly", op_poly)
         kern = kernel(spec)
+        op = kern.residue(op_poly.coeff_encs, n)
         object.__setattr__(self, "kern", kern)
-        object.__setattr__(self, "step", partial(kern.cyclic, kern.pack(op_poly.coeff_encs), n))
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "step", partial(kern.cyclic, op, n))
         # the orbit analyzer's cache keys on the operator: hash it once
         object.__setattr__(self, "_hash", hash((spec, n, op_poly)))
 
@@ -131,8 +134,8 @@ class DiffOperator:
         """Action on a raw value tuple (encodings, index 0 holds f(1)): the
         product with op_poly mod t^n - 1, which commutes with the shift
         between value index and exponent."""
-        kern = self.kern
-        return kern.values(self.step(kern.pack(v)), self.n)
+        kern, n = self.kern, self.n
+        return kern.values(self.step(kern.residue(v, n)), n)
 
     def check_dimensions(self, f: CyclicSeq) -> None:
         if self.spec != f.spec or self.n != f.n:
@@ -236,7 +239,8 @@ class _ValuationMap:
     slots are in order of shape. A state is read as its digits times the
     columns or, on the per-state path, as a sum of chunk-table entries (a
     hex digit of the packed state for p = 2, a value for odd q <= 256;
-    built on first use unless they would pass _TABLE_BYTES).
+    built on the second per-state read unless they would pass _TABLE_BYTES,
+    so a map read for one state, as a fresh (q, n) is, skips them).
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -244,6 +248,7 @@ class _ValuationMap:
         self.p, self.ef, self.q, self.size = p, ef, q, n * ef
         self.chunk, w, tables = _read_layout(spec, n)
         self.w, self.tabled, self.tables = w, tables > 0, None
+        self.first_read = True  # no per-state read yet
         # columns summed between two reductions mod p
         self.group = (2**w - p) // (p - 1) ** 2 if p > 2 else self.size
         add = operator.xor if p == 2 else operator.add
@@ -314,9 +319,12 @@ class _ValuationMap:
         """min(v_pi, e) on each component for the state with these values;
         tables: through the chunk tables, for a map that reads many states."""
         p, q, size, w = self.p, self.q, self.size, self.w
-        if tables and self.tabled:
-            if self.tables is None:
+        if tables and self.tabled and self.tables is None:
+            if self.first_read:
+                tables = self.first_read = False
+            else:
                 self.tables = self._tabulate()
+        if tables and self.tabled:
             if p == 2:
                 values = digits(undigits(values, q), 16, len(self.tables))
             terms = map(operator.getitem, self.tables, values)

@@ -24,9 +24,11 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
 # works on its own native form of a coefficient tuple (pack; unpack gives back
-# the canonical tuple, no trailing zeros) with add, neg, mul, divmod, rem and
-# cyclic: the product with a fixed a mod t^n - 1, from native form to native
-# form; values(x, n) gives back the n coefficients of such a residue.
+# the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem.
+# Residues mod t^n - 1 have a cyclic form of their own: residue(c, n) takes
+# at most n coefficients to it, cyclic(a, n, x) is the product a * x mod
+# t^n - 1 from cyclic form to cyclic form, and values(x, n) gives back the n
+# coefficients.
 
 
 class _GF2Kernel:
@@ -34,6 +36,7 @@ class _GF2Kernel:
 
     one = 1
     pack = staticmethod(lambda c: undigits(c, 2))
+    residue = staticmethod(lambda c, n: undigits(c, 2))
     values = staticmethod(lambda x, n: digits(x, 2, n))
 
     @staticmethod
@@ -103,24 +106,36 @@ class _ListKernel:
     def rem(self, a, b):
         return self.divmod(a, b)[1]
 
-    def cyclic(self, a, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        """a * v mod t^n - 1 on length-n tuples."""
-        prod = self.mul(a, v)
-        out, high = prod[:n], prod[n:]
-        out[:len(high)] = self.add(out[:len(high)], high)
-        return tuple(out) + (0,) * (n - len(out))
 
-    @staticmethod
-    def values(v: tuple[int, ...], n: int) -> tuple[int, ...]:
-        return v
+@lru_cache(maxsize=256)
+def _cyclic_layout(p: int, n: int) -> tuple[int, int, int]:
+    """(bits per slot, bits of n slots, mask of n slots) of a residue mod
+    t^n - 1 over odd GF(p) in cyclic form."""
+    w = slot_bits((p - 1) ** 2 * n)
+    return w, n * w, (1 << n * w) - 1
 
 
 class _PrimeKernel(_ListKernel):
     """GF(p)[t], p odd: integer arithmetic on local lists, one % p per
-    coefficient at the end of each product and division."""
+    coefficient at the end of each product and division. The cyclic form
+    is one int of w-bit slots, one per coefficient (_cyclic_layout)."""
 
     def __init__(self, spec: FieldSpec):
         self.p = spec.p
+
+    def residue(self, c, n: int) -> int:
+        return pack_slots(c, _cyclic_layout(self.p, n)[0])
+
+    def cyclic(self, a: int, n: int, x: int) -> int:
+        """a * x mod t^n - 1: one multiply, then t^n = 1 adds slot n + i onto
+        slot i. A folded slot sums n products of residues, at most
+        n(p - 1)^2, which the slots hold, so none carries."""
+        w, top, mask = _cyclic_layout(self.p, n)
+        z = a * x
+        return reduce_slots((z & mask) + (z >> top), n, w, self.p)
+
+    def values(self, x: int, n: int) -> tuple[int, ...]:
+        return tuple(read_slots(x, n, _cyclic_layout(self.p, n)[0]))
 
     def add(self, a, b):
         p = self.p
@@ -167,29 +182,28 @@ def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
     square-and-multiply from the left, as a sequence of d coefficients.
 
     A residue is packed into one int with a fixed-width slot per coefficient
-    (Kronecker substitution), so a product is one big-int multiply followed
-    by one % p per slot. The slots never carry: no slot sum below exceeds
+    (Kronecker substitution), so a product is one big-int multiply and one
+    reduce_slots. The slots never carry: no slot sum below exceeds
     (p - 1)^2 * d. The remainder is Barrett's: with mu = t^(2d-2) // m,
     precomputed once (the reversal of rev(m)^-1 mod t^(d-1)), any c of
     degree <= 2d - 2 has quotient (c // t^d) * mu // t^(d-2) exactly, so
-    c mod m costs two more packed products and a subtraction. None of this
-    needs m monic.
+    c mod m costs two more packed products and a subtraction, which adds
+    `lift`, a multiple of p in every slot at least the largest slot of
+    quot * m_low, (p - 1)^2 * (d - 1). None of this needs m monic.
     """
     if not k:
         return [1]
     p, d = kern.p, len(m) - 1
     w = slot_bits((p - 1) ** 2 * d)
-    shift, mask = (d - 2) * w, (1 << d * w) - 1
+    top, shift, mask = d * w, (d - 2) * w, (1 << d * w) - 1
     mu = pack_slots(kern.divmod([0] * (2 * d - 2) + [1], m)[0], w)
     m_low = pack_slots(m[:d], w)
+    lift = pack_slots([-(-(p - 1) ** 2 * (d - 1) // p) * p] * d, w)
 
     def mulmod(x: int, y: int) -> int:
-        # only slots that feed a product are reduced before it
-        c = read_slots(x * y, 2 * d - 1, w)
-        high = pack_slots([v % p for v in c[d:]], w)
-        quot = reduce_slots(high * mu >> shift, d - 1, w, p)
-        s = read_slots(quot * m_low & mask, d, w)
-        return pack_slots([(a - b) % p for a, b in zip(c, s)], w)
+        c = reduce_slots(x * y, 2 * d - 1, w, p)
+        quot = reduce_slots((c >> top) * mu >> shift, d - 1, w, p)
+        return reduce_slots((c & mask) + lift - (quot * m_low & mask), d, w, p)
 
     x = result = pack_slots(a, w)
     for bit in bin(k)[3:]:
@@ -206,6 +220,21 @@ class _TableKernel(_ListKernel):
     def __init__(self, spec: FieldSpec):
         self.add_t, self.neg_t, self.mul_t = spec.op_tables()
         self.spec = spec
+
+    @staticmethod
+    def residue(c, n: int) -> tuple[int, ...]:
+        return tuple(c) + (0,) * (n - len(c))
+
+    def cyclic(self, a, n: int, v) -> tuple[int, ...]:
+        """a * v mod t^n - 1 on coefficient sequences of length <= n."""
+        prod = self.mul(a, v)
+        out, high = prod[:n], prod[n:]
+        out[:len(high)] = self.add(out[:len(high)], high)
+        return tuple(out) + (0,) * (n - len(out))
+
+    @staticmethod
+    def values(v: tuple[int, ...], n: int) -> tuple[int, ...]:
+        return v
 
     def add(self, a, b):
         if len(a) < len(b):

@@ -238,8 +238,8 @@ def test_gf2_brent_attractor_entry_has_full_length():
 @pytest.mark.parametrize("spec, n", [(F2, 6), (F3, 6), (F4, 4), (F9, 3)],
                          ids=["GF2-n6", "GF3-n6", "GF4-n4", "GF9-n3"])
 def test_attractor_entry_matches_brute_when_p_divides_n(spec, n):
-    # D^pre f comes from one product with op^pre mod t^n - 1: compare the
-    # whole summary, entry included, on every state
+    # D^pre f comes from square-and-multiply on the cyclic product: compare
+    # the whole summary, entry included, on every state
     dead = [pi for pi, _e in crt_split(spec, n)].index(t_minus_one(spec))
     pres = set()
     for coeffs in ((1,), (0, 1)):

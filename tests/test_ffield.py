@@ -273,11 +273,17 @@ def test_bit_slots_read_the_low_bits():
     assert slot_marks(0b1101101, 6, 1, 2) == "101101"
 
 
-@pytest.mark.parametrize("w, p", [(8, 3), (8, 5), (8, 251), (16, 3), (16, 251), (16, 257)])
+@pytest.mark.parametrize("w, p", [(w, p) for w in (8, 16, 32, 64) for p in (3, 5, 7, 251, 65537)]
+                         + [(16, 257)])
 def test_reduce_slots_and_marks(w, p):
+    """Byte folding for p < 256 (a translate at 8 bits), slot by slot for
+    wider p: both give v % p in every slot, from the empty slot to the full
+    one."""
     rng = random.Random(w * p)
-    values = [rng.randrange(2**w) for _ in range(50)] + [0, p, 2**w - 1]
+    values = [rng.randrange(2**w) for _ in range(50)] + [v for v in (0, p - 1, p, 2**w - 1)
+                                                         if v < 2**w]
     x = pack_slots(values, w)
     assert list(read_slots(reduce_slots(x, len(values), w, p), len(values), w)) == \
         [v % p for v in values]
     assert slot_marks(x, len(values), w, p) == "".join("01"[v % p != 0] for v in values)
+

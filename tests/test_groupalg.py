@@ -303,7 +303,8 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
     assert (layout[2] > 0) == tabled
     assert layout[2] <= groupalg._TABLE_BYTES
     if n < 300:  # the large ones cost a factorization of t^n - 1
-        seq_valuations(CyclicSeq(spec, (0,) * n))  # builds the tables
+        for _ in range(2):  # the second per-state read builds the tables
+            seq_valuations(CyclicSeq(spec, (0,) * n))
         vmap = groupalg.valuation_map(spec, n)
         if tabled:  # the tables built are the ones the layout sized
             assert sum(map(len, vmap.tables)) * -(-vmap.size * vmap.w // 8) == layout[2]
@@ -312,9 +313,23 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
             assert vmap.tables is None
 
 
+def test_first_per_state_read_builds_no_tables():
+    """A map read for one state (a fresh (q, n)) reads it by columns; the
+    second per-state read builds the tables, and both agree."""
+    vmap = groupalg._ValuationMap(F3, 80)
+    rng = random.Random(5)
+    states = [rand_seq(F3, 80, rng).value_encs for _ in range(3)]
+    assert vmap.read(states[0], tables=True) == vmap.read(states[0])
+    assert vmap.tables is None
+    for v in states[1:]:
+        assert vmap.read(v, tables=True) == vmap.read(v)
+    assert vmap.tables is not None
+
+
 def test_interrupted_table_build_keeps_no_partial_tables(monkeypatch):
     vmap = groupalg._ValuationMap(F3, 80)  # a private map, not the cached one
     values = rand_seq(F3, 80, random.Random(3)).value_encs
+    vmap.read(values, tables=True)  # the first per-state read goes by columns
     calls, reduce_slots = 0, groupalg.reduce_slots
 
     def failing(x, count, w, p):

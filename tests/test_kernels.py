@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from ffdyn import FieldSpec, Poly, polyring
 from ffdyn.errors import DegenerateOperatorError
-from ffdyn.ffield import slot_bits
-from ffdyn.groupalg import DiffOperator, crt_split
+from ffdyn.dynamics import orbit_algebraic, orbit_brute
+from ffdyn.ffield import read_slots, slot_bits
+from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, crt_split, delta_operator
 from ffdyn.intfactor import factor_int
 from ffdyn.polyring import _KRONECKER_MIN_DEGREE, _order_prime_power, kernel, powmod
 
@@ -245,3 +246,54 @@ def test_apply_values_matches_tap_loop(spec, data):
         assume(False)
     v = tuple(data.draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)))
     assert D.apply_values(v) == ref_apply(spec, D.op_poly.coeff_encs, v)
+
+
+# (p, n) on both sides of each width of the odd-p cyclic form, whose largest
+# slot sum is n(p - 1)^2: the powmod edges, plus p = 2^31 - 1 at n = 4 and 5
+# for 64 and 128 bits
+CYCLIC_EDGES = SLOT_EDGES + [(2**31 - 1, 4), (2**31 - 1, 5)]
+
+
+def test_cyclic_edges_cover_every_width():
+    widths = [slot_bits((p - 1) ** 2 * n) for p, n in CYCLIC_EDGES]
+    assert set(widths) == {8, 16, 32, 64, 128}
+    assert widths[-2:] == [64, 128]
+
+
+@pytest.mark.parametrize("p,n", CYCLIC_EDGES)
+def test_cyclic_fills_every_slot_without_carry(p, n, monkeypatch):
+    """The all-(p - 1) operator times the all-(p - 1) state sums n products
+    of (p - 1)^2 in every folded slot, the most a slot ever holds."""
+    kern = kernel(FieldSpec.of_order(p))
+    a = kern.residue([p - 1] * n, n)
+    folded, reduce_slots = [], polyring.reduce_slots
+
+    def seen(x, count, w, p):
+        folded.append(list(read_slots(x, count, w)))
+        return reduce_slots(x, count, w, p)
+
+    monkeypatch.setattr(polyring, "reduce_slots", seen)
+    assert kern.values(kern.cyclic(a, n, a), n) == (n * (p - 1) ** 2 % p,) * n
+    assert folded == [[n * (p - 1) ** 2] * n]
+
+
+@pytest.mark.parametrize("p,n", CYCLIC_EDGES)
+def test_apply_values_at_the_slot_edges(p, n):
+    spec = FieldSpec.of_order(p)
+    rng = random.Random(p + n)
+    factor = Poly(spec, [rng.randrange(p) for _ in range(n - 2)] + [rng.randrange(1, p)])
+    D = DiffOperator(spec, n, Poly(spec, (p - 1, 1)) * factor)
+    for v in ((p - 1,) * n, tuple(rng.randrange(p) for _ in range(n))):
+        assert D.apply_values(v) == ref_apply(spec, D.op_poly.coeff_encs, v)
+
+
+def test_orbit_algebraic_matches_brute_at_16_bit_slots():
+    """GF(3), n = 81 = 3^4: t^n - 1 = (t - 1)^81, the cyclic form has 16-bit
+    slots, and preperiods run up to 81 powers of the operator."""
+    F3 = FieldSpec.of_order(3)
+    assert slot_bits(4 * 81) == 16
+    rng = random.Random(81)
+    for D in (delta_operator(F3, 81), build_operator(F3, 81, (1, 2, 0, 1))):
+        for _ in range(4):
+            f = CyclicSeq(F3, [rng.randrange(3) for _ in range(81)])
+            assert orbit_algebraic(D, f) == orbit_brute(D, f)
