@@ -8,6 +8,7 @@ or resource cap, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -186,7 +187,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     parser = _Parser(
         prog="ffdyn",
         description="Finite-difference dynamics on cyclic sequences over GF(q)")

@@ -15,7 +15,7 @@ from itertools import repeat
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, reduce_slots,
                      slot_bits, slot_marks, undigits)
-from .polyring import Poly, factorize, kernel, t_pow_minus_one
+from .polyring import Poly, cyclotomic_factors, kernel, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -187,10 +187,12 @@ def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
 
 @lru_cache(maxsize=256)
 def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
-    """Factorization of t^n - 1 into (irreducible, multiplicity) pairs.
+    """Factorization of t^n - 1 into (irreducible, multiplicity) pairs,
+    sorted by (degree, coefficients).
 
     For n = p^k * m with p not dividing m, t^n - 1 = (t^m - 1)^(p^k) and
-    t^m - 1 is squarefree, so only t^m - 1 is factored.
+    t^m - 1 is squarefree, so only t^m - 1 is split, by its cyclotomic
+    structure (cyclotomic_factors).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -198,7 +200,7 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
     while n % spec.p == 0:
         n //= spec.p
         pk *= spec.p
-    return tuple((pi, e * pk) for pi, e in factorize(t_pow_minus_one(spec, n)).factors)
+    return tuple((pi, pk) for pi in cyclotomic_factors(spec, n))
 
 
 # payload bytes allowed for the chunk tables of one valuation map

@@ -1,8 +1,9 @@
 """Univariate polynomial arithmetic over GF(q).
 
 Dense representation: a tuple of coefficient encodings, low degree first,
-no trailing zeros. Provides division, gcd, modular powering, complete
-factorization (one distinct-degree pass that peels multiplicities, then
+no trailing zeros. Provides division, gcd, modular powering, the irreducible
+factors of t^n - 1 from its cyclotomic structure, complete factorization of
+any polynomial (one distinct-degree pass that peels multiplicities, then
 Cantor-Zassenhaus), resultants and the unit orders on the components pi^e of
 a modulus.
 """
@@ -16,7 +17,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .ffield import (FieldElem, FieldSpec, digits, pack_slots, parse_ints, read_slots,
                      reduce_slots, slot_bits, undigits)
-from .intfactor import factor_int, order
+from .intfactor import divisors, factor_int, order
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -24,7 +25,9 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
 # works on its own native form of a coefficient tuple (pack; unpack gives back
-# the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem.
+# the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem
+# (rem gives the canonical native form), and degree, lead and monic on
+# nonzero canonical forms.
 # Residues mod t^n - 1 have a cyclic form of their own: residue(c, n) takes
 # at most n coefficients to it, cyclic(a, n, x) is the product a * x mod
 # t^n - 1 from cyclic form to cyclic form, and values(x, n) gives back the n
@@ -36,6 +39,9 @@ class _GF2Kernel:
 
     one = 1
     pack = staticmethod(lambda c: undigits(c, 2))
+    degree = staticmethod(lambda x: x.bit_length() - 1)
+    lead = staticmethod(lambda x: 1)
+    monic = staticmethod(lambda x: x)
     residue = staticmethod(lambda c, n: undigits(c, 2))
     values = staticmethod(lambda x, n: digits(x, 2, n))
 
@@ -103,8 +109,22 @@ class _ListKernel:
             k -= 1
         return tuple(c[:k])
 
+    @staticmethod
+    def degree(c) -> int:
+        return len(c) - 1
+
+    @staticmethod
+    def lead(c) -> int:
+        return c[-1]
+
+    def monic(self, a):
+        lead = a[-1]
+        return a if lead == 1 else self.mul(a, (self.spec.inv_enc(lead),))
+
     def rem(self, a, b):
-        return self.divmod(a, b)[1]
+        """a mod b as a canonical tuple: divmod keeps deg b remainder slots,
+        whose top coefficients may be zero."""
+        return self.unpack(self.divmod(a, b)[1])
 
 
 @lru_cache(maxsize=256)
@@ -121,7 +141,7 @@ class _PrimeKernel(_ListKernel):
     is one int of w-bit slots, one per coefficient (_cyclic_layout)."""
 
     def __init__(self, spec: FieldSpec):
-        self.p = spec.p
+        self.spec, self.p = spec, spec.p
 
     def residue(self, c, n: int) -> int:
         return pack_slots(c, _cyclic_layout(self.p, n)[0])
@@ -179,7 +199,7 @@ class _PrimeKernel(_ListKernel):
 
 def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
     """a^k mod m over odd GF(p) for a residue list a (degree < d = deg m),
-    square-and-multiply from the left, as a sequence of d coefficients.
+    square-and-multiply from the left, as a canonical tuple.
 
     A residue is packed into one int with a fixed-width slot per coefficient
     (Kronecker substitution), so a product is one big-int multiply and one
@@ -192,7 +212,7 @@ def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
     quot * m_low, (p - 1)^2 * (d - 1). None of this needs m monic.
     """
     if not k:
-        return [1]
+        return (1,)
     p, d = kern.p, len(m) - 1
     w = slot_bits((p - 1) ** 2 * d)
     top, shift, mask = d * w, (d - 2) * w, (1 << d * w) - 1
@@ -210,7 +230,7 @@ def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
         result = mulmod(result, result)
         if bit == "1":
             result = mulmod(result, x)
-    return read_slots(result, d, w)
+    return kern.unpack(read_slots(result, d, w))
 
 
 class _TableKernel(_ListKernel):
@@ -476,22 +496,33 @@ def t_minus_one(spec: FieldSpec) -> Poly:
 # Division, gcd, powering
 
 
+def _euclid(kern, a, b):
+    """A gcd of the kernel forms a and b, b canonical; not normalised."""
+    while b:
+        a, b = b, kern.rem(a, b)
+    return a
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; DomainError when both inputs are zero."""
+    """Monic gcd; DomainError when both inputs are zero. The remainder
+    sequence runs on the kernel's form."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a._check(b)
+    kern = kernel(a.spec)
+    g = _euclid(kern, kern.pack(a.coeff_encs), kern.pack(b.coeff_encs))
+    return _poly(a.spec, kern.unpack(kern.monic(g)))
 
 
-# deg m from which odd-p powmod packs (_kronecker_pow). Measured per
-# powmod, list route -> packed, best of 5 over 20 random monic moduli on an
-# idle 2-vCPU VM (Python 3.11.7). GF(3), k = (3^d - 1)/2: d = 3 0.054 -> 0.059,
-# d = 4 0.081 -> 0.074, d = 5 0.159 -> 0.118, d = 6 0.239 -> 0.148 ms;
-# k = 3: d = 3 0.015 -> 0.023, d = 4 0.019 -> 0.021, d = 5 0.024 -> 0.023,
-# d = 8 0.039 -> 0.029 ms. GF(5) wins from d = 4 and GF(251) from d = 3.
-_KRONECKER_MIN_DEGREE = 5
+# deg m from which odd-p powmod packs (_kronecker_pow): the least at which
+# packing was no slower for p = 3, 5, 7, 251 and 65537 at the exponents unit
+# orders use, k = (p^d - 1)/2 and (p^d - 1)/(its largest prime). Per powmod,
+# list route -> packed, best of 25 interleaved runs over 20 random monic
+# moduli (2-vCPU VM, Python 3.11.7), in ms: d = 4, p = 3 0.069 -> 0.034 and
+# 0.046 -> 0.030, p = 251 0.444 -> 0.321 and 0.352 -> 0.258, p = 65537
+# 0.772 -> 0.428 and 1.121 -> 0.659; d = 3, p = 3 0.016 -> 0.017 (k = 2).
+# With k = 3, packing still loses at p = 251 d = 4 (0.023 -> 0.025).
+_KRONECKER_MIN_DEGREE = 4
 
 
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
@@ -506,19 +537,25 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
         raise DomainError("negative exponent")
     base._check(m)
     kern = kernel(m.spec)
-    # square-and-multiply in the kernel's form, unpacked once at the end
-    a, m_k = kern.pack(base.coeff_encs), kern.pack(m.coeff_encs)
-    a = kern.rem(a, m_k)
-    if type(kern) is _PrimeKernel and m.degree >= _KRONECKER_MIN_DEGREE:
-        return _poly(m.spec, kern.unpack(_kronecker_pow(kern, a, k, m_k)))
-    result = kern.rem(kern.one, m_k)
+    m_k = kern.pack(m.coeff_encs)
+    a = kern.rem(kern.pack(base.coeff_encs), m_k)
+    return _poly(m.spec, kern.unpack(_powmod(kern, a, k, m_k)))
+
+
+def _powmod(kern, a, k: int, m):
+    """a^k mod m on kernel forms, a reduced mod m: square-and-multiply in
+    the kernel's form, packed over odd GF(p) from deg m =
+    _KRONECKER_MIN_DEGREE."""
+    if type(kern) is _PrimeKernel and len(m) > _KRONECKER_MIN_DEGREE:
+        return _kronecker_pow(kern, a, k, m)
+    result = kern.rem(kern.one, m)
     while k:
         if k & 1:
-            result = kern.rem(kern.mul(result, a), m_k)
+            result = kern.rem(kern.mul(result, a), m)
         k >>= 1
         if k:
-            a = kern.rem(kern.mul(a, a), m_k)
-    return _poly(m.spec, kern.unpack(result))
+            a = kern.rem(kern.mul(a, a), m)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -555,37 +592,66 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    spec = f.spec
-    if f.degree < 1:
+def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
+    """Cantor-Zassenhaus splitting of f, a monic product of distinct degree-d
+    irreducibles in the kernel's form, into those irreducibles (same form)."""
+    kern, q = kernel(spec), spec.q
+    deg = kern.degree(f)
+    if deg < 1:
         return []
-    if f.degree == d:
+    if deg == d:
         return [f]
-    q = spec.q
     while True:
-        a = Poly(spec, [rng.randrange(q) for _ in range(f.degree)])
-        if a.degree < 1:
+        a = kern.rem(kern.pack([rng.randrange(q) for _ in range(deg)]), f)
+        if kern.degree(a) < 1:
             continue
-        g = gcd(a, f)
-        if 0 < g.degree < f.degree:
-            pass  # lucky split via a common factor
-        elif spec.p == 2:
-            # char 2: additive trace map of a over GF(2), q = 2^e
-            tr = a % f
-            cur = a % f
-            for _ in range(spec.e * d - 1):
-                cur = (cur * cur) % f
-                tr = tr + cur
-            if tr.is_zero:
+        g = _euclid(kern, f, a)
+        if not 0 < kern.degree(g) < deg:  # else a lucky split via a common factor
+            if spec.p == 2:
+                # char 2: additive trace map of a over GF(2), q = 2^e
+                b = cur = a
+                for _ in range(spec.e * d - 1):
+                    cur = kern.rem(kern.mul(cur, cur), f)
+                    b = kern.add(b, cur)
+            else:
+                b = kern.add(_powmod(kern, a, (q**d - 1) // 2, f), kern.neg(kern.one))
+            b = kern.rem(b, f)
+            if not b:
                 continue
-            g = gcd(tr, f)
-        else:
-            b = powmod(a, (q**d - 1) // 2, f)
-            g = gcd(b - Poly.one(spec), f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g.monic(), d, rng) + \
-                _equal_degree_split((f // g).monic(), d, rng)
+            g = _euclid(kern, f, b)
+        if 0 < kern.degree(g) < deg:
+            g = kern.monic(g)
+            return (_equal_degree_split(spec, g, d, rng)
+                    + _equal_degree_split(spec, kern.divmod(f, g)[0], d, rng))
+
+
+def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
+    """The monic irreducible factors of t^n - 1 for n coprime to the
+    characteristic p, sorted by (degree, coefficients).
+
+    t^n - 1 is the product of the cyclotomic polynomials Phi_m over m | n,
+    and Phi_m is the product of phi(m)/d irreducibles of the one degree
+    d = ord_m(q) (Lidl and Niederreiter, Finite Fields, Thm 2.47). Phi_m is
+    t^m - 1 divided exactly by the Phi_k of its proper divisors k, and
+    equal-degree splitting runs only where deg Phi_m = phi(m) > d.
+    """
+    if n < 1 or n % spec.p == 0:
+        raise DomainError("cyclotomic factors need n >= 1 coprime to the characteristic")
+    kern, q = kernel(spec), spec.q
+    rng = random.Random(0)
+    minus_one = spec.neg_enc(1)
+    phis, found = {}, []
+    for m in divisors(n):
+        phi = kern.pack((minus_one,) + (0,) * (m - 1) + (1,))
+        for k, phi_k in phis.items():
+            if m % k == 0:
+                phi = kern.divmod(phi, phi_k)[0]
+        phis[m] = phi
+        deg = kern.degree(phi)
+        d = order(deg, lambda j: pow(q, j, m) == 1)
+        found += _equal_degree_split(spec, phi, d, rng)
+    return sorted((_poly(spec, kern.unpack(f)) for f in found),
+                  key=lambda f: (f.degree, f.coeff_encs))
 
 
 def factorize(f: Poly, seed: int = 0) -> Factorization:
@@ -606,6 +672,7 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
         raise DomainError("cannot factor the zero polynomial")
     spec = f.spec
     rng = random.Random(seed)
+    kern = kernel(spec)
     t = Poly.x(spec)
     found: dict[Poly, int] = {}
     v, h, d = f.monic(), t, 0
@@ -617,8 +684,8 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
             k += 1
             v = v // g
             w = gcd(g, v)
-            for irr in _equal_degree_split(g // w, d, rng):
-                found[irr] = k
+            for irr in _equal_degree_split(spec, kern.pack((g // w).coeff_encs), d, rng):
+                found[_poly(spec, kern.unpack(irr))] = k
             g = w
         if v.degree > 0:
             h = h % v
@@ -636,32 +703,31 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
 def resultant(a: Poly, b: Poly) -> FieldElem:
     """Sylvester-determinant resultant: lc(a)^deg(b) * prod b(root of a).
 
-    Computed by the Euclidean recurrence; zero exactly when the inputs share
-    a nonconstant factor.
+    Computed by the Euclidean recurrence on the kernel's form; zero exactly
+    when the inputs share a nonconstant factor.
     """
     if a.is_zero or b.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
     spec = a.spec
     a._check(b)
-    acc = spec.one
-    sign = spec.one
-    A, B = a, b
+    kern = kernel(spec)
+    acc = sign = spec.one
+    A, B = kern.pack(a.coeff_encs), kern.pack(b.coeff_encs)
     while True:
-        if A.degree == 0:
-            return sign * acc * A.lc() ** B.degree
-        if B.degree == 0:
-            return sign * acc * B.lc() ** A.degree
-        if A.degree < B.degree:
-            if (A.degree * B.degree) % 2 == 1:
-                sign = -sign
+        dA, dB = kern.degree(A), kern.degree(B)
+        if dA == 0:
+            return sign * acc * FieldElem(spec, kern.lead(A)) ** dB
+        if dB == 0:
+            return sign * acc * FieldElem(spec, kern.lead(B)) ** dA
+        if dA * dB % 2 == 1:
+            sign = -sign
+        if dA < dB:
             A, B = B, A
             continue
-        R = A % B
-        if R.is_zero:
+        R = kern.rem(A, B)
+        if not R:
             return spec.zero
-        if (A.degree * B.degree) % 2 == 1:
-            sign = -sign
-        acc = acc * B.lc() ** (A.degree - R.degree)
+        acc = acc * FieldElem(spec, kern.lead(B)) ** (dA - kern.degree(R))
         A, B = B, R
 
 

@@ -39,6 +39,16 @@ def test_crt_split_matches_sympy(p):
         assert ours == sympy_factors(p, n), n
 
 
+@pytest.mark.parametrize("p,lengths", [(2, (341, 600)), (3, (513, 600)),
+                                       (5, (455, 600)), (7, (455, 728))])
+def test_crt_split_matches_sympy_in_the_hundreds(p, lengths):
+    """Composite n in the hundreds, p | n included (600, 513, 728)."""
+    spec = FieldSpec(p)
+    for n in lengths:
+        ours = {(pi.coeff_encs, e) for pi, e in crt_split(spec, n)}
+        assert ours == sympy_factors(p, n), n
+
+
 def test_order_matches_sympy():
     for n in [m for m in range(3, 2000) if is_prime(m)][::7]:
         for base in (2, 3, 5, 7, 10):

@@ -271,3 +271,24 @@ def test_determinism_in_process(capsys):
     _, a = run_cli(capsys, "verify", "thm3")
     _, b = run_cli(capsys, "verify", "thm3")
     assert a == b
+
+
+def test_main_shares_one_parser_across_calls(capsys):
+    """The parser is built once per process; a usage error that exits 2
+    leaves nothing behind for the next call, in either order."""
+    from ffdyn import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    good = ["orbit", "--q", "2", "--seq", "1,0,0", "--op", "0,1"]
+    bad = ["orbit", "--q", "2", "--seq", "1,0,0", "--op", "0,1", "--format", "text"]
+    seen = []
+    for argv in (good, bad, good, bad):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+    assert seen[0] == seen[2] and seen[1] == seen[3]
+    assert seen[0][0] == 0 and json.loads(seen[0][1])["operator"] == "1,1"
+    assert seen[1] == (2, "", "error: argument --format: invalid choice: 'text' "
+                                 "(choose from 'json')\n")

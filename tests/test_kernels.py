@@ -17,7 +17,8 @@ from ffdyn.dynamics import orbit_algebraic, orbit_brute
 from ffdyn.ffield import read_slots, slot_bits
 from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, crt_split, delta_operator
 from ffdyn.intfactor import factor_int
-from ffdyn.polyring import _KRONECKER_MIN_DEGREE, _order_prime_power, kernel, powmod
+from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _order_prime_power, gcd, kernel, powmod,
+                            resultant)
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
@@ -45,22 +46,32 @@ def ref_neg(spec, a):
 
 
 def ref_mul(spec, a, b):
+    add, mul = spec.add_enc, spec.mul_enc
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = spec.add_enc(out[i + j], spec.mul_enc(x, y))
+            out[i + j] = add(out[i + j], mul(x, y))
     return strip(out)
 
 
+def ref_inv(spec, x):
+    # Fermat's inverse in a prime field, where q may be too large to search
+    if spec.e == 1:
+        return pow(x, spec.q - 2, spec.q)
+    return next(y for y in range(1, spec.q) if spec.mul_enc(x, y) == 1)
+
+
 def ref_divmod(spec, a, b):
-    inv = next(y for y in range(1, spec.q) if spec.mul_enc(b[-1], y) == 1)
+    inv = ref_inv(spec, b[-1])
+    add, mul = spec.add_enc, spec.mul_enc
+    neg_b = ref_neg(spec, b)
     rem = list(a)
     quot = [0] * max(0, len(a) - len(b) + 1)
     for k in reversed(range(len(quot))):
-        c = spec.mul_enc(rem[k + len(b) - 1], inv)
+        c = mul(rem[k + len(b) - 1], inv)
         quot[k] = c
-        for j, y in enumerate(ref_neg(spec, b)):
-            rem[k + j] = spec.add_enc(rem[k + j], spec.mul_enc(c, y))
+        for j, y in enumerate(neg_b):
+            rem[k + j] = add(rem[k + j], mul(c, y))
     return strip(quot), strip(rem)
 
 
@@ -129,15 +140,21 @@ def test_powmod_matches_repeated_multiplication(spec, data):
 
 
 def ref_powmod(base, k, m):
-    """Square-and-multiply through Poly.__mul__ / __mod__, which run the list
-    kernel and share no code with powmod's packed route."""
-    result, base = Poly.one(m.spec) % m, base % m
+    """Square-and-multiply through ref_mul and ref_divmod, which share no
+    code with powmod's list or packed route."""
+    spec = m.spec
+    mod = list(m.coeff_encs)
+
+    def reduce(c):
+        return ref_divmod(spec, c, mod)[1]
+
+    result, base = reduce([1]), reduce(list(base.coeff_encs))
     while k:
         if k & 1:
-            result = result * base % m
-        base = base * base % m
+            result = reduce(ref_mul(spec, result, base))
+        base = reduce(ref_mul(spec, base, base))
         k >>= 1
-    return result
+    return Poly(spec, result)
 
 
 ODD_P_DEGREES = [2, 4, 5, 6, 7, 9, 30, 64, 121]
@@ -297,3 +314,86 @@ def test_orbit_algebraic_matches_brute_at_16_bit_slots():
         for _ in range(4):
             f = CyclicSeq(F3, [rng.randrange(3) for _ in range(81)])
             assert orbit_algebraic(D, f) == orbit_brute(D, f)
+
+
+# -- Euclid on the kernels' forms --------------------------------------------
+
+
+def ref_gcd(spec, a, b):
+    """Monic gcd by Euclid's algorithm on ref_divmod."""
+    a, b = strip(a), strip(b)
+    while b:
+        a, b = b, ref_divmod(spec, a, b)[1]
+    inv = ref_inv(spec, a[-1])
+    return [spec.mul_enc(c, inv) for c in a]
+
+
+def ref_power(spec, x, k):
+    out = 1
+    for _ in range(k):
+        out = spec.mul_enc(out, x)
+    return out
+
+
+def ref_resultant(spec, a, b):
+    """Res(a, b) of nonzero a, b by the recurrences Res(a, c) = c^deg a for a
+    constant c, Res(a, b) = (-1)^(deg a deg b) Res(b, a), and, for
+    deg a >= deg b and r = a mod b, Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r), with Res(b, 0) = 0 for deg b > 0."""
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0:
+        return ref_power(spec, a[0], db)
+    if db == 0:
+        return ref_power(spec, b[0], da)
+    sign = spec.p - 1 if da * db % 2 else 1  # p - 1 encodes -1
+    if da < db:
+        return spec.mul_enc(sign, ref_resultant(spec, b, a))
+    r = ref_divmod(spec, a, b)[1]
+    if not r:
+        return 0
+    scale = ref_power(spec, b[-1], da - (len(r) - 1))
+    return spec.mul_enc(sign, spec.mul_enc(scale, ref_resultant(spec, b, r)))
+
+
+# one field per kernel: GF(2) packed ints, odd-p lists, extension-field tables
+EUCLID_FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9)]
+euclid_fields = pytest.mark.parametrize("spec", EUCLID_FIELDS,
+                                        ids=[f"q{spec.q}" for spec in EUCLID_FIELDS])
+
+
+@euclid_fields
+@examples
+@given(data=st.data())
+def test_gcd_and_resultant_match_reference_euclid(spec, data):
+    """Random pairs, half of them sharing a drawn factor c."""
+    a = coeffs(data.draw, spec, nonzero=True)
+    b = coeffs(data.draw, spec, nonzero=True)
+    if data.draw(st.booleans()):
+        c = coeffs(data.draw, spec, max_deg=4, nonzero=True)
+        a, b = ref_mul(spec, a, c), ref_mul(spec, b, c)
+    pa, pb = Poly(spec, a), Poly(spec, b)
+    assert list(gcd(pa, pb).coeff_encs) == ref_gcd(spec, a, b)
+    assert resultant(pa, pb).enc == ref_resultant(spec, a, b)
+
+
+@euclid_fields
+def test_euclid_edge_cases(spec):
+    """Remainders whose top slots are zero, constants on either side, coprime
+    inputs and a shared factor."""
+    kern = kernel(spec)
+    b = [1, 1, 0, 1]  # t^3 + t + 1
+    c = [spec.q - 1]  # a nonzero constant, not 1 unless q = 2
+    cases = [(ref_add(spec, ref_mul(spec, b, [0, 0, 1]), [1]), b),  # a mod b = 1
+             (ref_add(spec, ref_mul(spec, b, [1, 1]), [0, 1]), b),  # a mod b = t
+             (c, b), (b, c), (c, [1]), ([0, 1], b),
+             (ref_mul(spec, b, [1, 1]), ref_mul(spec, b, [0, 1]))]
+    for a, b_ in cases:
+        rem = kern.rem(kern.pack(a), kern.pack(b_))
+        assert list(kern.unpack(rem)) == ref_divmod(spec, a, b_)[1]
+        assert kern.degree(rem) == len(ref_divmod(spec, a, b_)[1]) - 1
+        pa, pb = Poly(spec, a), Poly(spec, b_)
+        assert list(gcd(pa, pb).coeff_encs) == ref_gcd(spec, a, b_), (a, b_)
+        assert resultant(pa, pb).enc == ref_resultant(spec, a, b_), (a, b_)
+    assert gcd(Poly(spec, cases[0][0]), Poly(spec, b)) == Poly.one(spec)
+    assert gcd(Poly(spec, cases[-1][0]), Poly(spec, cases[-1][1])) == Poly(spec, b)
+    assert resultant(Poly(spec, c), Poly(spec, b)).enc == ref_power(spec, c[0], 3)

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import F2, F3, F4, F5, F8, F9
-from ffdyn import DomainError, Poly, factorize, resultant
+from conftest import F2, F3, F4, F5, F7, F8, F9
+from ffdyn import DomainError, Poly, factorize, groupalg, polyring, resultant
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import crt_split
 from ffdyn.intfactor import order
-from ffdyn.polyring import (NEG_INF, _order_prime_power, gcd, geometric_sum,
-                            is_irreducible, powmod, t_pow_minus_one)
+from ffdyn.polyring import (NEG_INF, _order_prime_power, cyclotomic_factors, gcd,
+                            geometric_sum, is_irreducible, powmod, t_pow_minus_one)
 
 
 def rand_poly(spec, max_deg, rng, nonzero=False):
@@ -224,15 +224,34 @@ def test_squarefree_decomposition_char_p_powers():
     assert factorize(f).factors == ((Poly(F2, [1, 1]), 3), (Poly(F2, [1, 1, 1]), 1))
 
 
-@pytest.mark.parametrize("spec, lengths", [(F4, (2, 4, 6, 12, 20, 32)),
-                                           (F8, (2, 4, 6, 8, 14, 28)),
-                                           (F9, (3, 6, 9, 12, 18, 27))],
-                         ids=["q4", "q8", "q9"])
-def test_crt_split_p_power_shortcut_matches_factorize(spec, lengths):
-    """crt_split factors only t^m - 1 for n = p^k * m; the general
-    factorization of t^n - 1 must give the same pairs in the same order."""
-    for n in lengths:
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9],
+                         ids=["q2", "q3", "q4", "q5", "q7", "q8", "q9"])
+def test_crt_split_p_power_shortcut_matches_factorize(spec):
+    """crt_split splits only t^m - 1 for n = p^k * m, into its cyclotomic
+    factors, and gives each multiplicity p^k; factorize of t^n - 1 itself
+    must give the same pairs in the same order at every n <= 60: prime,
+    composite and divisible by p."""
+    for n in range(1, 61):
         assert factorize(t_pow_minus_one(spec, n)).factors == crt_split(spec, n), n
+
+
+def test_crt_split_never_factorizes(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("crt_split called factorize")
+
+    monkeypatch.setattr(polyring, "factorize", refuse)
+    monkeypatch.setattr(groupalg, "factorize", refuse, raising=False)
+    crt_split.cache_clear()
+    for spec in (F2, F3, F4, F9):
+        for n in (1, 15, 21, 45, 63, 90):
+            assert crt_split(spec, n)
+
+
+def test_cyclotomic_factors_need_n_coprime_to_p():
+    assert cyclotomic_factors(F3, 8) == [pi for pi, _e in crt_split(F3, 8)]
+    for spec, n in ((F3, 6), (F4, 2), (F2, 0)):
+        with pytest.raises(DomainError):
+            cyclotomic_factors(spec, n)
 
 
 def test_is_irreducible_examples():
