@@ -167,7 +167,7 @@ def quota(spec: FieldSpec, n: int) -> QuotaReport:
         raise DomainError(f"quota needs prime n, got {n}")
     if n == spec.p:
         raise DomainError("quota is undefined for n equal to the characteristic")
-    d = order(n - 1, lambda k: pow(q, k, n) == 1)
+    d = order(q % n, n - 1, lambda x, k: pow(x, k, n), 1)
     formula = Fraction(q**d - 1, q**d) ** ((n - 1) // d)
     return QuotaReport(n=n, q=q, d=d, quota_formula=formula, state_count=q**n)
 

@@ -7,8 +7,9 @@ fail loudly with :class:`ResourceLimitError`; they never guess.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 TRIAL_BOUND = 10**6
 RHO_ITER_BUDGET = 2_000_000
@@ -78,13 +79,20 @@ def _brent_rho(n: int, budget: int) -> int | None:
 
 def factor_int(n: int, trial_bound: int = TRIAL_BOUND,
                rho_budget: int = RHO_ITER_BUDGET) -> dict[int, int]:
-    """Full prime factorization {prime: exponent} of n >= 1.
+    """Full prime factorization {prime: exponent} of n >= 1, a fresh dict
+    on every call (the factorizations are cached, bounded, per argument
+    triple).
 
     Raises ResourceLimitError when a cofactor survives both trial division
-    and the rho iteration budget.
+    and the rho iteration budget; a failure is never cached.
     """
     if n < 1:
         raise ValueError("factor_int needs n >= 1")
+    return dict(_factor(n, trial_bound, rho_budget))
+
+
+@lru_cache(maxsize=1024)
+def _factor(n: int, trial_bound: int, rho_budget: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     d = 2
     while d * d <= n and d <= trial_bound:
@@ -92,9 +100,7 @@ def factor_int(n: int, trial_bound: int = TRIAL_BOUND,
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n == 1:
-        return out
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
@@ -106,18 +112,40 @@ def factor_int(n: int, trial_bound: int = TRIAL_BOUND,
                 f"factoring effort exceeded on cofactor {m}")
         stack.append(f)
         stack.append(m // f)
-    return out
+    return tuple(out.items())
 
 
-def order(n: int, is_one) -> int:
-    """Least k dividing n with is_one(k), where is_one(k) says x^k = 1 for
-    a group element x with x^n = 1: the order of x, found by stripping each
-    prime of n while x^k stays 1."""
-    k = n
-    for ell in factor_int(n):
-        while k % ell == 0 and is_one(k // ell):
-            k //= ell
-    return k
+def order(x, n: int, power, one) -> int:
+    """The order of x, a group element with x^n == one, where power(y, k)
+    is y^k: the least k dividing n with power(x, k) == one. DomainError
+    when x^n != one.
+
+    A product tree over the prime powers l^e of n (Sutherland, Order
+    computations in generic groups, 2007): each half of the list raises y
+    to the other half's product, so one level of the tree costs about one
+    powering by n, and a leaf finds the l-part of the order by powering by
+    l at most e times. Every leaf's y has y^(l^e) = x^n, so a leaf that
+    does not reach one proves x^n != one.
+    """
+    def tree(y, prime_powers):
+        if len(prime_powers) == 1:
+            (ell, e), = prime_powers
+            k = 1
+            while y != one:
+                if not e:
+                    raise DomainError(f"the element's order does not divide {n}")
+                y, k, e = power(y, ell), k * ell, e - 1
+            return k
+        half = len(prime_powers) // 2
+        low, high = prime_powers[:half], prime_powers[half:]
+        return (tree(power(y, math.prod(ell**e for ell, e in high)), low)
+                * tree(power(y, math.prod(ell**e for ell, e in low)), high))
+
+    if n == 1:
+        if x != one:
+            raise DomainError("the element's order does not divide 1")
+        return 1
+    return tree(x, list(factor_int(n).items()))
 
 
 def divisors(n: int) -> list[int]:

@@ -197,42 +197,6 @@ class _PrimeKernel(_ListKernel):
         return quot, [r % p for r in rem[:db]]
 
 
-def _kronecker_pow(kern: _PrimeKernel, a, k: int, m):
-    """a^k mod m over odd GF(p) for a residue list a (degree < d = deg m),
-    square-and-multiply from the left, as a canonical tuple.
-
-    A residue is packed into one int with a fixed-width slot per coefficient
-    (Kronecker substitution), so a product is one big-int multiply and one
-    reduce_slots. The slots never carry: no slot sum below exceeds
-    (p - 1)^2 * d. The remainder is Barrett's: with mu = t^(2d-2) // m,
-    precomputed once (the reversal of rev(m)^-1 mod t^(d-1)), any c of
-    degree <= 2d - 2 has quotient (c // t^d) * mu // t^(d-2) exactly, so
-    c mod m costs two more packed products and a subtraction, which adds
-    `lift`, a multiple of p in every slot at least the largest slot of
-    quot * m_low, (p - 1)^2 * (d - 1). None of this needs m monic.
-    """
-    if not k:
-        return (1,)
-    p, d = kern.p, len(m) - 1
-    w = slot_bits((p - 1) ** 2 * d)
-    top, shift, mask = d * w, (d - 2) * w, (1 << d * w) - 1
-    mu = pack_slots(kern.divmod([0] * (2 * d - 2) + [1], m)[0], w)
-    m_low = pack_slots(m[:d], w)
-    lift = pack_slots([-(-(p - 1) ** 2 * (d - 1) // p) * p] * d, w)
-
-    def mulmod(x: int, y: int) -> int:
-        c = reduce_slots(x * y, 2 * d - 1, w, p)
-        quot = reduce_slots((c >> top) * mu >> shift, d - 1, w, p)
-        return reduce_slots((c & mask) + lift - (quot * m_low & mask), d, w, p)
-
-    x = result = pack_slots(a, w)
-    for bit in bin(k)[3:]:
-        result = mulmod(result, result)
-        if bit == "1":
-            result = mulmod(result, x)
-    return kern.unpack(read_slots(result, d, w))
-
-
 class _TableKernel(_ListKernel):
     """GF(p^e)[t] through the field's add/neg/mul tables (indexable by
     encoding; they compute on digits above _TABLE_LIMIT elements)."""
@@ -514,22 +478,24 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return _poly(a.spec, kern.unpack(kern.monic(g)))
 
 
-# deg m from which odd-p powmod packs (_kronecker_pow): the least at which
+# deg m from which odd-p powmod packs (_PackedModulus): the least at which
 # packing was no slower for p = 3, 5, 7, 251 and 65537 at the exponents unit
-# orders use, k = (p^d - 1)/2 and (p^d - 1)/(its largest prime). Per powmod,
-# list route -> packed, best of 25 interleaved runs over 20 random monic
-# moduli (2-vCPU VM, Python 3.11.7), in ms: d = 4, p = 3 0.069 -> 0.034 and
-# 0.046 -> 0.030, p = 251 0.444 -> 0.321 and 0.352 -> 0.258, p = 65537
-# 0.772 -> 0.428 and 1.121 -> 0.659; d = 3, p = 3 0.016 -> 0.017 (k = 2).
-# With k = 3, packing still loses at p = 251 d = 4 (0.023 -> 0.025).
-_KRONECKER_MIN_DEGREE = 4
+# orders use, k = (p^d - 1)/2 and (p^d - 1)/(its largest prime), and at
+# k = p, which factorize uses. Per powmod with the ring set up once, list
+# route -> packed, best of 25 interleaved runs over 20 random monic moduli
+# (2-vCPU VM, Python 3.11.7), in ms: d = 3, p = 3 0.039 -> 0.027 and
+# 0.015 -> 0.015 (k = 3), p = 7 0.069 -> 0.028, p = 251 0.265 -> 0.228 and
+# 0.151 -> 0.148 (k = 251), p = 65537 0.409 -> 0.286; d = 2, p = 3
+# 0.013 -> 0.016, p = 251 0.112 -> 0.118. Only k = 2 still loses at d = 3
+# (p = 3 0.010 -> 0.014).
+_KRONECKER_MIN_DEGREE = 3
 
 
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
     """base^k mod m by square-and-multiply; k >= 0.
 
     Over odd GF(p) with deg m >= _KRONECKER_MIN_DEGREE the products are
-    packed big-int products reduced by Barrett's method (_kronecker_pow).
+    packed big-int products reduced by Barrett's method (_PackedModulus).
     """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
@@ -543,19 +509,75 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
 
 
 def _powmod(kern, a, k: int, m):
-    """a^k mod m on kernel forms, a reduced mod m: square-and-multiply in
-    the kernel's form, packed over odd GF(p) from deg m =
-    _KRONECKER_MIN_DEGREE."""
+    """a^k mod m on kernel forms, a reduced mod m, through m's _modulus."""
+    ring = _modulus(kern, m)
+    return ring.leave(ring.pow(ring.enter(a), k))
+
+
+def _modulus(kern, m):
+    """The residue ring mod m, a canonical kernel form: packed over odd
+    GF(p) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's own form."""
     if type(kern) is _PrimeKernel and len(m) > _KRONECKER_MIN_DEGREE:
-        return _kronecker_pow(kern, a, k, m)
-    result = kern.rem(kern.one, m)
-    while k:
-        if k & 1:
-            result = kern.rem(kern.mul(result, a), m)
-        k >>= 1
-        if k:
-            a = kern.rem(kern.mul(a, a), m)
-    return result
+        return _PackedModulus(kern, m)
+    return _Modulus(kern, m)
+
+
+class _Modulus:
+    """Residues mod a fixed m in the kernel's form. enter takes a reduced
+    canonical kernel form to the ring's form, leave takes it back; one is
+    the ring's 1, so residues compare by ==."""
+
+    def __init__(self, kern, m):
+        self.one = kern.rem(kern.one, m)
+        self.mul = lambda x, y: kern.rem(kern.mul(x, y), m)
+
+    enter = leave = staticmethod(lambda x: x)
+
+    def pow(self, x, k: int):
+        """x^k by square-and-multiply from the left, so no product by 1."""
+        if not k:
+            return self.one
+        mul, result = self.mul, x
+        for bit in bin(k)[3:]:
+            result = mul(result, result)
+            if bit == "1":
+                result = mul(result, x)
+        return result
+
+
+class _PackedModulus(_Modulus):
+    """Residues mod m over odd GF(p), deg m = d, packed into one int with a
+    fixed-width slot per coefficient (Kronecker substitution), so a product
+    is one big-int multiply and one reduce_slots. The slots never carry: no
+    slot sum below exceeds (p - 1)^2 * d.
+
+    The remainder is Barrett's: with mu = t^(2d-2) // m, computed once per
+    modulus (the reversal of rev(m)^-1 mod t^(d-1)), any c of degree
+    <= 2d - 2 has quotient (c // t^d) * mu // t^(d-2) exactly, so c mod m
+    costs two more packed products and a subtraction, which adds `lift`, a
+    multiple of p in every slot at least the largest slot of quot * m_low,
+    (p - 1)^2 * (d - 1). None of this needs m monic. A packed residue has
+    every slot below p, so equal residues are equal ints and one is 1.
+    """
+
+    one = 1
+
+    def __init__(self, kern: _PrimeKernel, m):
+        p, d = kern.p, len(m) - 1
+        w = slot_bits((p - 1) ** 2 * d)
+        top, shift, mask = d * w, (d - 2) * w, (1 << d * w) - 1
+        mu = pack_slots(kern.divmod([0] * (2 * d - 2) + [1], m)[0], w)
+        m_low = pack_slots(m[:d], w)
+        lift = pack_slots([-(-(p - 1) ** 2 * (d - 1) // p) * p] * d, w)
+
+        def mul(x: int, y: int) -> int:
+            c = reduce_slots(x * y, 2 * d - 1, w, p)
+            quot = reduce_slots((c >> top) * mu >> shift, d - 1, w, p)
+            return reduce_slots((c & mask) + lift - (quot * m_low & mask), d, w, p)
+
+        self.mul = mul
+        self.enter = lambda a: pack_slots(a, w)
+        self.leave = lambda x: kern.unpack(read_slots(x, d, w))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +670,7 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
                 phi = kern.divmod(phi, phi_k)[0]
         phis[m] = phi
         deg = kern.degree(phi)
-        d = order(deg, lambda j: pow(q, j, m) == 1)
+        d = order(q % m, deg, lambda x, j: pow(x, j, m), 1 % m)
         found += _equal_degree_split(spec, phi, d, rng)
     return sorted((_poly(spec, kern.unpack(f)) for f in found),
                   key=lambda f: (f.degree, f.coeff_encs))
@@ -741,22 +763,30 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
 
     Reduction mod pi maps the units mod pi^e onto GF(q^deg pi)^* with a
     p-group kernel, so the order mod pi^m is o * p^j: o is the order mod pi,
-    found by stripping the primes of q^deg pi - 1, and j is the least with
-    b^(p^j) == 1 mod pi^m for b = a^o. In characteristic p,
+    a divisor of q^deg pi - 1 found by intfactor.order, and j is the least
+    with b^(p^j) == 1 mod pi^m for b = a^o. In characteristic p,
     b^(p^j) - 1 = (b - 1)^(p^j), so j is the least with p^j * v >= m, where
-    v = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3).
+    v = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3). All of
+    it runs on kernel forms, each modulus set up once (_modulus).
     """
     spec = a.spec
-    one = Poly.one(spec)
-    if (a % pi).is_zero:
+    kern = kernel(spec)
+    pi_k, a_k = kern.pack(pi.coeff_encs), kern.pack(a.coeff_encs)
+    residue = kern.rem(a_k, pi_k)
+    if not residue:
         raise DomainError("element is not a unit modulo pi")
-    o = order(spec.q**pi.degree - 1, lambda k: powmod(a, k, pi) == one)
+    ring = _modulus(kern, pi_k)
+    o = order(ring.enter(residue), spec.q**pi.degree - 1, ring.pow, ring.one)
     orders = [1, o]
     if e > 1:
-        x, v = powmod(a, o, pi**e) - one, 0
+        pi_e = pi_k
+        for _ in range(e - 1):
+            pi_e = kern.mul(pi_e, pi_k)
+        b = _powmod(kern, kern.rem(a_k, pi_e), o, pi_e)
+        x, v = kern.add(b, kern.neg(kern.one)), 0
         while v < e:  # v = v_pi(b - 1) >= 1, capped at e
-            x, rest = divmod(x, pi)
-            if not rest.is_zero:
+            x, rest = kern.divmod(x, pi_k)
+            if kern.unpack(rest):
                 break
             v += 1
         for m in range(2, e + 1):

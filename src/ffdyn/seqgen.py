@@ -52,14 +52,14 @@ def primitive_root_mod(n: int) -> int:
     if not is_prime(n):
         raise DomainError(f"{n} is not prime")
     return next(g for g in range(1, n)
-                if order(n - 1, lambda k: pow(g, k, n) == 1) == n - 1)
+                if order(g, n - 1, lambda x, k: pow(x, k, n), 1) == n - 1)
 
 
 def multiplicative_generator(spec: FieldSpec):
     """Smallest-encoding generator of the multiplicative group of GF(q)."""
     q = spec.q
     return next(a for a in map(spec.element, range(1, q))
-                if order(q - 1, lambda k: (a ** k).enc == 1) == q - 1)
+                if order(a, q - 1, pow, spec.one) == q - 1)
 
 
 def multiplicative_family(spec: FieldSpec, n: int) -> list[CyclicSeq]:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ffdyn.errors import ResourceLimitError
+from ffdyn.errors import DomainError, ResourceLimitError
 from ffdyn.intfactor import divisors, factor_int, is_prime, order
 
 
@@ -44,8 +44,25 @@ def test_factor_uses_rho_beyond_trial_bound():
 
 def test_factor_effort_cap():
     hard = (2**89 - 1) * (2**107 - 1)
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(ResourceLimitError):
+            factor_int(hard, trial_bound=1000, rho_budget=50)
+
+
+def test_factor_cache_hands_out_fresh_dicts():
+    first = factor_int(720)
+    first[2] = 99
+    first[7] = 1
+    assert factor_int(720) == {2: 4, 3: 2, 5: 1}
+
+
+def test_factor_cache_keys_on_the_budget():
+    """The default budget splits this cofactor by rho; a budget of one
+    iteration must still give up on it, after the default's success."""
+    n = 1_000_003 * 1_000_033
+    assert factor_int(n) == {1_000_003: 1, 1_000_033: 1}
     with pytest.raises(ResourceLimitError):
-        factor_int(hard, trial_bound=1000, rho_budget=50)
+        factor_int(n, rho_budget=1)
 
 
 def test_divisors():
@@ -54,11 +71,43 @@ def test_divisors():
     assert divisors(49) == [1, 7, 49]
 
 
+def mod_power(m):
+    return lambda x, k: pow(x, k, m)
+
+
+def order_by_iteration(x, m):
+    k, y = 1, x % m
+    while y != 1 % m:
+        k, y = k + 1, y * x % m
+    return k
+
+
 def test_order_is_least_divisor_passing_the_test():
-    for m in (2, 9, 13, 25, 97, 1000):
-        for base in range(1, m):
-            if math.gcd(base, m) != 1:
-                continue
-            phi = sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1)
-            first = next(k for k in range(1, phi + 1) if pow(base, k, m) == 1)
-            assert order(phi, lambda k: pow(base, k, m) == 1) == first, (base, m)
+    """Every unit mod every m <= 300, and mod 1000, with n = phi(m)."""
+    for m in [*range(1, 301), 1000]:
+        units = [x for x in range(m) if math.gcd(x, m) == 1]
+        for x in units:
+            assert order(x, len(units), mod_power(m), 1 % m) == order_by_iteration(x, m), (x, m)
+
+
+def test_order_of_one_and_with_n_one():
+    assert order(1, 1, mod_power(7), 1) == 1
+    assert order(1, 2**5 * 3**4 * 7, mod_power(11), 1) == 1
+    with pytest.raises(DomainError):
+        order(3, 1, mod_power(7), 1)
+
+
+def test_order_with_prime_power_n():
+    # (Z/17)^* has order 2^4; the squares mod 163 have order 3^4
+    for x in range(1, 17):
+        assert order(x, 16, mod_power(17), 1) == order_by_iteration(x, 17)
+    for b in range(1, 163):
+        x = b * b % 163
+        assert order(x, 81, mod_power(163), 1) == order_by_iteration(x, 163)
+
+
+def test_order_rejects_x_to_the_n_not_one():
+    # 3 has order 6 mod 7: neither 4 nor 10 nor the prime power 9 is a multiple
+    for n in (4, 9, 10):
+        with pytest.raises(DomainError):
+            order(3, n, mod_power(7), 1)

@@ -1,8 +1,9 @@
 """The polynomial kernels against schoolbook arithmetic on plain lists.
 
 Every reference below makes one FieldSpec.add_enc / mul_enc call per
-coefficient operation, so it shares no loop with the kernels. GF(3^6) lies
-above the table limit and runs the per-call fallback kernel.
+coefficient operation, except ref_mulmod_p, which works on int lists with
+one % p per coefficient operation; none shares a loop with the kernels.
+GF(3^6) lies above the table limit and runs the per-call fallback kernel.
 """
 
 import random
@@ -141,23 +142,42 @@ def test_powmod_matches_repeated_multiplication(spec, data):
 
 def ref_powmod(base, k, m):
     """Square-and-multiply through ref_mul and ref_divmod, which share no
-    code with powmod's list or packed route."""
+    code with powmod's list or packed route; over a prime field through
+    ref_mulmod_p on plain int lists instead."""
     spec = m.spec
     mod = list(m.coeff_encs)
+    if spec.e == 1:
+        def mulmod(a, b):
+            return ref_mulmod_p(spec.p, a, b, mod)
+    else:
+        def mulmod(a, b):
+            return ref_divmod(spec, ref_mul(spec, a, b), mod)[1]
 
-    def reduce(c):
-        return ref_divmod(spec, c, mod)[1]
-
-    result, base = reduce([1]), reduce(list(base.coeff_encs))
+    result, base = mulmod([1], [1]), mulmod(list(base.coeff_encs), [1])
     while k:
         if k & 1:
-            result = reduce(ref_mul(spec, result, base))
-        base = reduce(ref_mul(spec, base, base))
+            result = mulmod(result, base)
+        base = mulmod(base, base)
         k >>= 1
     return Poly(spec, result)
 
 
-ODD_P_DEGREES = [2, 4, 5, 6, 7, 9, 30, 64, 121]
+def ref_mulmod_p(p, a, b, m):
+    """a * b mod m over GF(p): schoolbook product and long division on int
+    lists, one % p per coefficient operation."""
+    rem = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] + x * y) % p
+    inv, db = pow(m[-1], p - 2, p), len(m) - 1
+    for k in reversed(range(len(rem) - db)):
+        c = rem[k + db] * inv % p
+        for j, y in enumerate(m):
+            rem[k + j] = (rem[k + j] - c * y) % p
+    return strip(rem)
+
+
+ODD_P_DEGREES = [2, 3, 4, 5, 6, 7, 9, 30, 64, 121]
 
 
 def test_odd_p_degrees_straddle_the_crossover():
@@ -200,13 +220,14 @@ def test_powmod_reaches_the_largest_slot_sum(p, d, monkeypatch):
     rng = random.Random(d)
     m = Poly(spec, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
     base = Poly(spec, [p - 1] * d)
-    packed, pow_packed = [], polyring._kronecker_pow
+    packed = []
 
-    def counted(kern, a, k, m):
-        packed.append(k)
-        return pow_packed(kern, a, k, m)
+    class Counted(polyring._PackedModulus):
+        def pow(self, x, k):
+            packed.append(k)
+            return super().pow(x, k)
 
-    monkeypatch.setattr(polyring, "_kronecker_pow", counted)
+    monkeypatch.setattr(polyring, "_PackedModulus", Counted)
     ks = (2, 3, rng.randrange(10**29))
     for k in ks:
         assert powmod(base, k, m) == ref_powmod(base, k, m)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -339,9 +340,9 @@ def test_resultant_multiplicativity():
 
 
 def test_mult_order_int_examples():
-    assert order(5 - 1, lambda k: pow(2, k, 5) == 1) == 4
-    assert order(7 - 1, lambda k: pow(2, k, 7) == 1) == 3
-    assert order(13 - 1, lambda k: pow(3, k, 13) == 1) == 3
+    assert order(2, 5 - 1, lambda x, k: pow(x, k, 5), 1) == 4
+    assert order(2, 7 - 1, lambda x, k: pow(x, k, 7), 1) == 3
+    assert order(3, 13 - 1, lambda x, k: pow(x, k, 13), 1) == 3
 
 
 def _order(a, pi, e=1):
@@ -422,3 +423,45 @@ def test_order_lifting_matches_iteration(spec, pi, e):
             continue
         units += 1
         assert _order_prime_power(a, pi, e) == _orders_by_iteration(a, pi, e)
+
+
+# small components pi^e, e = 1..3, up to 729 residues
+SMALL_COMPONENTS = [(spec, pi, e) for spec, pi in [
+    (F2, (1, 1)), (F2, (1, 1, 1)), (F3, (1, 1)), (F3, (1, 0, 1)), (F4, (1, 1)),
+    (F4, (2, 1, 1)), (F9, (1, 1))] for e in (1, 2, 3) if spec.q ** (e * (len(pi) - 1)) <= 729]
+
+
+@pytest.mark.parametrize("spec, pi, e", SMALL_COMPONENTS,
+                         ids=[f"q{spec.q}-deg{len(pi) - 1}-e{e}" for spec, pi, e in SMALL_COMPONENTS])
+def test_order_of_every_unit_matches_multiplication(spec, pi, e):
+    """Every unit mod pi^e against the first returns to 1 of its powers."""
+    pi = Poly(spec, pi)
+    assert is_irreducible(pi)
+    for c in itertools.product(range(spec.q), repeat=e * pi.degree):
+        a = Poly(spec, c)
+        if not (a % pi).is_zero:
+            assert _order_prime_power(a, pi, e) == _orders_by_iteration(a, pi, e), a
+
+
+# the degree-28 component of t^29 - 1 over GF(3) packs its residues mod pi,
+# and so does pi^3 for pi = t^2 + 1
+DEG28 = next(pi.coeff_encs for pi, _ in crt_split(F3, 29) if pi.degree == 28)
+
+
+@pytest.mark.parametrize("spec, pi, e", [
+    (F2, (1, 1, 1), 3), (F3, (2, 1), 1), (F3, (1, 0, 1), 3), (F9, (1, 1), 2), (F3, DEG28, 1),
+    (F3, DEG28, 2)], ids=["q2-e3", "q3-e1", "q3-e3", "q9-e2", "q3-deg28-e1", "q3-deg28-e2"])
+def test_order_prime_power_runs_on_kernel_forms(spec, pi, e, monkeypatch):
+    """No public powmod and no Poly division inside: the probes and the
+    lift run on the kernel's forms."""
+    rng = random.Random(e)
+    pi = Poly(spec, pi)
+    units = [a for a in (rand_poly(spec, 6, rng) for _ in range(6)) if not (a % pi).is_zero]
+    expected = [_order_prime_power(a, pi, e) for a in units]
+
+    def refuse(*args):
+        raise AssertionError("Poly-level call inside _order_prime_power")
+
+    monkeypatch.setattr(polyring, "powmod", refuse)
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    assert [_order_prime_power(a, pi, e) for a in units] == expected
