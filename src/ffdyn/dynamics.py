@@ -18,6 +18,7 @@ from .errors import ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
 from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
                        linear_images, seq_valuations)
+from .intfactor import power
 from .polyring import _order_prime_power
 
 # default cap on the states that one enumeration walks
@@ -56,19 +57,19 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
     spec, n = f.spec, f.n
     if max_steps is None:
         max_steps = spec.q**n
-    # iterate on the kernel's cyclic form of the state
+    # iterate on the state in the operator's ring
     step = D.step
-    x0 = D.kern.residue(f.value_encs, n)
+    x0 = D.ring.enter(f.value_encs)
     # phase 1: cycle length; a hare that runs 3*max_steps + 4 steps without
     # closing proves the orbit exceeds max_steps
-    power = lam = 1
+    pow2 = lam = 1
     tortoise = x0
     hare = step(x0)
     hare_steps = 1
     while tortoise != hare:
-        if power == lam:
+        if pow2 == lam:
             tortoise = hare
-            power *= 2
+            pow2 *= 2
             lam = 0
         hare = step(hare)
         hare_steps += 1
@@ -88,7 +89,7 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
         if mu + lam > max_steps:
             raise ResourceLimitError(
                 f"orbit exceeds the configured cap of {max_steps} states")
-    return OrbitSummary(mu, lam, CyclicSeq(spec, D.kern.values(tortoise, n)))
+    return OrbitSummary(mu, lam, CyclicSeq(spec, D.ring.leave(tortoise)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +143,13 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders; the
-    attractor entry D^pre f by square-and-multiply on the cyclic product."""
+    attractor entry D^pre f by powering in the operator's ring, the state
+    multiplied by op^(2^i) for each set bit i of pre."""
     D.check_dimensions(f)
     pre, per = _analyzer(D).analyze(seq_valuations(f))
-    kern, n, k = D.kern, f.n, pre
-    x, op = kern.residue(f.value_encs, n), D.op
-    while k:  # after i halvings of k: x = D^(pre mod 2^i) f, op = D^(2^i)
-        if k & 1:
-            x = kern.cyclic(op, n, x)
-        k >>= 1
-        if k:
-            op = kern.cyclic(op, n, op)
-    return OrbitSummary(pre, per, CyclicSeq(f.spec, kern.values(x, n)))
+    ring = D.ring
+    x = power(ring.mul, D.op, pre, ring.one, ring.enter(f.value_encs))
+    return OrbitSummary(pre, per, CyclicSeq(f.spec, ring.leave(x)))
 
 
 def max_period(D: DiffOperator) -> int:

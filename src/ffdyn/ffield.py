@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from .errors import DomainError
-from .intfactor import factor_int, is_prime
+from .intfactor import factor_int, is_prime, power
 
 _TABLE_LIMIT = 512  # build full operation tables only for small fields
 
@@ -203,6 +203,10 @@ class FieldSpec:
         """GF(q) from any consistent part of q, p and e, with the given modulus
         or the deterministic default one. p and e come from q when missing;
         e is 1 when only p is given."""
+        try:
+            q, p, e = (None if v is None else operator.index(v) for v in (q, p, e))
+        except TypeError:
+            raise DomainError(f"q, p and e must be integers, got {q!r}, {p!r}, {e!r}") from None
         if q is not None:
             fac = factor_int(q) if q >= 2 else {}
             if len(fac) != 1:
@@ -323,14 +327,8 @@ class FieldSpec:
 
     def pow_enc(self, a: int, k: int) -> int:
         if k < 0:
-            return self.pow_enc(self.inv_enc(a), -k)
-        result, base = 1, a
-        while k:
-            if k & 1:
-                result = self.mul_enc(result, base)
-            base = self.mul_enc(base, base)
-            k >>= 1
-        return result
+            a, k = self.inv_enc(a), -k
+        return power(self.mul_enc, a, k, 1)
 
     # -- the operation tables of an extension field -------------------------
 
@@ -516,11 +514,15 @@ def parse_ints(text: str, what: str) -> list[int]:
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse 'q=3' or 'q=4;p=2;e=2;mod=1,1,1': any consistent part of q, p
-    and e, and an optional mod, names a field (see FieldSpec.of_order)."""
+    and e, and an optional mod, names a field (see FieldSpec.of_order).
+    Each key is one of q, p, e and mod, given at most once."""
     try:
-        parts = dict(kv.split("=", 1) for kv in text.strip().split(";") if kv)
+        pairs = [kv.split("=", 1) for kv in text.strip().split(";") if kv]
+        parts = dict(pairs)
         nums = {k: int(parts[k]) for k in ("q", "p", "e") if k in parts}
     except ValueError:
         raise DomainError(f"malformed field spec {text!r}") from None
+    if len(parts) < len(pairs) or not parts.keys() <= {"q", "p", "e", "mod"}:
+        raise DomainError(f"field spec {text!r} needs distinct keys among q, p, e and mod")
     mod = parse_ints(parts["mod"], "mod") if "mod" in parts else None
     return FieldSpec.of_order(**nums, modulus=mod)

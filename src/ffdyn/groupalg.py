@@ -70,6 +70,8 @@ def seq_to_poly(f: CyclicSeq) -> Poly:
 
 def poly_to_seq(spec: FieldSpec, n: int, poly: Poly) -> CyclicSeq:
     """Inverse of seq_to_poly for residues of degree < n."""
+    if poly.spec != spec:
+        raise DomainError("polynomial from a different field")
     if poly.degree != float("-inf") and poly.degree >= n:
         raise DomainError("residue degree must stay below n")
     c = list(poly.coeff_encs) + [0] * (n - len(poly.coeff_encs))
@@ -98,12 +100,12 @@ class DiffOperator:
     """A differential operator on length-n sequences, stored as its
     multiplier polynomial reduced mod t^n - 1 (vanishing at t = 1).
 
-    op is op_poly in the field kernel's cyclic form and step the operator on
-    a state in that form (kern.residue(values, n); kern.values(x, n) gives
-    the values back).
+    ring is the residue ring mod t^n - 1 of the field's kernel, op is
+    op_poly in the ring's form and step the operator on a state in that
+    form (ring.enter(values); ring.leave(x) gives the values back).
     """
 
-    __slots__ = ("spec", "n", "op_poly", "kern", "op", "step", "_hash")
+    __slots__ = ("spec", "n", "op_poly", "ring", "op", "step", "_hash")
 
     def __init__(self, spec: FieldSpec, n: int, op_poly: Poly):
         if n < 1:
@@ -119,11 +121,11 @@ class DiffOperator:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "op_poly", op_poly)
-        kern = kernel(spec)
-        op = kern.residue(op_poly.coeff_encs, n)
-        object.__setattr__(self, "kern", kern)
+        ring = kernel(spec).cyclic_ring(n)
+        op = ring.enter(op_poly.coeff_encs)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "step", partial(kern.cyclic, op, n))
+        object.__setattr__(self, "step", partial(ring.mul, op))
         # the orbit analyzer's cache keys on the operator: hash it once
         object.__setattr__(self, "_hash", hash((spec, n, op_poly)))
 
@@ -134,8 +136,8 @@ class DiffOperator:
         """Action on a raw value tuple (encodings, index 0 holds f(1)): the
         product with op_poly mod t^n - 1, which commutes with the shift
         between value index and exponent."""
-        kern, n = self.kern, self.n
-        return kern.values(self.step(kern.residue(v, n)), n)
+        ring = self.ring
+        return ring.leave(self.step(ring.enter(v)))
 
     def check_dimensions(self, f: CyclicSeq) -> None:
         if self.spec != f.spec or self.n != f.n:

@@ -14,14 +14,17 @@ from .errors import DomainError, ResourceLimitError
 TRIAL_BOUND = 10**6
 RHO_ITER_BUDGET = 2_000_000
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the primes up to 41 decide every n below
+# psi_13 = 3317044064679887385961981 (OEIS A014233), the least composite
+# that passes them all.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Strong-probable-prime test to the bases _MR_BASES: exact below psi_13."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -113,6 +116,22 @@ def _factor(n: int, trial_bound: int, rho_budget: int) -> tuple[tuple[int, int],
         stack.append(f)
         stack.append(m // f)
     return tuple(out.items())
+
+
+def power(mul, x, k: int, one, acc=None):
+    """acc * x^k under the product mul, or x^k when acc is None (one at
+    k = 0), by square-and-multiply from the right: x runs through x^(2^i)
+    and acc takes x^(2^i) for each set bit i of k, so no product has one as
+    a factor and acc is only ever multiplied by powers of x."""
+    if k < 0:
+        raise DomainError("negative exponent")
+    while k:
+        if k & 1:
+            acc = x if acc is None else mul(acc, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if acc is None else acc
 
 
 def order(x, n: int, power, one) -> int:

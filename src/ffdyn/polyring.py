@@ -10,6 +10,7 @@ a modulus.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +18,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .ffield import (FieldElem, FieldSpec, digits, pack_slots, parse_ints, read_slots,
                      reduce_slots, slot_bits, undigits)
-from .intfactor import divisors, factor_int, order
+from .intfactor import divisors, factor_int, order, power
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -27,11 +28,9 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # works on its own native form of a coefficient tuple (pack; unpack gives back
 # the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem
 # (rem gives the canonical native form), and degree, lead and monic on
-# nonzero canonical forms.
-# Residues mod t^n - 1 have a cyclic form of their own: residue(c, n) takes
-# at most n coefficients to it, cyclic(a, n, x) is the product a * x mod
-# t^n - 1 from cyclic form to cyclic form, and values(x, n) gives back the n
-# coefficients.
+# nonzero canonical forms. cyclic_ring(n) is the residue ring mod t^n - 1
+# (a _Modulus) in a form of the kernel's choosing, whose product is one
+# kernel product and one fold, since t^n = 1.
 
 
 class _GF2Kernel:
@@ -42,8 +41,6 @@ class _GF2Kernel:
     degree = staticmethod(lambda x: x.bit_length() - 1)
     lead = staticmethod(lambda x: 1)
     monic = staticmethod(lambda x: x)
-    residue = staticmethod(lambda c, n: undigits(c, 2))
-    values = staticmethod(lambda x, n: digits(x, 2, n))
 
     @staticmethod
     def unpack(x: int) -> tuple[int, ...]:
@@ -87,10 +84,16 @@ class _GF2Kernel:
             quot |= 1 << (la - db)
         return quot, a
 
-    def cyclic(self, a: int, n: int, x: int) -> int:
-        """a * x mod t^n - 1 on packed residues of degree < n."""
-        x = self.mul(a, x)
-        return (x & ((1 << n) - 1)) ^ (x >> n)  # degree <= 2n - 2: one fold
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """Residues mod t^n - 1 as packed ints of degree < n; a product has
+        degree <= 2n - 2, so one fold reduces it."""
+        mul, mask = self.mul, (1 << n) - 1
+
+        def cyclic(a: int, x: int) -> int:
+            x = mul(a, x)
+            return (x & mask) ^ (x >> n)
+
+        return _Modulus(1, cyclic, self.pack, lambda x: digits(x, 2, n))
 
 
 class _ListKernel:
@@ -127,35 +130,28 @@ class _ListKernel:
         return self.unpack(self.divmod(a, b)[1])
 
 
-@lru_cache(maxsize=256)
-def _cyclic_layout(p: int, n: int) -> tuple[int, int, int]:
-    """(bits per slot, bits of n slots, mask of n slots) of a residue mod
-    t^n - 1 over odd GF(p) in cyclic form."""
-    w = slot_bits((p - 1) ** 2 * n)
-    return w, n * w, (1 << n * w) - 1
-
-
 class _PrimeKernel(_ListKernel):
     """GF(p)[t], p odd: integer arithmetic on local lists, one % p per
-    coefficient at the end of each product and division. The cyclic form
-    is one int of w-bit slots, one per coefficient (_cyclic_layout)."""
+    coefficient at the end of each product and division."""
 
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
 
-    def residue(self, c, n: int) -> int:
-        return pack_slots(c, _cyclic_layout(self.p, n)[0])
-
-    def cyclic(self, a: int, n: int, x: int) -> int:
-        """a * x mod t^n - 1: one multiply, then t^n = 1 adds slot n + i onto
-        slot i. A folded slot sums n products of residues, at most
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """Residues mod t^n - 1 as one int of w-bit slots, one per
+        coefficient: a product is one multiply, then t^n = 1 adds slot n + i
+        onto slot i. A folded slot sums n products of residues, at most
         n(p - 1)^2, which the slots hold, so none carries."""
-        w, top, mask = _cyclic_layout(self.p, n)
-        z = a * x
-        return reduce_slots((z & mask) + (z >> top), n, w, self.p)
+        p = self.p
+        w = slot_bits((p - 1) ** 2 * n)
+        top, mask = n * w, (1 << n * w) - 1
 
-    def values(self, x: int, n: int) -> tuple[int, ...]:
-        return tuple(read_slots(x, n, _cyclic_layout(self.p, n)[0]))
+        def cyclic(a: int, x: int) -> int:
+            z = a * x
+            return reduce_slots((z & mask) + (z >> top), n, w, p)
+
+        return _Modulus(1, cyclic, lambda c: pack_slots(c, w),
+                        lambda x: tuple(read_slots(x, n, w)))
 
     def add(self, a, b):
         p = self.p
@@ -205,20 +201,21 @@ class _TableKernel(_ListKernel):
         self.add_t, self.neg_t, self.mul_t = spec.op_tables()
         self.spec = spec
 
-    @staticmethod
-    def residue(c, n: int) -> tuple[int, ...]:
-        return tuple(c) + (0,) * (n - len(c))
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """Residues mod t^n - 1 as length-n tuples: the product's
+        coefficients of t^n and up add onto the low ones."""
+        mul, add = self.mul, self.add
 
-    def cyclic(self, a, n: int, v) -> tuple[int, ...]:
-        """a * v mod t^n - 1 on coefficient sequences of length <= n."""
-        prod = self.mul(a, v)
-        out, high = prod[:n], prod[n:]
-        out[:len(high)] = self.add(out[:len(high)], high)
-        return tuple(out) + (0,) * (n - len(out))
+        def cyclic(a, v) -> tuple[int, ...]:
+            prod = mul(a, v)
+            out, high = prod[:n], prod[n:]
+            out[:len(high)] = add(out[:len(high)], high)
+            return tuple(out)
 
-    @staticmethod
-    def values(v: tuple[int, ...], n: int) -> tuple[int, ...]:
-        return v
+        def enter(c) -> tuple[int, ...]:
+            return tuple(c) + (0,) * (n - len(c))
+
+        return _Modulus(enter((1,)), cyclic, enter)
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -375,16 +372,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise DomainError("negative polynomial powers are undefined")
-        result = Poly.one(self.spec)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(operator.mul, self, k, Poly.one(self.spec))
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -504,45 +492,33 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
     base._check(m)
     kern = kernel(m.spec)
     m_k = kern.pack(m.coeff_encs)
-    a = kern.rem(kern.pack(base.coeff_encs), m_k)
-    return _poly(m.spec, kern.unpack(_powmod(kern, a, k, m_k)))
-
-
-def _powmod(kern, a, k: int, m):
-    """a^k mod m on kernel forms, a reduced mod m, through m's _modulus."""
-    ring = _modulus(kern, m)
-    return ring.leave(ring.pow(ring.enter(a), k))
+    ring = _modulus(kern, m_k)
+    a = ring.enter(kern.rem(kern.pack(base.coeff_encs), m_k))
+    return _poly(m.spec, kern.unpack(ring.leave(ring.pow(a, k))))
 
 
 def _modulus(kern, m):
     """The residue ring mod m, a canonical kernel form: packed over odd
-    GF(p) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's own form."""
+    GF(p) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's own form,
+    which enter and leave keep."""
     if type(kern) is _PrimeKernel and len(m) > _KRONECKER_MIN_DEGREE:
         return _PackedModulus(kern, m)
-    return _Modulus(kern, m)
+    return _Modulus(kern.rem(kern.one, m), lambda x, y: kern.rem(kern.mul(x, y), m))
 
 
 class _Modulus:
-    """Residues mod a fixed m in the kernel's form. enter takes a reduced
-    canonical kernel form to the ring's form, leave takes it back; one is
-    the ring's 1, so residues compare by ==."""
+    """A residue ring in a kernel's form: mul multiplies two residues and
+    one is the ring's 1, so residues compare by ==; enter takes a residue
+    to the ring's form and leave takes it back. A ring mod a polynomial m
+    (_modulus) enters and leaves reduced canonical kernel forms; the ring
+    mod t^n - 1 (a kernel's cyclic_ring) enters at most n coefficients and
+    leaves exactly n."""
 
-    def __init__(self, kern, m):
-        self.one = kern.rem(kern.one, m)
-        self.mul = lambda x, y: kern.rem(kern.mul(x, y), m)
-
-    enter = leave = staticmethod(lambda x: x)
+    def __init__(self, one, mul, enter=lambda x: x, leave=lambda x: x):
+        self.one, self.mul, self.enter, self.leave = one, mul, enter, leave
 
     def pow(self, x, k: int):
-        """x^k by square-and-multiply from the left, so no product by 1."""
-        if not k:
-            return self.one
-        mul, result = self.mul, x
-        for bit in bin(k)[3:]:
-            result = mul(result, result)
-            if bit == "1":
-                result = mul(result, x)
-        return result
+        return power(self.mul, x, k, self.one)
 
 
 class _PackedModulus(_Modulus):
@@ -560,8 +536,6 @@ class _PackedModulus(_Modulus):
     every slot below p, so equal residues are equal ints and one is 1.
     """
 
-    one = 1
-
     def __init__(self, kern: _PrimeKernel, m):
         p, d = kern.p, len(m) - 1
         w = slot_bits((p - 1) ** 2 * d)
@@ -575,9 +549,8 @@ class _PackedModulus(_Modulus):
             quot = reduce_slots((c >> top) * mu >> shift, d - 1, w, p)
             return reduce_slots((c & mask) + lift - (quot * m_low & mask), d, w, p)
 
-        self.mul = mul
-        self.enter = lambda a: pack_slots(a, w)
-        self.leave = lambda x: kern.unpack(read_slots(x, d, w))
+        super().__init__(1, mul, lambda a: pack_slots(a, w),
+                         lambda x: kern.unpack(read_slots(x, d, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +596,7 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
         return []
     if deg == d:
         return [f]
+    ring = _modulus(kern, f)
     while True:
         a = kern.rem(kern.pack([rng.randrange(q) for _ in range(deg)]), f)
         if kern.degree(a) < 1:
@@ -630,13 +604,15 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
         g = _euclid(kern, f, a)
         if not 0 < kern.degree(g) < deg:  # else a lucky split via a common factor
             if spec.p == 2:
-                # char 2: additive trace map of a over GF(2), q = 2^e
+                # char 2: additive trace map of a over GF(2), q = 2^e, in
+                # the kernel's form, which the ring mod f keeps
                 b = cur = a
                 for _ in range(spec.e * d - 1):
-                    cur = kern.rem(kern.mul(cur, cur), f)
+                    cur = ring.mul(cur, cur)
                     b = kern.add(b, cur)
             else:
-                b = kern.add(_powmod(kern, a, (q**d - 1) // 2, f), kern.neg(kern.one))
+                b = ring.leave(ring.pow(ring.enter(a), (q**d - 1) // 2))
+                b = kern.add(b, kern.neg(kern.one))
             b = kern.rem(b, f)
             if not b:
                 continue
@@ -779,10 +755,9 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
     o = order(ring.enter(residue), spec.q**pi.degree - 1, ring.pow, ring.one)
     orders = [1, o]
     if e > 1:
-        pi_e = pi_k
-        for _ in range(e - 1):
-            pi_e = kern.mul(pi_e, pi_k)
-        b = _powmod(kern, kern.rem(a_k, pi_e), o, pi_e)
+        pi_e = power(kern.mul, pi_k, e, kern.one)
+        ring = _modulus(kern, pi_e)
+        b = ring.leave(ring.pow(ring.enter(kern.rem(a_k, pi_e)), o))
         x, v = kern.add(b, kern.neg(kern.one)), 0
         while v < e:  # v = v_pi(b - 1) >= 1, capped at e
             x, rest = kern.divmod(x, pi_k)

@@ -49,6 +49,28 @@ def test_crt_split_matches_sympy_in_the_hundreds(p, lengths):
         assert ours == sympy_factors(p, n), n
 
 
+# psi_k (OEIS A014233): the least strong pseudoprime to the first k prime
+# bases; psi_13, which passes all of is_prime's bases, is left out
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_matches_sympy():
+    """The psi_k, products of two primes near 10^12 and primes near 10^24."""
+    rng = random.Random(12)
+    cases = list(PSI)
+    for _ in range(20):
+        a = sympy.nextprime(10**12 + rng.randrange(10**11))
+        b = sympy.nextprime(10**12 + rng.randrange(10**11))
+        cases += [a, b, a * b, a * b + 2]
+    x = 10**24
+    for _ in range(5):
+        x = sympy.nextprime(x)
+        cases += [x, x + 2]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_order_matches_sympy():
     for n in [m for m in range(3, 2000) if is_prime(m)][::7]:
         for base in (2, 3, 5, 7, 10):

@@ -168,10 +168,20 @@ def test_spec_text_inconsistency_rejected():
 
 
 def test_spec_text_malformed_rejected():
-    for text in ("q=4;p=2;e=x", "q=4;p=2;e=2;mod=1,x,1", "q"):
+    for text in ("q=4;p=2;e=x", "q=4;p=2;e=2;mod=1,x,1", "q", "q=2;x=3", "q=4;q=8",
+                 "q=4;mod=1,1,1;mod=1,1,1", "q=2;Q=2"):
         with pytest.raises(DomainError) as exc:
             parse_field_spec(text)
         assert "\n" not in str(exc.value)
+
+
+def test_field_orders_must_be_integers():
+    for kwargs in ({"p": 2, "e": 2.0}, {"p": 2.0}, {"q": 4.0}, {"q": "4"}):
+        with pytest.raises(DomainError) as exc:
+            FieldSpec.of_order(**kwargs)
+        assert "\n" not in str(exc.value)
+    assert FieldSpec.of_order(q=np.int64(9)) == F9
+    assert type(FieldSpec.of_order(p=np.int64(3)).p) is int
 
 
 def test_default_modulus_is_searched_once(monkeypatch):

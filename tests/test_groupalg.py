@@ -57,6 +57,8 @@ def test_poly_round_trip_exhaustive_small():
 def test_poly_to_seq_rejects_high_degree():
     with pytest.raises(DomainError):
         poly_to_seq(F2, 2, Poly(F2, [1, 0, 1]))
+    with pytest.raises(DomainError):
+        poly_to_seq(F2, 3, Poly(F3, [1, 0, 1]))
 
 
 def test_cyclic_accessor_wraps():
@@ -424,9 +426,10 @@ def test_parse_seq_length_mismatch():
 
 def test_parse_seq_rejects_malformed_text():
     cases = [partial(parse_seq, text) for text in
-             ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1", "q=2 n=x 1,0,1")]
+             ("q=2 x n=3 1,0,1", "q=a n=3 1,0,1", "q=2 n=3 1,a,1", "q=2 n=x 1,0,1",
+              "q=2 n=3 x=1 1,0,1")]
     cases += [partial(seq_from_json, data) for data in
-              ({"values": [1]}, {"q": 2}, [1, 0], "{",
+              ({"values": [1]}, {"q": 2}, [1, 0], "{", {"field": "q=2;bogus=1", "values": [1]},
                {"q": 2, "values": ["a"]}, {"q": 2, "values": [None]},
                {"q": 2, "values": 5}, {"q": 2, "values": [1.5]})]
     cases.append(partial(Poly.from_text, F2, "1,x"))

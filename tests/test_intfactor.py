@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ffdyn.errors import DomainError, ResourceLimitError
-from ffdyn.intfactor import divisors, factor_int, is_prime, order
+from ffdyn.intfactor import divisors, factor_int, is_prime, order, power
 
 
 def test_is_prime_small():
@@ -17,6 +17,15 @@ def test_is_prime_larger():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(2**67 - 1)  # Mersenne's famous composite
     assert is_prime(2**89 - 1)
+
+
+# psi_12, the least strong pseudoprime to every prime base up to 37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_psi_12():
+    assert not is_prime(PSI_12)
+    assert factor_int(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_factor_known_values():
@@ -111,3 +120,43 @@ def test_order_rejects_x_to_the_n_not_one():
     for n in (4, 9, 10):
         with pytest.raises(DomainError):
             order(3, n, mod_power(7), 1)
+
+
+def counted():
+    """Integer multiplication that records its factors."""
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+    return mul, calls
+
+
+def test_power_with_zero_exponent():
+    mul, calls = counted()
+    assert power(mul, 3, 0, 1) == 1
+    assert power(mul, 3, 0, 1, acc=5) == 5
+    assert calls == []
+
+
+def test_power_never_multiplies_by_one():
+    """k's bit length - 1 squarings and one product per further set bit;
+    with acc, one product per set bit, each by a power of x."""
+    for k in range(1, 300):
+        mul, calls = counted()
+        assert power(mul, 5, k, 1) == 5**k
+        assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1, k
+        assert all(1 not in pair for pair in calls)
+        mul, calls = counted()
+        assert power(mul, 5, k, 1, acc=3) == 3 * 5**k
+        assert len(calls) == k.bit_length() - 1 + k.bit_count(), k
+        assert all(1 not in pair for pair in calls)
+
+
+def test_power_matches_builtin_pow():
+    for m in (2, 97, 2**61 - 1, 10**30 + 57):
+        for x in (0, 1 % m, 2 % m, m - 1, 12345 % m):
+            for k in (1, 2, 3, 64, 65, 10**20 + 3):
+                assert power(lambda a, b: a * b % m, x, k, 1 % m) == pow(x, k, m)
+    with pytest.raises(DomainError):
+        power(lambda a, b: a * b, 2, -1, 1)

@@ -17,7 +17,7 @@ from ffdyn.errors import DegenerateOperatorError
 from ffdyn.dynamics import orbit_algebraic, orbit_brute
 from ffdyn.ffield import read_slots, slot_bits
 from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, crt_split, delta_operator
-from ffdyn.intfactor import factor_int
+from ffdyn.intfactor import factor_int, power
 from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _order_prime_power, gcd, kernel, powmod,
                             resultant)
 
@@ -286,7 +286,7 @@ def test_apply_values_matches_tap_loop(spec, data):
     assert D.apply_values(v) == ref_apply(spec, D.op_poly.coeff_encs, v)
 
 
-# (p, n) on both sides of each width of the odd-p cyclic form, whose largest
+# (p, n) on both sides of each width of the odd-p ring mod t^n - 1, whose largest
 # slot sum is n(p - 1)^2: the powmod edges, plus p = 2^31 - 1 at n = 4 and 5
 # for 64 and 128 bits
 CYCLIC_EDGES = SLOT_EDGES + [(2**31 - 1, 4), (2**31 - 1, 5)]
@@ -302,8 +302,8 @@ def test_cyclic_edges_cover_every_width():
 def test_cyclic_fills_every_slot_without_carry(p, n, monkeypatch):
     """The all-(p - 1) operator times the all-(p - 1) state sums n products
     of (p - 1)^2 in every folded slot, the most a slot ever holds."""
-    kern = kernel(FieldSpec.of_order(p))
-    a = kern.residue([p - 1] * n, n)
+    ring = kernel(FieldSpec.of_order(p)).cyclic_ring(n)
+    a = ring.enter([p - 1] * n)
     folded, reduce_slots = [], polyring.reduce_slots
 
     def seen(x, count, w, p):
@@ -311,8 +311,37 @@ def test_cyclic_fills_every_slot_without_carry(p, n, monkeypatch):
         return reduce_slots(x, count, w, p)
 
     monkeypatch.setattr(polyring, "reduce_slots", seen)
-    assert kern.values(kern.cyclic(a, n, a), n) == (n * (p - 1) ** 2 % p,) * n
+    assert ring.leave(ring.mul(a, a)) == (n * (p - 1) ** 2 % p,) * n
     assert folded == [[n * (p - 1) ** 2] * n]
+
+
+# every kernel's ring mod t^n - 1, n = 1 included; p = 2^31 - 1 at the
+# lengths where its slots widen to 64 and 128 bits
+RING_CASES = [(q, n) for q in (2, 3, 4, 9) for n in (1, 2, 7, 16)] + \
+    [(2**31 - 1, n) for n in (1, 4, 5)]
+
+
+@pytest.mark.parametrize("q,n", RING_CASES)
+def test_cyclic_ring_matches_the_tap_loop(q, n):
+    """enter and leave are inverse, one is 1, mul is the cyclic product and
+    power (and the ring's pow) agree with repeated mul."""
+    spec = FieldSpec.of_order(q)
+    ring = kernel(spec).cyclic_ring(n)
+    rng = random.Random(q + n)
+    unit = (1,) + (0,) * (n - 1)
+    assert ring.leave(ring.one) == unit
+    assert ring.enter((1,)) == ring.enter(unit) == ring.one
+    states = [(q - 1,) * n] + [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]
+    for a, v in zip(states, states[1:] + states[:1]):
+        x, y = ring.enter(a), ring.enter(v)
+        assert tuple(ring.leave(x)) == a
+        assert ring.leave(ring.mul(x, y)) == ref_apply(spec, a, v)
+        assert ring.mul(ring.one, y) == y
+        expected = ring.one
+        for k in range(14):
+            assert power(ring.mul, x, k, ring.one) == ring.pow(x, k) == expected, k
+            assert power(ring.mul, x, k, ring.one, acc=y) == ring.mul(expected, y), k
+            expected = ring.mul(expected, x)
 
 
 @pytest.mark.parametrize("p,n", CYCLIC_EDGES)
@@ -326,8 +355,8 @@ def test_apply_values_at_the_slot_edges(p, n):
 
 
 def test_orbit_algebraic_matches_brute_at_16_bit_slots():
-    """GF(3), n = 81 = 3^4: t^n - 1 = (t - 1)^81, the cyclic form has 16-bit
-    slots, and preperiods run up to 81 powers of the operator."""
+    """GF(3), n = 81 = 3^4: t^n - 1 = (t - 1)^81, the ring mod t^n - 1 has
+    16-bit slots, and preperiods run up to 81 powers of the operator."""
     F3 = FieldSpec.of_order(3)
     assert slot_bits(4 * 81) == 16
     rng = random.Random(81)

@@ -1,7 +1,7 @@
 """No ffdyn module reaches into another one's private names: each uses only
 what the other exports. The one exception is polyring._order_prime_power,
 which the benchmark's tracer wraps by that name. Only ffield lays digits out
-in an int."""
+in an int, and intfactor.power is the one loop that halves an exponent."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,43 @@ def test_the_packing_checker_sees_both_forms(tmp_path):
                    "x = int.from_bytes(y.to_bytes(2, 'little'), 'little')\n"
                    "t = bytes.maketrans(b'0', b'1')\n")
     assert sorted(_packing(src)) == ["array", "array", "from_bytes", "maketrans", "to_bytes"]
+
+
+def _iterates_bin(node) -> bool:
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "bin"
+
+
+def _halvings(path: Path):
+    """(top-level definition, use) for each `>>=` ('>>=') and each loop or
+    comprehension over bin(...) ('bin') in the source file path; the
+    definition is None at module level."""
+    tree = ast.parse(path.read_text(), str(path))
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+                yield owner, ">>="
+            elif isinstance(node, (ast.For, ast.comprehension)) and _iterates_bin(node.iter):
+                yield owner, "bin"
+
+
+def test_one_square_and_multiply_loop():
+    found = [(path.stem, owner, use)
+             for path in sorted(SRC.glob("*.py")) for owner, use in _halvings(path)]
+    assert found == [("intfactor", "power", ">>=")]
+
+
+def test_the_halving_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(k):\n"
+                   "    while k:\n"
+                   "        k >>= 1\n"
+                   "class C:\n"
+                   "    def g(self, k):\n"
+                   "        for bit in bin(k)[3:]:\n"
+                   "            pass\n"
+                   "bits = [b for b in bin(5)]\n"
+                   "y = int(bin(5)[2:], 4) >> 1\n")
+    assert list(_halvings(src)) == [("f", ">>="), ("C", "bin"), (None, "bin")]
