@@ -1,16 +1,15 @@
 """Orbit analysis for the iteration f, Df, D^2 f, ... on cyclic sequences.
 
-Two independent routes: direct iteration (Brent cycle detection, or a
-memoized full-state-space pass) and the algebraic route through the
-factor components of t^n - 1, where each component either dies
-(nilpotent multiplier) or rotates with a computable unit order.
+Two independent routes: direct iteration (Brent cycle detection, or array
+passes over the whole state space's successor array) and the algebraic
+route through the factor components of t^n - 1, where each component
+either dies (nilpotent multiplier) or rotates with a computable unit order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -205,8 +204,9 @@ def index_of_state(spec: FieldSpec, v: tuple[int, ...]) -> int:
     return undigits(v[::-1], spec.q)
 
 
-def successor_array(D: DiffOperator, cap: int = STATE_CAP) -> list[int]:
-    """succ[i] = index of D applied to the i-th state (big-endian indexing).
+def successor_array(D: DiffOperator, cap: int = STATE_CAP):
+    """succ[i] = index of D applied to the i-th state (big-endian indexing),
+    as a numpy int64 array.
 
     D is GF(p)-linear and a state index read in base p is a GF(p)-coordinate
     vector of the state, so the n*e images of the states p^k fix every
@@ -224,56 +224,132 @@ def successor_array(D: DiffOperator, cap: int = STATE_CAP) -> list[int]:
         w = index_of_state(spec, D.apply_values(state_of_index(spec, n, p**k)))
         basis.append(digits(w, p, width))
     weights = p ** np.arange(width, dtype=np.int64)
-    succ = []
+    succ = np.empty(total, dtype=np.int64)
+    start = 0
     for planes in linear_images(p, basis):
         # einsum casts the planes in small buffers; np.dot would copy them to int64
-        succ += np.einsum("k,kn->n", weights, planes).tolist()
+        stop = start + planes.shape[1]
+        np.einsum("k,kn->n", weights, planes, out=succ[start:stop])
+        start = stop
     return succ
 
 
-def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
-    """(preperiod, period) of every state of the functional graph succ.
+def orbit_pass(succ):
+    """(pre, per, levels, rank) for the functional graph i -> succ[i].
 
-    Each state is walked once: a walk stops at a state already done, or
-    closes a new cycle, and the path back is filled in from there.
+    pre and per are int64 arrays of every state's preperiod and period,
+    levels[k] lists the states of preperiod k in increasing order, and
+    rank[i] is state i's position in its level. Each loop runs once per
+    image round, level or doubling, never per state: the attractor is the
+    image of the image ... once the count stops falling, level k is the
+    unassigned states whose successor lies on level k - 1, and each cycle
+    is labelled by its least state through pointer doubling, so a period is
+    the size of its label's class.
     """
+    import numpy as np
+    succ = np.asarray(succ, dtype=np.int64)
     total = len(succ)
-    pre = [-1] * total
-    per = [0] * total
-    for start in range(total):
-        if pre[start] >= 0:
-            continue
-        path = []
-        pos: dict[int, int] = {}
-        cur = start
-        while pre[cur] < 0 and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = succ[cur]
-        if pre[cur] >= 0:
-            base_pre, base_per = pre[cur], per[cur]
-            for i in range(len(path) - 1, -1, -1):
-                pre[path[i]] = base_pre + len(path) - i
-                per[path[i]] = base_per
-        else:
-            cstart = pos[cur]
-            cycle_len = len(path) - cstart
-            for i in range(cstart, len(path)):
-                pre[path[i]] = 0
-                per[path[i]] = cycle_len
-            for i in range(cstart - 1, -1, -1):
-                pre[path[i]] = cstart - i
-                per[path[i]] = cycle_len
-    return pre, per
+    on = np.zeros(total, dtype=bool)
+    on[succ] = True
+    count = np.count_nonzero(on)
+    while True:
+        image = np.zeros(total, dtype=bool)
+        image[succ[on]] = True
+        image_count = np.count_nonzero(image)
+        if image_count == count:
+            break
+        on, count = image, image_count
+    pre = np.full(total, -1, dtype=np.int64)
+    pre[on] = 0
+    levels = [np.flatnonzero(on)]
+    rest = np.flatnonzero(~on)
+    rest_succ = succ[rest]
+    while rest.size:
+        hit = pre[rest_succ] == len(levels) - 1
+        level = rest[hit]
+        pre[level] = len(levels)
+        levels.append(level)
+        rest, rest_succ = rest[~hit], rest_succ[~hit]
+    # after r rounds label[i] is the least attractor position among the 2^r
+    # states from i on and jump[i] the 2^r-th successor; a round that
+    # changes no label means every window covers its whole cycle
+    cycle = levels[0]
+    label = np.arange(cycle.size)
+    rank = np.empty(total, dtype=np.int64)
+    rank[cycle] = label
+    jump = rank[succ[cycle]]
+    while True:
+        wider = np.minimum(label, label[jump])
+        if np.array_equal(wider, label):
+            break
+        label, jump = wider, jump[jump]
+    per = np.empty(total, dtype=np.int64)
+    per[cycle] = np.bincount(label)[label]
+    for level in levels[1:]:
+        per[level] = per[succ[level]]
+        rank[level] = np.arange(level.size)
+    return pre, per, levels, rank
 
 
-def orbit_table(D: DiffOperator, cap: int = STATE_CAP) -> tuple[list[int], list[int]]:
-    """(preperiod, period) for every state, by pure iteration with memoization.
-
-    Each state's successor is read once from the successor array; this is
-    the exhaustive brute-force oracle used by the sweep tests.
+def orbit_table(D: DiffOperator, cap: int = STATE_CAP):
+    """(preperiod, period) arrays for every state, from one orbit_pass over
+    the successor array; this is the exhaustive oracle used by the sweep
+    tests.
     """
-    return _orbits(successor_array(D, cap))
+    return orbit_pass(successor_array(D, cap))[:2]
+
+
+def graph_summary(succ) -> GraphSummary:
+    """Spectrum, tree depth and tree isomorphism check of the functional
+    graph i -> succ[i].
+
+    A state's tree shape is its row of child counts over the distinct shapes
+    one level deeper (attractor-to-attractor edges excluded), so the levels
+    are named from the deepest up, and np.unique gives ids that are
+    canonical within a level. The AHU string is built once per distinct
+    shape, and only when every tree has one shape.
+    """
+    import numpy as np
+    succ = np.asarray(succ, dtype=np.int64)
+    pre, per, levels, rank = orbit_pass(succ)
+    cycle = levels[0]
+    lengths, states = np.unique(per[cycle], return_counts=True)
+    # an L-cycle holds L attractor states of period L
+    spectrum = {int(L): int(c) // int(L) for L, c in zip(lengths, states)}
+    ids = np.zeros(len(levels[-1]), dtype=np.int64)
+    kinds = [np.zeros((1, 0), dtype=np.int64)]  # the deepest level: leaves
+    for k in range(len(levels) - 1, 0, -1):
+        parent = rank[succ[levels[k]]]
+        width = len(kinds[-1])
+        rows = np.bincount(parent * width + ids, minlength=len(levels[k - 1]) * width)
+        rows = rows.reshape(-1, width)
+        # number the distinct rows one column at a time: equal rows get
+        # equal ids and distinct rows distinct ones
+        ids = np.zeros(len(rows), dtype=np.int64)
+        for col in rows.T:
+            _, first, ids = np.unique(ids * (col.max() + 1) + col,
+                                      return_index=True, return_inverse=True)
+        kinds.append(rows[first])
+    all_iso = len(kinds[-1]) == 1  # a finite functional graph has a cycle
+    tree_hash = None
+    if all_iso:
+        codes = ["()"]
+        for kind in kinds[1:]:
+            order = sorted(range(len(codes)), key=codes.__getitem__)
+            codes = ["(" + "".join(codes[c] * int(row[c]) for c in order) + ")"
+                     for row in kind]
+        tree_hash = hashlib.sha256(codes[0].encode()).hexdigest()[:16]
+    return GraphSummary(
+        state_count=len(succ),
+        cycle_spectrum=spectrum,
+        tree_depth=len(levels) - 1,
+        tree_shape_hash=tree_hash,
+        # state 0 is the zero sequence and D0 = 0, so its preimages are the
+        # kernel of D, and every image has that many preimages
+        per_node_indegree=int(np.count_nonzero(succ == 0)),
+        all_trees_isomorphic=all_iso,
+        attractor_size=len(cycle),
+    )
 
 
 def build_graph(D: DiffOperator, cap: int = STATE_CAP) -> tuple[GraphSummary, list[int]]:
@@ -282,48 +358,10 @@ def build_graph(D: DiffOperator, cap: int = STATE_CAP) -> tuple[GraphSummary, li
     Everything is read from the successor array and one orbit pass over it,
     with no polynomial algebra, so it checks the algebraic route
     independently.
-    Returns the summary and the successor array (the edge list i -> succ[i]).
+    Returns the summary and the successor list (the edge list i -> succ[i]).
     """
     succ = successor_array(D, cap)
-    pre, per = _orbits(succ)
-    total = len(succ)
-    attractor = [i for i in range(total) if pre[i] == 0]
-    # an L-cycle holds L attractor states of period L
-    states = Counter(per[i] for i in attractor)
-    spectrum = {length: cnt // length for length, cnt in sorted(states.items())}
-    # canonical tree shapes: a state's shape is the sorted tuple of its tree
-    # children's shapes (attractor-to-attractor edges excluded), and a child
-    # lies one step further from the attractor, so descending preperiod
-    # visits every child before its parent
-    shapes: dict[tuple, int] = {}
-    kids: dict[int, list[int]] = {}
-    roots = set()
-    for i in sorted(range(total), key=pre.__getitem__, reverse=True):
-        shape = shapes.setdefault(tuple(sorted(kids.pop(i, ()))), len(shapes))
-        if pre[i]:
-            kids.setdefault(succ[i], []).append(shape)
-        else:
-            roots.add(shape)
-    all_iso = len(roots) == 1  # a finite functional graph has a cycle
-    tree_hash = None
-    if all_iso:
-        # AHU strings, one per distinct shape, in id order (children first)
-        codes = []
-        for children in shapes:
-            codes.append("(" + "".join(sorted(codes[c] for c in children)) + ")")
-        tree_hash = hashlib.sha256(codes[roots.pop()].encode()).hexdigest()[:16]
-    summary = GraphSummary(
-        state_count=total,
-        cycle_spectrum=spectrum,
-        tree_depth=max(pre),
-        tree_shape_hash=tree_hash,
-        # state 0 is the zero sequence and D0 = 0, so its preimages are the
-        # kernel of D, and every image has that many preimages
-        per_node_indegree=succ.count(0),
-        all_trees_isomorphic=all_iso,
-        attractor_size=len(attractor),
-    )
-    return summary, succ
+    return graph_summary(succ), succ.tolist()
 
 
 def state_label(spec: FieldSpec, n: int, idx: int) -> str:

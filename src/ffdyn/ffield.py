@@ -156,6 +156,14 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, v) -> int:
+    """v as an int (numpy ints pass), or a one-line DomainError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The field GF(p^e); prime fields carry no modulus."""
@@ -165,6 +173,8 @@ class FieldSpec:
     modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer("p", self.p))
+        object.__setattr__(self, "e", _integer("e", self.e))
         if not is_prime(self.p):
             raise DomainError(f"characteristic {self.p} is not prime")
         if self.p.bit_length() > 63:
@@ -203,10 +213,8 @@ class FieldSpec:
         """GF(q) from any consistent part of q, p and e, with the given modulus
         or the deterministic default one. p and e come from q when missing;
         e is 1 when only p is given."""
-        try:
-            q, p, e = (None if v is None else operator.index(v) for v in (q, p, e))
-        except TypeError:
-            raise DomainError(f"q, p and e must be integers, got {q!r}, {p!r}, {e!r}") from None
+        q, p, e = (None if v is None else _integer(name, v)
+                   for name, v in (("q", q), ("p", p), ("e", e)))
         if q is not None:
             fac = factor_int(q) if q >= 2 else {}
             if len(fac) != 1:

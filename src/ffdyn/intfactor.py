@@ -18,10 +18,13 @@ RHO_ITER_BUDGET = 2_000_000
 # psi_13 = 3317044064679887385961981 (OEIS A014233), the least composite
 # that passes them all.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Strong-probable-prime test to the bases _MR_BASES: exact below psi_13."""
+    """Strong-probable-prime test to the bases _MR_BASES, exact below
+    psi_13; from psi_13 on, a strong Lucas test follows (so the whole is a
+    Baillie-PSW test, with no known counterexample)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -42,7 +45,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.
+
+    With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 for
+    some r < s. x^k = U_k x - Q U_(k-1) in Z/n[x]/(x^2 - x + Q), so U_k is
+    the x-coefficient of x^k and V_k its trace.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return n == abs(D)
+    Q = (1 - D) // 4
+
+    def mul(u, v):
+        # (a + bx)(c + ex) with x^2 = x - Q
+        (a, b), (c, e) = u, v
+        be = b * e
+        return (a * c - Q * be) % n, (a * e + b * c + be) % n
+
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    a, b = power(mul, (0, 1), d, (1, 0))
+    if b == 0:
+        return True
+    for _ in range(s):
+        if (2 * a + b) % n == 0:  # the trace, V
+            return True
+        a, b = mul((a, b), (a, b))
+    return False
 
 
 def _brent_rho(n: int, budget: int) -> int | None:

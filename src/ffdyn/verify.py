@@ -51,9 +51,10 @@ def quota_trend_suite() -> dict:
     quota > 9/10 for q = 2 at 100 <= n <= 2000.
     """
     rows = []
+    primes = _primes_upto(2000)
     for q in (2, 3):
         spec = FieldSpec.of_order(q)
-        for n in _primes_upto(2000):
+        for n in primes:
             if n == spec.p:
                 continue
             rep = quota(spec, n)
@@ -76,9 +77,12 @@ def thm2_suite() -> dict:
     eigenvalue product round(n/4)^((n-1)/2), the divisor condition on
     round(n/4), and for q = 2 the mod-8 corollary."""
     rows = []
+    primes = _primes_upto(200)
     for q in (2, 3, 5, 7):
         spec = FieldSpec.of_order(q)
-        for n in _primes_upto(200 if q == 2 else 50):
+        for n in primes:
+            if n > (200 if q == 2 else 50):
+                break
             if n == 2 or n == spec.p:
                 continue
             f = legendre_seq(spec, n)
@@ -108,9 +112,10 @@ def thm3_suite() -> dict:
     """Every multiplicative function of prime length n != p, n <= 31, is
     D-complicated, and the family has exactly gcd(n-1, q-1) members."""
     rows = []
+    primes = _primes_upto(31)
     for q in (2, 3, 4, 5, 7, 8, 9):
         spec = FieldSpec.of_order(q)
-        for n in _primes_upto(31):
+        for n in primes:
             if n == spec.p:
                 continue
             family = multiplicative_family(spec, n)

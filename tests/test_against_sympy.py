@@ -8,12 +8,14 @@ import random  # noqa: E402
 from functools import reduce  # noqa: E402
 
 from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.ntheory.primetest import \
+    is_strong_lucas_prp as is_strong_lucas_prp_sympy  # noqa: E402
 from sympy.polys.galoistools import gf_mul, gf_rem  # noqa: E402
 
 from ffdyn import FieldSpec  # noqa: E402
 from ffdyn.dynamics import orbit_algebraic, orbit_brute  # noqa: E402
 from ffdyn.groupalg import CyclicSeq, build_operator, crt_split  # noqa: E402
-from ffdyn.intfactor import is_prime, order  # noqa: E402
+from ffdyn.intfactor import is_prime, is_strong_lucas_prp, order  # noqa: E402
 from ffdyn.polyring import Poly, is_irreducible, t_pow_minus_one  # noqa: E402
 
 T = sympy.Symbol("t")
@@ -50,25 +52,52 @@ def test_crt_split_matches_sympy_in_the_hundreds(p, lengths):
 
 
 # psi_k (OEIS A014233): the least strong pseudoprime to the first k prime
-# bases; psi_13, which passes all of is_prime's bases, is left out
+# bases; psi_13 passes all of is_prime's bases and fails its Lucas stage
 PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-       341550071728321, 3825123056546413051, 318665857834031151167461]
+       341550071728321, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981]
+# OEIS A217255: strong Lucas pseudoprimes with Selfridge's parameters
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                             40309, 58519, 75077, 97439, 100127, 113573, 115639, 130139]
+
+
+def _primes_near_powers_of_ten(low: int, high: int, count: int) -> list[int]:
+    out = []
+    for k in range(low, high + 1):
+        x = 10**k
+        for _ in range(count):
+            x = sympy.nextprime(x)
+            out.append(x)
+    return out
 
 
 def test_is_prime_matches_sympy():
-    """The psi_k, products of two primes near 10^12 and primes near 10^24."""
+    """The psi_k, products of two primes near 10^12 and primes near 10^24
+    to 10^30, with their odd neighbours."""
     rng = random.Random(12)
     cases = list(PSI)
     for _ in range(20):
         a = sympy.nextprime(10**12 + rng.randrange(10**11))
         b = sympy.nextprime(10**12 + rng.randrange(10**11))
         cases += [a, b, a * b, a * b + 2]
-    x = 10**24
-    for _ in range(5):
-        x = sympy.nextprime(x)
-        cases += [x, x + 2]
+    for x in _primes_near_powers_of_ten(24, 30, 3):
+        cases += [x, x + 2, x * sympy.nextprime(x)]
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_lucas_matches_sympy():
+    """The Lucas stage alone: it passes the strong Lucas pseudoprimes and the
+    primes, and fails psi_13 and odd composites near 10^25 to 10^30."""
+    rng = random.Random(13)
+    composites = [n for n in (rng.randrange(10**25, 10**30) | 1 for _ in range(60))
+                  if not sympy.isprime(n)]
+    primes = _primes_near_powers_of_ten(25, 30, 2)
+    for n in PSI[-1:] + STRONG_LUCAS_PSEUDOPRIMES + primes + composites:
+        assert is_strong_lucas_prp(n) == is_strong_lucas_prp_sympy(n), n
+    assert all(map(is_strong_lucas_prp, STRONG_LUCAS_PSEUDOPRIMES + primes))
+    assert not any(map(is_strong_lucas_prp, PSI[-1:] + composites))
+    assert not any(map(sympy.isprime, STRONG_LUCAS_PSEUDOPRIMES))
 
 
 def test_order_matches_sympy():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,25 @@ def test_graph_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert out.count("->") == 4
+
+
+# sha256 of `ffdyn graph` stdout, JSON and DOT; GF(4) n = 6 has p | n, so
+# deep trees, and the outputs must not change with the graph's algorithm
+GRAPH_SHA256 = {
+    ("2", "12", "json"): "edfd1ccb59e5dd7d163e1e9b38debf5aef32e4a2a09558b5ec7947867ea5be67",
+    ("2", "12", "dot"): "936368244b0ece7d81cf40bcb0891f8e847ab77bc62445af769be5e9bcb53ced",
+    ("9", "4", "json"): "37a4452088245177ed425e0ee435e08b49bc13f0a04091105920141dcdfaa710",
+    ("9", "4", "dot"): "cc994e48b45cff91f7ecea852bc5852f3efb46e53d471d5be75582aaaf8e3d5e",
+    ("4", "6", "json"): "deb5178f8f5619cf597465e62f8aca7eef6d8744d6c7cb860b19c8d598eff12b",
+    ("4", "6", "dot"): "cc351df47d5a676cae0a3eedaffa0cde43a983934a32cc5c2afc596ebb7e2a28",
+}
+
+
+@pytest.mark.parametrize("q, n, fmt", GRAPH_SHA256, ids="-".join)
+def test_graph_output_is_pinned(capsys, q, n, fmt):
+    code, out = run_cli(capsys, "graph", "--q", q, "--n", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_SHA256[q, n, fmt]
 
 
 def test_gen_commands(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
 from ffdyn import DomainError, FieldSpec
-from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot,
+from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot, graph_summary,
                             index_of_state, max_period, max_preperiod,
-                            orbit_algebraic, orbit_brute, orbit_table,
+                            orbit_algebraic, orbit_brute, orbit_pass, orbit_table,
                             state_of_index, successor_array)
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
 from ffdyn.groupalg import (CyclicSeq, apply_op, build_operator, component_valuations,
@@ -286,6 +286,151 @@ def test_tree_shape_hash_is_the_ahu_code_of_the_trees():
         codes = {_ahu(i, children) for i in range(len(succ)) if pre[i] == 0}
         assert g.all_trees_isomorphic == (len(codes) == 1)
         assert g.tree_shape_hash == hashlib.sha256(codes.pop().encode()).hexdigest()[:16]
+
+
+def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of every state of the functional graph succ, by
+    a walk per state: the list-based oracle for the array pass.
+
+    Each state is walked once: a walk stops at a state already done, or
+    closes a new cycle, and the path back is filled in from there.
+    """
+    total = len(succ)
+    pre = [-1] * total
+    per = [0] * total
+    for start in range(total):
+        if pre[start] >= 0:
+            continue
+        path = []
+        pos: dict[int, int] = {}
+        cur = start
+        while pre[cur] < 0 and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = succ[cur]
+        if pre[cur] >= 0:
+            base_pre, base_per = pre[cur], per[cur]
+            for i in range(len(path) - 1, -1, -1):
+                pre[path[i]] = base_pre + len(path) - i
+                per[path[i]] = base_per
+        else:
+            cstart = pos[cur]
+            cycle_len = len(path) - cstart
+            for i in range(cstart, len(path)):
+                pre[path[i]] = 0
+                per[path[i]] = cycle_len
+            for i in range(cstart - 1, -1, -1):
+                pre[path[i]] = cstart - i
+                per[path[i]] = cycle_len
+    return pre, per
+
+
+def _reference_summary(succ: list[int]):
+    """(pre, per, summary fields) of succ from _orbits and per-vertex AHU
+    strings built by recursion."""
+    pre, per = _orbits(succ)
+    cycle = [i for i in range(len(succ)) if pre[i] == 0]
+    lengths = sorted({per[i] for i in cycle})
+    children = [[] for _ in succ]
+    for i, s in enumerate(succ):
+        if pre[i]:
+            children[s].append(i)
+    codes = {_ahu(i, children) for i in cycle}
+    iso = len(codes) == 1
+    fields = {
+        "state_count": len(succ),
+        "cycle_spectrum": {L: sum(per[i] == L for i in cycle) // L for L in lengths},
+        "tree_depth": max(pre),
+        "tree_shape_hash": hashlib.sha256(min(codes).encode()).hexdigest()[:16] if iso else None,
+        "per_node_indegree": succ.count(0),
+        "all_trees_isomorphic": iso,
+        "attractor_size": len(cycle),
+    }
+    return pre, per, fields
+
+
+def _assert_array_pass_matches_oracle(succ: list[int]):
+    pre, per, fields = _reference_summary(succ)
+    got_pre, got_per, levels, rank = orbit_pass(succ)
+    assert got_pre.tolist() == pre
+    assert got_per.tolist() == per
+    assert [level.tolist() for level in levels] == [
+        [i for i in range(len(succ)) if pre[i] == k] for k in range(max(pre) + 1)]
+    assert all(rank[level].tolist() == list(range(len(level))) for level in levels)
+    summary = graph_summary(succ)
+    assert vars(summary) == fields
+    # plain ints, so the summary prints and serializes as before
+    assert all(type(v) is int for v in (summary.tree_depth, summary.attractor_size,
+                                         summary.per_node_indegree))
+    assert all(type(k) is int and type(v) is int
+               for k, v in summary.cycle_spectrum.items())
+    return summary
+
+
+def _chain(length: int) -> list[int]:
+    """0 <- 1 <- ... <- length, with 0 fixed."""
+    return [0] + list(range(length))
+
+
+HAND_BUILT = {
+    "self-loops": [0, 1, 2, 3],
+    "one-fixed-point": [0, 0, 0, 0],
+    # a fixed point, a 2-cycle and a 3-cycle, each with one leaf
+    "cycles-1-2-3": [0, 2, 1, 4, 5, 3, 0, 1, 2, 3, 4, 5],
+    # a tail of 20 steps into a fixed point, far longer than log2 of the states
+    "long-tail": _chain(20),
+    # a 3-cycle fed by tails of length 7 at each of its states
+    "long-tails-on-a-cycle": [1, 2, 0] + [s for r in range(3) for s in [r] + list(
+        range(3 + 7 * r, 3 + 7 * r + 6))],
+    "bijection": [3, 7, 0, 5, 1, 2, 4, 6],
+    # two 2-cycles whose trees differ from a state's in the other
+    "trees-not-isomorphic": [1, 0, 0, 2, 5, 4, 4, 4],
+    "cycle-with-one-tree": [1, 0, 0],
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_array_pass_on_hand_built_graphs(name):
+    summary = _assert_array_pass_matches_oracle(HAND_BUILT[name])
+    if name.startswith(("trees-not", "cycle-with")):
+        assert not summary.all_trees_isomorphic and summary.tree_shape_hash is None
+    if name == "long-tail":
+        assert summary.tree_depth == 20
+    if name == "cycles-1-2-3":
+        assert summary.cycle_spectrum == {1: 1, 2: 1, 3: 1}
+
+
+def test_array_pass_on_random_functional_graphs():
+    # random maps: many components, cycles of many lengths, unlike trees
+    rng = random.Random(23)
+    for size in (1, 2, 5, 30, 200, 1000):
+        for _ in range(3):
+            _assert_array_pass_matches_oracle([rng.randrange(size) for _ in range(size)])
+    # random maps onto a few states: deep trees of several shapes
+    for size in (50, 400):
+        succ = [rng.randrange(max(1, i // 3)) if i else 0 for i in range(size)]
+        _assert_array_pass_matches_oracle(succ)
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 8), (F2, 10), (F3, 6), (F3, 5), (F4, 4), (F4, 3),
+                                     (F9, 3), (F9, 2)],
+                         ids=["GF2-n8", "GF2-n10", "GF3-n6", "GF3-n5", "GF4-n4", "GF4-n3",
+                              "GF9-n3", "GF9-n2"])
+def test_array_pass_on_random_operators(spec, n):
+    # p | n in GF2-n8, GF2-n10, GF3-n6, GF4-n4 and GF9-n3
+    rng = random.Random(spec.q * 100 + n)
+    for coeffs in ([1], [0, 1], *([rng.randrange(spec.q) for _ in range(rng.randrange(1, n + 2))]
+                                  for _ in range(4))):
+        try:
+            D = build_operator(spec, n, coeffs)
+        except DegenerateOperatorError:
+            continue
+        g, succ = build_graph(D)
+        assert type(succ) is list
+        assert _assert_array_pass_matches_oracle(succ) == g
+        pre, per = orbit_table(D)
+        assert (pre.tolist(), per.tolist()) == _orbits(succ)
+        assert g.all_trees_isomorphic
 
 
 def test_graph_dot_output():

@@ -184,6 +184,16 @@ def test_field_orders_must_be_integers():
     assert type(FieldSpec.of_order(p=np.int64(3)).p) is int
 
 
+def test_field_constructor_takes_only_integers():
+    for args in ((2, 2.0), (3.0,), ("3",), (2, None)):
+        with pytest.raises(DomainError) as exc:
+            FieldSpec(*args)
+        assert "\n" not in str(exc.value)
+    spec = FieldSpec(np.int64(3), np.int32(2))
+    assert spec == F9 and hash(spec) == hash(F9)
+    assert type(spec.p) is int and type(spec.e) is int
+
+
 def test_default_modulus_is_searched_once(monkeypatch):
     from ffdyn import ffield
     calls = []

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from ffdyn.errors import DomainError, ResourceLimitError
-from ffdyn.intfactor import divisors, factor_int, is_prime, order, power
+from ffdyn.intfactor import (divisors, factor_int, is_prime, is_strong_lucas_prp, order,
+                              power)
 
 
 def test_is_prime_small():
@@ -26,6 +27,24 @@ PSI_12 = 318665857834031151167461
 def test_is_prime_rejects_psi_12():
     assert not is_prime(PSI_12)
     assert factor_int(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+# psi_13, the least strong pseudoprime to every prime base up to 41, all of
+# is_prime's Miller-Rabin bases: the strong Lucas stage rejects it
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_13():
+    assert not is_prime(PSI_13)
+    assert factor_int(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+
+
+def test_strong_lucas_rejects_squares():
+    # no Selfridge parameter exists for a square; a prime's square is the
+    # case that a search for one would loop on
+    p = 2**61 - 1
+    assert not is_strong_lucas_prp(p * p)
+    assert is_strong_lucas_prp(p)
 
 
 def test_factor_known_values():
