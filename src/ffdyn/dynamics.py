@@ -364,18 +364,9 @@ def build_graph(D: DiffOperator, cap: int = STATE_CAP) -> tuple[GraphSummary, li
     return graph_summary(succ), succ.tolist()
 
 
-def state_label(spec: FieldSpec, n: int, idx: int) -> str:
-    digits = state_of_index(spec, n, idx)
-    if spec.q <= 10:
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
-
-
 def graph_dot(D: DiffOperator, succ: list[int]) -> str:
-    """DOT rendering of the functional graph; node labels are value strings."""
-    spec, n = D.spec, D.n
-    lines = ["digraph ffdyn {"]
-    for i, s in enumerate(succ):
-        lines.append(f'  "{state_label(spec, n, i)}" -> "{state_label(spec, n, s)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT rendering of the functional graph, each state's label built once."""
+    sep = "" if D.spec.q <= 10 else ","
+    labels = [sep.join(map(str, state_of_index(D.spec, D.n, i))) for i in range(len(succ))]
+    edges = [f'  "{labels[i]}" -> "{labels[s]}";' for i, s in enumerate(succ)]
+    return "\n".join(["digraph ffdyn {", *edges, "}"]) + "\n"

@@ -47,7 +47,8 @@ def digits(value: int, base: int, width: int) -> tuple[int, ...]:
 def undigits(ds, base: int) -> int:
     """Inverse of digits: the integer whose base-`base` digits, least
     significant first, are ds."""
-    if base <= 32 and not base & (base - 1):
+    if base <= 32 and not base & (base - 1):  # bytes() of a wide array reads its buffer
+        ds = ds.tolist() if isinstance(ds, array) else ds
         return int(bytes(ds)[::-1].translate(_TO_TEXT) or b"0", base)
     out = 0
     for d in reversed(list(ds)):
@@ -87,6 +88,38 @@ def read_slots(x: int, count: int, w: int):
     if _BIG_ENDIAN:
         slots.byteswap()
     return slots
+
+
+def digit_planes(p: int, e: int, count: int, stride: int, w: int):
+    """(pack, read) for count elements of GF(p^e) in w-bit slots, digit i of
+    element j in slot j * stride + i (stride >= e), other slots zero; pack
+    takes up to count encodings, read gives count. Up to 256 elements pack
+    translates the encodings' bytes per digit plane into strided slot bytes
+    and read joins the planes by Horner's rule in byte slots below q."""
+    if stride == 1:  # prime fields: the slots are the digits
+        return lambda c: pack_slots(c, w), lambda x: tuple(read_slots(x, count, w))
+    if p**e > 256:  # element by element; an encoding's digits past the e-th are zero
+        def read(x: int) -> tuple[int, ...]:
+            slots = read_slots(x, count * stride, w)
+            return tuple(undigits(slots[j:j + stride], p) for j in range(0, len(slots), stride))
+
+        return lambda encs: pack_slots([d for v in encs for d in digits(v, p, stride)], w), read
+    size, step = count * stride * w // 8, stride * w // 8  # in bytes
+    planes = [(i * w // 8, bytes(v // p**i % p for v in range(256))) for i in range(e)]
+
+    def pack(encs) -> int:
+        src, buf = bytes(encs).ljust(count, b"\0"), bytearray(size)
+        for start, table in planes:
+            buf[start::step] = src.translate(table)
+        return int.from_bytes(buf, "little")
+
+    def read(x: int) -> tuple[int, ...]:
+        b, y = x.to_bytes(size, "little"), 0
+        for start, _ in reversed(planes):
+            y = y * p + int.from_bytes(b[start::step], "little")
+        return tuple(y.to_bytes(count, "little"))
+
+    return pack, read
 
 
 @lru_cache(maxsize=64)
@@ -157,11 +190,10 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 def _integer(name: str, v) -> int:
-    """v as an int (numpy ints pass), or a one-line DomainError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+    """v as an int (numpy ints pass, bools do not), or a one-line DomainError."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    return operator.index(v)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .ffield import (FieldElem, FieldSpec, digits, pack_slots, parse_ints, read_slots,
-                     reduce_slots, slot_bits, undigits)
+from .ffield import (FieldElem, FieldSpec, digit_planes, digits, pack_slots, parse_ints,
+                     read_slots, reduce_slots, slot_bits, undigits)
 from .intfactor import divisors, factor_int, order, power
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -29,8 +29,8 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem
 # (rem gives the canonical native form), and degree, lead and monic on
 # nonzero canonical forms. cyclic_ring(n) is the residue ring mod t^n - 1
-# (a _Modulus) in a form of the kernel's choosing, whose product is one
-# kernel product and one fold, since t^n = 1.
+# (a _Modulus): packed bits over GF(2), and over every other field the one
+# slot ring (_ListKernel.cyclic_ring), built once per (field, n).
 
 
 class _GF2Kernel:
@@ -129,6 +129,45 @@ class _ListKernel:
         whose top coefficients may be zero."""
         return self.unpack(self.divmod(a, b)[1])
 
+    @lru_cache(maxsize=256)
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """The one slot ring mod t^n - 1 over GF(p^e): a residue is one int of
+        w-bit slots, coefficient j a block of b = 2e - 1 slots whose slots
+        i < e hold its base-p digits (Kronecker substitution in t and the
+        generator s; von zur Gathen and Gerhard, Modern Computer Algebra,
+        8.4). A product is one multiply, where digits i and i' meet in slot
+        i + i' < b of their block; the t^n = 1 fold of block n + j onto block
+        j; the fold of slot e + m onto slots 0..e - 1 times the digits r_m of
+        s^(e+m) mod the field's modulus; and one reduce_slots.
+
+        Slot bound: slot k of a t-folded block sums n * min(k + 1, b - k)
+        digit products, each at most (p - 1)^2, so slot i < e ends at most
+        n (p - 1)^2 (i + 1 + sum_m (e - 1 - m) r_m,i), which the all-(q - 1)
+        operator and state reach; w holds it, so no slot carries.
+        """
+        p, e = self.spec.p, self.spec.e
+        b = 2 * e - 1
+        r = [digits(self.spec.pow_enc(p, e + m), p, e) for m in range(e - 1)]  # s encodes as p
+        w = slot_bits(n * (p - 1) ** 2 * max(
+            i + 1 + sum((e - 1 - m) * r[m][i] for m in range(e - 1)) for i in range(e)))
+        top, mask = n * b * w, (1 << n * b * w) - 1
+        slot0 = pack_slots(([(1 << w) - 1] + [0] * (b - 1)) * n, w)
+        # z >> shift & slot0 is slot e + m of each block: add it times r_m, less itself
+        folds = [((e + m) * w, pack_slots(r[m], w) - (1 << (e + m) * w)) for m in range(e - 1)]
+
+        def cyclic(a: int, x: int) -> int:
+            z = a * x
+            z = (z & mask) + (z >> top)
+            for shift, fold in folds:
+                z += (z >> shift & slot0) * fold
+            return reduce_slots(z, n * b, w, p)
+
+        def prime(a: int, x: int) -> int:  # e = 1: one slot per coefficient, no s fold
+            z = a * x
+            return reduce_slots((z & mask) + (z >> top), n, w, p)
+
+        return _Modulus(1, cyclic if folds else prime, *digit_planes(p, e, n, b, w))
+
 
 class _PrimeKernel(_ListKernel):
     """GF(p)[t], p odd: integer arithmetic on local lists, one % p per
@@ -136,22 +175,6 @@ class _PrimeKernel(_ListKernel):
 
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
-
-    def cyclic_ring(self, n: int) -> "_Modulus":
-        """Residues mod t^n - 1 as one int of w-bit slots, one per
-        coefficient: a product is one multiply, then t^n = 1 adds slot n + i
-        onto slot i. A folded slot sums n products of residues, at most
-        n(p - 1)^2, which the slots hold, so none carries."""
-        p = self.p
-        w = slot_bits((p - 1) ** 2 * n)
-        top, mask = n * w, (1 << n * w) - 1
-
-        def cyclic(a: int, x: int) -> int:
-            z = a * x
-            return reduce_slots((z & mask) + (z >> top), n, w, p)
-
-        return _Modulus(1, cyclic, lambda c: pack_slots(c, w),
-                        lambda x: tuple(read_slots(x, n, w)))
 
     def add(self, a, b):
         p = self.p
@@ -200,22 +223,6 @@ class _TableKernel(_ListKernel):
     def __init__(self, spec: FieldSpec):
         self.add_t, self.neg_t, self.mul_t = spec.op_tables()
         self.spec = spec
-
-    def cyclic_ring(self, n: int) -> "_Modulus":
-        """Residues mod t^n - 1 as length-n tuples: the product's
-        coefficients of t^n and up add onto the low ones."""
-        mul, add = self.mul, self.add
-
-        def cyclic(a, v) -> tuple[int, ...]:
-            prod = mul(a, v)
-            out, high = prod[:n], prod[n:]
-            out[:len(high)] = add(out[:len(high)], high)
-            return tuple(out)
-
-        def enter(c) -> tuple[int, ...]:
-            return tuple(c) + (0,) * (n - len(c))
-
-        return _Modulus(enter((1,)), cyclic, enter)
 
     def add(self, a, b):
         if len(a) < len(b):

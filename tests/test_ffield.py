@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
 from ffdyn import DomainError, FieldSpec, Poly, parse_field_spec
-from ffdyn.ffield import (digits, pack_slots, read_slots, reduce_slots, slot_bits, slot_marks,
-                          undigits)
+from ffdyn.ffield import (digit_planes, digits, pack_slots, read_slots, reduce_slots, slot_bits,
+                          slot_marks, undigits)
 
 SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
 
@@ -194,6 +194,16 @@ def test_field_constructor_takes_only_integers():
     assert type(spec.p) is int and type(spec.e) is int
 
 
+def test_field_orders_are_not_bools():
+    """bool is an int subclass, so operator.index(True) is 1: without a
+    check FieldSpec(2, True) would be GF(2)."""
+    for make in (lambda: FieldSpec(2, True), lambda: FieldSpec(True),
+                 lambda: FieldSpec.of_order(p=3, e=True), lambda: FieldSpec.of_order(q=False)):
+        with pytest.raises(DomainError, match="must be an integer") as exc:
+            make()
+        assert "\n" not in str(exc.value)
+
+
 def test_default_modulus_is_searched_once(monkeypatch):
     from ffdyn import ffield
     calls = []
@@ -267,6 +277,41 @@ def test_long_digit_lists_round_trip(base):
     ds = [rng.randrange(base) for _ in range(6000)]
     assert undigits(ds, base) == sum(d * base**i for i, d in enumerate(ds))
     assert digits(undigits(ds, base), base, 6000) == tuple(ds)
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64])
+@pytest.mark.parametrize("base", [2, 3, 4, 16, 32])
+def test_slots_read_back_through_undigits(w, base):
+    """read_slots gives bytes at 8 bits and an array of wide items at 16 to
+    64; undigits must read the array's values, not its raw buffer."""
+    rng = random.Random(w * base)
+    for ds in ([0, 1, 1, 0], [base - 1] * 5, [rng.randrange(base) for _ in range(30)]):
+        slots = read_slots(pack_slots(ds, w), len(ds), w)
+        value = sum(d * base**i for i, d in enumerate(ds))
+        assert undigits(slots, base) == undigits(ds, base) == value
+        assert undigits(slots[1:3], base) == ds[1] + ds[2] * base
+    assert undigits(read_slots(pack_slots([0, 1, 1, 0], 16), 4, 16), 2) == 6
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (2, 9),
+                                 (3, 6)])
+def test_digit_planes_lay_out_each_digit(p, e, w):
+    """Digit i of element j sits in slot j * stride + i, the other slots
+    zero, on the byte path (q <= 256) and element by element above it; a
+    short list fills the remaining elements with zeros."""
+    q, stride = p**e, 2 * e - 1
+    rng = random.Random(q * w)
+    for count in (1, 2, 9):
+        pack, read = digit_planes(p, e, count, stride, w)
+        for encs in ([q - 1] * count, [rng.randrange(q) for _ in range(count)],
+                     [rng.randrange(q) for _ in range(count - 1)]):
+            slots = [0] * (count * stride)
+            for j, v in enumerate(encs):
+                slots[j * stride:j * stride + e] = digits(v, p, e)
+            x = pack(encs)
+            assert x == pack_slots(slots, w)
+            assert read(x) == tuple(encs) + (0,) * (count - len(encs))
 
 
 def test_slot_bits_at_each_width():

@@ -298,26 +298,76 @@ def test_cyclic_edges_cover_every_width():
     assert widths[-2:] == [64, 128]
 
 
-@pytest.mark.parametrize("p,n", CYCLIC_EDGES)
-def test_cyclic_fills_every_slot_without_carry(p, n, monkeypatch):
-    """The all-(p - 1) operator times the all-(p - 1) state sums n products
-    of (p - 1)^2 in every folded slot, the most a slot ever holds."""
-    ring = kernel(FieldSpec.of_order(p)).cyclic_ring(n)
-    a = ring.enter([p - 1] * n)
-    folded, reduce_slots = [], polyring.reduce_slots
+def s_power_digits(spec, k):
+    """Digits of s^k mod the field's modulus, s the generator, by long
+    division over Z/p (no field tables)."""
+    p, mod, e = spec.p, spec.modulus, spec.e
+    c = [0] * k + [1]
+    for top in range(k, e - 1, -1):
+        lead = c[top]
+        for j in range(e + 1):
+            c[top - e + j] = (c[top - e + j] - lead * mod[j]) % p
+    return c[:e]
+
+
+def slot_bound_block(spec, n):
+    """The slots of one block after the t and s folds when the all-(q - 1)
+    operator multiplies the all-(q - 1) state: slot k of the product sums
+    n * min(k + 1, 2e - 1 - k) digit products (p - 1)^2, and each slot
+    e + m adds its value times the digits of s^(e+m) onto slots 0..e - 1."""
+    p, e = spec.p, spec.e
+    b = 2 * e - 1
+    prod = [n * min(k + 1, b - k) * (p - 1) ** 2 for k in range(b)]
+    for k in range(e, b):
+        for i, r in enumerate(s_power_digits(spec, k)):
+            prod[i] += prod[k] * r
+    return prod[:e] + [0] * (e - 1)
+
+
+# extension fields on both sides of the 8/16-bit edge of the slot bound, one
+# at the 16/32-bit edge and one at 128 bits (q > 256: the codec goes element
+# by element)
+EXT_CYCLIC_EDGES = [(4, 85), (4, 86), (8, 51), (8, 52), (9, 21), (9, 22), (16, 36), (16, 37),
+                    (25, 3), (25, 4), (27, 10), (27, 11), (49, 260), (49, 261),
+                    ((2**31 - 1) ** 2, 3)]
+
+
+def test_ext_cyclic_edges_straddle_the_widths():
+    widths = [slot_bits(max(slot_bound_block(FieldSpec.of_order(q), n)))
+              for q, n in EXT_CYCLIC_EDGES]
+    assert widths == [8, 16] * 6 + [16, 32, 128]
+
+
+@pytest.mark.parametrize("q,n", CYCLIC_EDGES + EXT_CYCLIC_EDGES)
+def test_cyclic_fills_every_slot_without_carry(q, n, monkeypatch):
+    """The all-(q - 1) operator times the all-(q - 1) state fills every
+    folded slot with the most it ever holds: n products of (p - 1)^2 over a
+    prime field, the slot bound of the slot ring over an extension field.
+    The ring's slots are the narrowest that hold it, and one reduce_slots
+    call sees exactly those values, so none carried."""
+    spec = FieldSpec.of_order(q)
+    ring = kernel(spec).cyclic_ring(n)
+    a = ring.enter([q - 1] * n)
+    folded, widths, reduce_slots = [], [], polyring.reduce_slots
 
     def seen(x, count, w, p):
         folded.append(list(read_slots(x, count, w)))
+        widths.append(w)
         return reduce_slots(x, count, w, p)
 
     monkeypatch.setattr(polyring, "reduce_slots", seen)
-    assert ring.leave(ring.mul(a, a)) == (n * (p - 1) ** 2 % p,) * n
-    assert folded == [[n * (p - 1) ** 2] * n]
+    assert ring.leave(ring.mul(a, a)) == ref_apply(spec, (q - 1,) * n, (q - 1,) * n)
+    block = slot_bound_block(spec, n)
+    assert folded == [block * n]
+    assert widths == [slot_bits(max(block))]
+    if spec.e == 1:
+        assert block == [n * (q - 1) ** 2]
 
 
-# every kernel's ring mod t^n - 1, n = 1 included; p = 2^31 - 1 at the
-# lengths where its slots widen to 64 and 128 bits
-RING_CASES = [(q, n) for q in (2, 3, 4, 9) for n in (1, 2, 7, 16)] + \
+# every kernel's ring mod t^n - 1, n = 1 included, the slot ring over prime
+# and extension fields; p = 2^31 - 1 at the lengths where its slots widen to
+# 64 and 128 bits
+RING_CASES = [(q, n) for q in (2, 3, 4, 8, 9, 16, 25, 27) for n in (1, 2, 7, 16)] + \
     [(2**31 - 1, n) for n in (1, 4, 5)]
 
 
@@ -364,6 +414,25 @@ def test_orbit_algebraic_matches_brute_at_16_bit_slots():
         for _ in range(4):
             f = CyclicSeq(F3, [rng.randrange(3) for _ in range(81)])
             assert orbit_algebraic(D, f) == orbit_brute(D, f)
+
+
+# GF(4), GF(8) and GF(9) at lengths coprime to p and divisible by it
+SMALL_EXT_ORBITS = [(4, 3), (4, 4), (4, 6), (4, 8), (8, 3), (8, 4), (8, 7), (9, 3), (9, 4), (9, 6),
+                    (9, 9)]
+
+
+@pytest.mark.parametrize("q,n", SMALL_EXT_ORBITS)
+def test_orbit_algebraic_matches_brute_over_extension_fields(q, n):
+    """Brute iteration in the slot ring against valuations and unit orders,
+    for the difference map and a mixed operator, on random states and the
+    all-(q - 1) state."""
+    spec = FieldSpec.of_order(q)
+    rng = random.Random(q * 100 + n)
+    states = [[q - 1] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(6)]
+    for D in (delta_operator(spec, n), build_operator(spec, n, (1, q - 1, 0, 2))):
+        for values in states:
+            f = CyclicSeq(spec, values)
+            assert orbit_algebraic(D, f) == orbit_brute(D, f), (D, values)
 
 
 # -- Euclid on the kernels' forms --------------------------------------------

@@ -1,7 +1,8 @@
 """No ffdyn module reaches into another one's private names: each uses only
 what the other exports. The one exception is polyring._order_prime_power,
 which the benchmark's tracer wraps by that name. Only ffield lays digits out
-in an int, and intfactor.power is the one loop that halves an exponent."""
+in an int, intfactor.power is the one loop that halves an exponent, and one
+slot ring serves t^n - 1 over every field but GF(2)."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,61 @@ def test_the_halving_checker_sees_every_form(tmp_path):
                    "bits = [b for b in bin(5)]\n"
                    "y = int(bin(5)[2:], 4) >> 1\n")
     assert list(_halvings(src)) == [("f", ">>="), ("C", "bin"), (None, "bin")]
+
+
+def _ring_builders(path: Path):
+    """(owner, use) for each definition of a method or function named
+    cyclic_ring ('cyclic_ring'), each call of _Modulus ('_Modulus') and each
+    class derived from it ('subclass') in path; the owner is the top-level
+    definition, with the method name for code inside a class's method."""
+    tree = ast.parse(path.read_text(), str(path))
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            if any(isinstance(b, ast.Name) and b.id == "_Modulus" for b in top.bases):
+                yield top.name, "subclass"
+            units = [(f"{top.name}.{m.name}", m) for m in top.body
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            units = [(top.name, top)]
+        else:
+            continue
+        for owner, unit in units:
+            if unit.name == "cyclic_ring":
+                yield owner, "cyclic_ring"
+            for node in ast.walk(unit):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_Modulus"):
+                    yield owner, "_Modulus"
+
+
+def test_one_slot_ring_mod_t_n_minus_1():
+    """GF(2) keeps its XOR ring and every other field gets the one slot ring,
+    _ListKernel.cyclic_ring, built once per (field, n); the only other
+    residue rings are those mod a polynomial (_modulus, _PackedModulus)."""
+    found = {(path.stem, owner, use)
+             for path in sorted(SRC.glob("*.py")) for owner, use in _ring_builders(path)}
+    assert found == {("polyring", "_GF2Kernel.cyclic_ring", "cyclic_ring"),
+                     ("polyring", "_GF2Kernel.cyclic_ring", "_Modulus"),
+                     ("polyring", "_ListKernel.cyclic_ring", "cyclic_ring"),
+                     ("polyring", "_ListKernel.cyclic_ring", "_Modulus"),
+                     ("polyring", "_modulus", "_Modulus"),
+                     ("polyring", "_PackedModulus", "subclass")}
+    from ffdyn import FieldSpec, polyring
+    for q in (3, 4, 9, 27, 2**31 - 1):
+        kern = polyring.kernel(FieldSpec.of_order(q))
+        assert isinstance(kern, polyring._ListKernel)
+        assert kern.cyclic_ring(5) is kern.cyclic_ring(5)
+
+
+def test_the_ring_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class K:\n"
+                   "    def cyclic_ring(self, n):\n"
+                   "        return _Modulus(1, None)\n"
+                   "class R(_Modulus):\n"
+                   "    pass\n"
+                   "def ring(n):\n"
+                   "    return [_Modulus(0, None)]\n")
+    assert list(_ring_builders(src)) == [("K.cyclic_ring", "cyclic_ring"),
+                                         ("K.cyclic_ring", "_Modulus"), ("R", "subclass"),
+                                         ("ring", "_Modulus")]
