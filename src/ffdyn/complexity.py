@@ -113,7 +113,7 @@ def _oracle_with_witness(f: CyclicSeq, op_cap: int, state_cap: int):
         raise ResourceLimitError(
             f"state space {spec.q**n} exceeds the cap {state_cap}")
     for D in operator_family(spec, n):
-        s = orbit_brute(D, f)
+        s = orbit_brute(D, f, max_steps=state_cap)
         if not all(_maximality(D, s.preperiod, s.period)):
             return False, D.op_poly
     return True, None

@@ -1,7 +1,7 @@
 """Orbit analysis for the iteration f, Df, D^2 f, ... on cyclic sequences.
 
-Two independent routes: direct iteration (Brent cycle detection, or array
-passes over the whole state space's successor array) and the algebraic
+Two independent routes: direct iteration (a walk that keeps its states, or
+array passes over the whole state space's successor array) and the algebraic
 route through the factor components of t^n - 1, where each component
 either dies (nilpotent multiplier) or rotates with a computable unit order.
 """
@@ -47,48 +47,32 @@ class GraphSummary:
 
 
 def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> OrbitSummary:
-    """Exact preperiod/period by Brent cycle finding plus tail measurement.
+    """Exact preperiod/period by one walk that keeps every state it visits.
 
-    `max_steps` bounds the orbit size (preperiod + period); the default is
-    the whole state space q^n, which can never be exceeded.
+    The first state seen twice is the attractor entry and the states seen
+    are the orbit, preperiod + period of them; a second walk from f to that
+    entry counts the preperiod, so the walks make at most
+    2*preperiod + period steps. `max_steps` bounds the orbit size, and so
+    the states held; the default is min(q^n, STATE_CAP).
     """
     D.check_dimensions(f)
-    spec, n = f.spec, f.n
     if max_steps is None:
-        max_steps = spec.q**n
+        max_steps = min(f.spec.q**f.n, STATE_CAP)
     # iterate on the state in the operator's ring
     step = D.step
-    x0 = D.ring.enter(f.value_encs)
-    # phase 1: cycle length; a hare that runs 3*max_steps + 4 steps without
-    # closing proves the orbit exceeds max_steps
-    pow2 = lam = 1
-    tortoise = x0
-    hare = step(x0)
-    hare_steps = 1
-    while tortoise != hare:
-        if pow2 == lam:
-            tortoise = hare
-            pow2 *= 2
-            lam = 0
-        hare = step(hare)
-        hare_steps += 1
-        lam += 1
-        if hare_steps > 3 * max_steps + 4:
+    x0 = x = D.ring.enter(f.value_encs)
+    seen = set()
+    while x not in seen:
+        if len(seen) >= max_steps:
             raise ResourceLimitError(
                 f"orbit exceeds the configured cap of {max_steps} states")
-    # phase 2: preperiod via two pointers lam apart
-    tortoise = hare = x0
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
+        seen.add(x)
+        x = step(x)
+    mu, y = 0, x0
+    while y != x:
+        y = step(y)
         mu += 1
-        if mu + lam > max_steps:
-            raise ResourceLimitError(
-                f"orbit exceeds the configured cap of {max_steps} states")
-    return OrbitSummary(mu, lam, CyclicSeq(spec, D.ring.leave(tortoise)))
+    return OrbitSummary(mu, len(seen) - mu, CyclicSeq(f.spec, D.ring.leave(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_c6_dynamics_oracle_equivalence():
             got = orbit_from_valuations(D, seq_valuations(f))
             if got != (pre[idx], per[idx]):
                 bad.append((spec.q, n, f.value_encs, got, (pre[idx], per[idx])))
-        # the per-orbit Brent path must agree too; deterministic sample
+        # the per-orbit walk (orbit_brute) must agree too; deterministic sample
         step = max(1, spec.q**n // 64)
         for idx in range(0, spec.q**n, step):
             f = CyclicSeq(spec, state_of_index(spec, n, idx))

@@ -4,14 +4,15 @@ import random
 import pytest
 
 from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec
+from ffdyn import DomainError, FieldSpec, dynamics
 from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot, graph_summary,
                             index_of_state, max_period, max_preperiod,
                             orbit_algebraic, orbit_brute, orbit_pass, orbit_table,
                             state_of_index, successor_array)
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
-from ffdyn.groupalg import (CyclicSeq, apply_op, build_operator, component_valuations,
-                            crt_split, delta_operator, seq_to_poly)
+from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
+                            component_valuations, crt_split, delta_operator,
+                            delta_poly, seq_to_poly)
 from ffdyn.polyring import gcd, t_minus_one, t_pow_minus_one
 
 
@@ -64,10 +65,59 @@ def test_orbit_brute_cap():
     D = delta_operator(F2, 5)
     f = seq(F2, 0, 1, 1, 0, 0)
     with pytest.raises(ResourceLimitError):
-        orbit_brute(D, f, max_steps=3)  # the true orbit needs 16 states
+        orbit_brute(D, f, max_steps=3)  # the true orbit has 15 states
     s = orbit_brute(D, f, max_steps=32)
     assert (s.preperiod, s.period) == (orbit_brute(D, f).preperiod,
                                        orbit_brute(D, f).period)
+    # the cap is exact: an orbit of mu + lam states fits mu + lam, not one less
+    for spec, n in [(F2, 6), (F3, 6), (F2, 10)]:
+        D = delta_operator(spec, n)
+        pre, per = orbit_table(D)
+        idxs = [i for i in range(spec.q**n) if pre[i] > 0 and per[i] > 1][:5]
+        assert idxs
+        for idx in idxs:
+            f = CyclicSeq(spec, state_of_index(spec, n, idx))
+            size = int(pre[idx] + per[idx])
+            s = orbit_brute(D, f, max_steps=size)
+            assert (s.preperiod, s.period) == (pre[idx], per[idx])
+            for cap in (size - 1, 0):
+                with pytest.raises(ResourceLimitError):
+                    orbit_brute(D, f, max_steps=cap)
+
+
+def test_orbit_brute_default_cap_is_state_cap(monkeypatch):
+    D = delta_operator(F2, 5)
+    f = seq(F2, 0, 1, 1, 0, 0)
+    assert orbit_brute(D, f).period == 15
+    monkeypatch.setattr(dynamics, "STATE_CAP", 8)
+    with pytest.raises(ResourceLimitError):
+        orbit_brute(D, f)
+
+
+def test_orbit_brute_walks_each_orbit_once():
+    # at most 2*preperiod + period operator steps; (F2, 6) and (F3, 6) have
+    # p | n, so states there have tails (mu > 0) as well as cycles
+    seen_tail = False
+    for spec, n in [(F2, 5), (F2, 6), (F3, 4), (F3, 6), (F4, 3)]:
+        D = DiffOperator(spec, n, delta_poly(spec, n))  # not the cached one
+        pre, per = orbit_table(D)
+        step, calls = D.step, 0
+
+        def counting_step(x):
+            nonlocal calls
+            calls += 1
+            return step(x)
+
+        object.__setattr__(D, "step", counting_step)
+        for idx in range(spec.q**n):
+            if per[idx] < 3:
+                continue
+            calls = 0
+            s = orbit_brute(D, CyclicSeq(spec, state_of_index(spec, n, idx)))
+            assert (s.preperiod, s.period) == (pre[idx], per[idx])
+            assert calls <= 2 * s.preperiod + s.period, (spec.q, n, idx, calls)
+            seen_tail |= s.preperiod > 0 and n % spec.p == 0
+    assert seen_tail
 
 
 @pytest.mark.parametrize("route", [orbit_brute, orbit_algebraic])
