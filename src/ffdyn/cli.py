@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap_states:
             p.add_argument("--cap-states", type=int, default=dynamics.STATE_CAP)
         if cap_ops:
-            p.add_argument("--cap-ops", type=int, default=2**16)
+            p.add_argument("--cap-ops", type=int, default=complexity.OP_CAP)
         if seed:
             p.add_argument("--seed", type=int, help="PRNG seed for random generation")
 

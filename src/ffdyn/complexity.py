@@ -23,6 +23,8 @@ from .intfactor import is_prime, order
 from .polyring import Poly, geometric_sum, resultant, t_minus_one
 from .polyring import gcd as gcd_poly
 
+OP_CAP = 2**16  # default cap on the operators the brute-force oracle enumerates
+
 
 @dataclass(frozen=True)
 class ProjectionEntry:
@@ -91,7 +93,7 @@ def operator_family(spec: FieldSpec, n: int):
         yield DiffOperator(spec, n, t_minus_1 * Poly(spec, coeffs))
 
 
-def d_complicated_oracle(f: CyclicSeq, op_cap: int = 2**16,
+def d_complicated_oracle(f: CyclicSeq, op_cap: int = OP_CAP,
                          state_cap: int = STATE_CAP) -> bool:
     """Ground truth by enumeration: maximal period and near-maximal preperiod
     under every differential operator."""
@@ -126,7 +128,7 @@ def _delta_verdict(f: CyclicSeq, vals: tuple[int, ...]) -> tuple[bool, bool]:
     return d2 and near, d2
 
 
-def classify(f: CyclicSeq, op_cap: int = 2**16,
+def classify(f: CyclicSeq, op_cap: int = OP_CAP,
              state_cap: int = STATE_CAP) -> ComplexityVerdict:
     """Full verdict: difference-map complexity plus D-complexity.
 

@@ -535,7 +535,7 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.enc))
+        return hash(self.enc)  # agrees with == on FieldElems and on ints
 
     def __str__(self):
         return str(self.enc)

@@ -114,7 +114,7 @@ class DiffOperator:
             raise DomainError("operator polynomial from a different field")
         if op_poly.degree != float("-inf") and op_poly.degree >= n:
             op_poly = op_poly % t_pow_minus_one(spec, n)
-        if op_poly(spec.one) != spec.zero:
+        if reduce(spec.add_enc, op_poly.coeff_encs, 0):  # the value at t = 1
             raise DomainError("operator polynomial must vanish at t = 1")
         if op_poly.is_zero and n > 1:
             raise DegenerateOperatorError("zero operator polynomial")
@@ -163,8 +163,8 @@ def delta_operator(spec: FieldSpec, n: int) -> DiffOperator:
 
 def build_operator(spec: FieldSpec, n: int, coeffs) -> DiffOperator:
     """Operator sum(d_i * Delta^i) from coefficients d_1..d_m."""
-    ds = [spec.element(c) for c in coeffs]
-    if all(d.enc == 0 for d in ds):
+    ds = [spec.element(c).enc for c in coeffs]
+    if not any(ds):
         raise DegenerateOperatorError("all operator coefficients are zero")
     modulus = t_pow_minus_one(spec, n)
     dp = delta_poly(spec, n)
@@ -172,7 +172,7 @@ def build_operator(spec: FieldSpec, n: int, coeffs) -> DiffOperator:
     power = Poly.one(spec)
     for d in ds:
         power = (power * dp) % modulus
-        acc = acc + power * d
+        acc = acc + power * Poly(spec, (d,))
     if acc.is_zero and n > 1:
         # e.g. Delta^2 on length 2 in characteristic 2: the combination
         # collapses to the zero map, which is not a valid operator

@@ -341,9 +341,8 @@ class Poly:
     def monic(self) -> "Poly":
         if not self._c:
             raise DomainError("cannot normalize the zero polynomial")
-        if self._c[-1] == 1:
-            return self
-        return self * self.lc().inverse()
+        k = kernel(self.spec)
+        return _poly(self.spec, k.unpack(k.monic(k.pack(self._c))))
 
     # -- ring operations (through the field's kernel) ----------------------
 
@@ -397,9 +396,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x) -> FieldElem:
-        """Evaluate by Horner's rule."""
-        enc = x.enc if isinstance(x, FieldElem) else int(x)
+        """Evaluate by Horner's rule at an element of this field (see
+        FieldSpec.element)."""
         spec = self.spec
+        enc = spec.element(x).enc
         acc = 0
         for c in reversed(self._c):
             acc = spec.add_enc(spec.mul_enc(acc, enc), c)
@@ -708,31 +708,31 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
 def resultant(a: Poly, b: Poly) -> FieldElem:
     """Sylvester-determinant resultant: lc(a)^deg(b) * prod b(root of a).
 
-    Computed by the Euclidean recurrence on the kernel's form; zero exactly
-    when the inputs share a nonconstant factor.
+    Computed by the Euclidean recurrence on the kernel's form and on field
+    encodings, the sign folded into the product; zero exactly when the inputs
+    share a nonconstant factor.
     """
     if a.is_zero or b.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
     spec = a.spec
     a._check(b)
     kern = kernel(spec)
-    acc = sign = spec.one
+    acc = 1
     A, B = kern.pack(a.coeff_encs), kern.pack(b.coeff_encs)
     while True:
         dA, dB = kern.degree(A), kern.degree(B)
-        if dA == 0:
-            return sign * acc * FieldElem(spec, kern.lead(A)) ** dB
-        if dB == 0:
-            return sign * acc * FieldElem(spec, kern.lead(B)) ** dA
+        if dA == 0 or dB == 0:
+            lead, k = (kern.lead(A), dB) if dA == 0 else (kern.lead(B), dA)
+            return FieldElem(spec, spec.mul_enc(acc, spec.pow_enc(lead, k)))
         if dA * dB % 2 == 1:
-            sign = -sign
+            acc = spec.neg_enc(acc)
         if dA < dB:
             A, B = B, A
             continue
         R = kern.rem(A, B)
         if not R:
-            return spec.zero
-        acc = acc * FieldElem(spec, kern.lead(B)) ** (dA - kern.degree(R))
+            return FieldElem(spec, 0)
+        acc = spec.mul_enc(acc, spec.pow_enc(kern.lead(B), dA - kern.degree(R)))
         A, B = B, R
 
 

@@ -36,8 +36,7 @@ def arnold_log_seq(spec: FieldSpec, n: int) -> CyclicSeq:
         return CyclicSeq(spec, (0,))
     # Euler's criterion, as in legendre_symbol, without re-testing r per i
     half = (r - 1) // 2
-    vals = [0 if pow(i, half, r) == 1 else 1 for i in range(1, n + 1)]
-    return CyclicSeq(spec, [spec.from_int(v) for v in vals])
+    return CyclicSeq(spec, [0 if pow(i, half, r) == 1 else 1 for i in range(1, n + 1)])
 
 
 def legendre_seq(spec: FieldSpec, n: int) -> CyclicSeq:
@@ -58,8 +57,8 @@ def primitive_root_mod(n: int) -> int:
 def multiplicative_generator(spec: FieldSpec):
     """Smallest-encoding generator of the multiplicative group of GF(q)."""
     q = spec.q
-    return next(a for a in map(spec.element, range(1, q))
-                if order(a, q - 1, pow, spec.one) == q - 1)
+    return spec.element(next(a for a in range(1, q)
+                             if order(a, q - 1, spec.pow_enc, 1) == q - 1))
 
 
 def multiplicative_family(spec: FieldSpec, n: int) -> list[CyclicSeq]:
@@ -74,22 +73,16 @@ def multiplicative_family(spec: FieldSpec, n: int) -> list[CyclicSeq]:
     q = spec.q
     g = primitive_root_mod(n)
     m = math.gcd(n - 1, q - 1)
-    w = multiplicative_generator(spec)
-    step = w ** ((q - 1) // m)
-    roots = []
-    cur = spec.one
-    for _ in range(m):
-        roots.append(cur)
-        cur = cur * step
+    step = spec.pow_enc(multiplicative_generator(spec).enc, (q - 1) // m)
     out = []
-    for a in sorted(roots, key=lambda x: x.enc):
+    for a in sorted(spec.pow_enc(step, k) for k in range(m)):
         vals = [0] * n
         idx = 1
-        val = spec.one
+        val = 1
         for _ in range(n - 1):
-            vals[idx - 1] = val.enc
+            vals[idx - 1] = val
             idx = idx * g % n
-            val = val * a
+            val = spec.mul_enc(val, a)
         out.append(CyclicSeq(spec, vals))
     return out
 

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -245,6 +246,45 @@ def test_elements_are_hashable_and_comparable():
     seen = {a for a in F9.elements()}
     assert len(seen) == 9
     assert F9.element(4) in seen
+    # an element hashes like the int it equals
+    assert F2.one == 1 and len({F2.one, 1}) == 1
+    assert {1: "x"}.get(F2.one) == "x"
+    assert {F9.element(5): "y"}[5] == "y"
+    assert F4.element(2) != F9.element(2)  # equal hashes, different fields
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 2**10])
+def test_operators_match_the_encoded_ops(q):
+    """Each FieldElem operator, the int forms included, is the matching
+    *_enc op; GF(2^10) runs the computing lookups above 512 elements."""
+    spec = FieldSpec.of_order(q)
+    rng = random.Random(q)
+    encs = sorted({0, 1, q - 1, *(rng.randrange(q) for _ in range(6))})
+    for a in encs:
+        x = spec.element(a)
+        assert -x == spec.neg_enc(a)
+        assert x ** 5 == spec.pow_enc(a, 5)
+        assert bool(x) is (a != 0)
+        assert x == a and x != q and x != -1 and x != "a"
+        assert str(x) == str(a) and repr(x) == f"FieldElem({a} in GF({q}))"
+        for b in encs:
+            y = spec.element(b)
+            assert x + y == x + b == b + x == spec.add_enc(a, b)
+            assert x - y == x - b == spec.sub_enc(a, b)
+            assert b - x == spec.sub_enc(b, a)
+            assert x * y == x * b == b * x == spec.mul_enc(a, b)
+            if b:
+                assert x / y == x / b == spec.mul_enc(a, spec.inv_enc(b))
+                assert (x / y) * y == x
+        assert x * Poly(spec, (1, q - 1)) == Poly(spec, (a, spec.mul_enc(a, q - 1)))
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(ZeroDivisionError):
+            x / spec.zero
+        other = F5.one
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(DomainError):
+                op(x, other)
 
 
 # -- the digit codec ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """No ffdyn module reaches into another one's private names: each uses only
 what the other exports. The one exception is polyring._order_prime_power,
 which the benchmark's tracer wraps by that name. Only ffield lays digits out
-in an int, intfactor.power is the one loop that halves an exponent, and one
-slot ring serves t^n - 1 over every field but GF(2)."""
+in an int, intfactor.power is the one loop that halves an exponent, one
+slot ring serves t^n - 1 over every field but GF(2), and outside ffield a
+FieldElem is built only by the public functions that return one."""
 
 import ast
 from pathlib import Path
@@ -138,6 +139,24 @@ def test_the_halving_checker_sees_every_form(tmp_path):
     assert list(_halvings(src)) == [("f", ">>="), ("C", "bin"), (None, "bin")]
 
 
+def _units(top):
+    """(owner, definition) for each function of the top-level statement top:
+    the function itself, or each method of a class, named Class.method."""
+    if isinstance(top, ast.ClassDef):
+        return [(f"{top.name}.{m.name}", m) for m in top.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(top.name, top)]
+    return []
+
+
+def _calls(unit, name: str) -> bool:
+    """Whether unit calls name, as a bare name or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(unit))
+
+
 def _ring_builders(path: Path):
     """(owner, use) for each definition of a method or function named
     cyclic_ring ('cyclic_ring'), each call of _Modulus ('_Modulus') and each
@@ -145,22 +164,14 @@ def _ring_builders(path: Path):
     definition, with the method name for code inside a class's method."""
     tree = ast.parse(path.read_text(), str(path))
     for top in tree.body:
-        if isinstance(top, ast.ClassDef):
-            if any(isinstance(b, ast.Name) and b.id == "_Modulus" for b in top.bases):
-                yield top.name, "subclass"
-            units = [(f"{top.name}.{m.name}", m) for m in top.body
-                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            units = [(top.name, top)]
-        else:
-            continue
-        for owner, unit in units:
+        if isinstance(top, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "_Modulus" for b in top.bases):
+            yield top.name, "subclass"
+        for owner, unit in _units(top):
             if unit.name == "cyclic_ring":
                 yield owner, "cyclic_ring"
-            for node in ast.walk(unit):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "_Modulus"):
-                    yield owner, "_Modulus"
+            if _calls(unit, "_Modulus"):
+                yield owner, "_Modulus"
 
 
 def test_one_slot_ring_mod_t_n_minus_1():
@@ -194,3 +205,46 @@ def test_the_ring_checker_sees_every_form(tmp_path):
     assert list(_ring_builders(src)) == [("K.cyclic_ring", "cyclic_ring"),
                                          ("K.cyclic_ring", "_Modulus"), ("R", "subclass"),
                                          ("ring", "_Modulus")]
+
+
+# the public functions that return a FieldElem built from an encoding; the
+# rest of src/ computes on encodings through FieldSpec's *_enc ops
+ELEMENT_BUILDERS = {("polyring", "Poly.coeffs"), ("polyring", "Poly.lc"),
+                    ("polyring", "Poly.__call__"), ("polyring", "resultant"),
+                    ("groupalg", "CyclicSeq.values"), ("groupalg", "CyclicSeq.value")}
+
+
+def _element_uses(path: Path):
+    """(owner, use) for each function or method in path that calls
+    FieldElem(...) ('FieldElem') or from_int ('from_int'), and (None, use)
+    for such a call outside any function."""
+    tree = ast.parse(path.read_text(), str(path))
+    for top in tree.body:
+        units = _units(top)
+        for use in ("FieldElem", "from_int"):
+            yield from ((owner, use) for owner, unit in units if _calls(unit, use))
+            if not units and _calls(top, use):
+                yield None, use
+
+
+def test_field_elements_are_built_only_where_returned():
+    found = {(path.stem, owner, use)
+             for path in sorted(SRC.glob("*.py")) if path.stem != "ffield"
+             for owner, use in _element_uses(path)}
+    assert found == {(module, owner, "FieldElem") for module, owner in ELEMENT_BUILDERS}
+
+
+def test_the_element_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class C:\n"
+                   "    def value(self):\n"
+                   "        return FieldElem(self.spec, 0)\n"
+                   "def f(spec, vals):\n"
+                   "    return [spec.from_int(v) for v in vals]\n"
+                   "def g(spec):\n"
+                   "    return ffield.FieldElem(spec, 1) ** 2\n"
+                   "ONE = FieldElem(F2, 1)\n"
+                   "TWO = F3.from_int(2)\n")
+    assert list(_element_uses(src)) == [("C.value", "FieldElem"), ("f", "from_int"),
+                                        ("g", "FieldElem"), (None, "FieldElem"),
+                                        (None, "from_int")]

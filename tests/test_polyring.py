@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
-from ffdyn import DomainError, Poly, factorize, groupalg, polyring, resultant
+from ffdyn import DomainError, FieldSpec, Poly, factorize, groupalg, polyring, resultant
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import crt_split
 from ffdyn.intfactor import order
@@ -39,6 +40,19 @@ def test_text_round_trip():
     p = Poly.from_text(F3, "1,0,2")
     assert str(p) == "1,0,2"
     assert p(F3.one).enc == 0  # 1 + 2 = 0 mod 3
+
+
+def test_evaluation_reads_its_argument_as_an_element_of_the_field():
+    p = Poly(F4, (1, 2, 3))
+    for x in range(4):
+        horner = F4.element(3) * F4.element(x) * F4.element(x) + F4.element(2) * x + 1
+        assert p(x) == p(F4.element(x)) == p(np.int64(x)) == horner
+    assert p((0, 1)) == p(2)  # a digit sequence, as FieldSpec.element reads it
+    for bad in (FieldSpec.of_order(3).element(2), 7, -1, "x"):
+        with pytest.raises(DomainError):
+            p(bad)
+    with pytest.raises(DomainError):
+        Poly(F2, (1, 1))(1.7)
 
 
 # -- division ----------------------------------------------------------------
@@ -118,6 +132,17 @@ def test_gcd_symmetry_and_idempotence():
             b = rand_poly(spec, 6, rng)
             assert gcd(a, b) == gcd(b, a)
             assert gcd(a, a) == a.monic()
+
+
+def test_monic_scales_by_the_inverse_leading_coefficient():
+    rng = random.Random(5)
+    for spec in (F2, F3, F4, F7, F9, FieldSpec.of_order(1024)):
+        for _ in range(20):
+            a = rand_poly(spec, 6, rng, nonzero=True)
+            assert a.monic() == a * a.lc().inverse()
+            assert a.monic().lc() == 1
+    with pytest.raises(DomainError):
+        Poly.zero(F3).monic()
 
 
 # -- powmod ---------------------------------------------------------------------
