@@ -8,6 +8,7 @@ or resource cap, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -54,6 +55,21 @@ def _check_caps(args):
     for flag in ("cap_states", "cap_ops"):
         if getattr(args, flag, 0) < 0:
             raise DomainError(f"--{flag.replace('_', '-')} must be >= 0")
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on int-to-str digits (3.11 and later) inside the
+    block only: a count such as q^n can pass its default of 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _verdict_json(verdict: complexity.ComplexityVerdict) -> dict:
@@ -108,7 +124,8 @@ def _cmd_spectrum(args):
     D = _operator_from_args(args, spec, n)
     spectrum = dynamics.cycle_spectrum(D)
     if args.format == "csv":
-        lines = ["length,count"] + [f"{k},{v}" for k, v in spectrum.items()]
+        with _unlimited_int_digits():
+            lines = ["length,count"] + [f"{k},{v}" for k, v in spectrum.items()]
         return "\n".join(lines) + "\n"
     return {
         "q": spec.q, "n": n, "operator": str(D.op_poly),
@@ -269,7 +286,8 @@ def main(argv=None) -> int:
     output, ok = output if isinstance(output, tuple) else (output, True)
     if isinstance(output, dict):
         report = {"schema": SCHEMA, "command": args.command, **output}
-        output = json.dumps(report, indent=2) + "\n"
+        with _unlimited_int_digits():
+            output = json.dumps(report, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -108,12 +108,12 @@ def _maximality(D: DiffOperator, preperiod: int, period: int) -> tuple[bool, boo
 
 def _oracle_with_witness(f: CyclicSeq, op_cap: int, state_cap: int):
     spec, n = f.spec, f.n
-    n_ops = spec.q ** (n - 1) - 1
-    if n_ops > op_cap:
-        raise ResourceLimitError(f"{n_ops} operators exceed the cap {op_cap}")
+    if spec.q ** (n - 1) - 1 > op_cap:
+        raise ResourceLimitError(
+            f"{spec.q}^{n - 1} - 1 operators exceed the cap {op_cap}")
     if spec.q**n > state_cap:
         raise ResourceLimitError(
-            f"state space {spec.q**n} exceeds the cap {state_cap}")
+            f"state space {spec.q}^{n} exceeds the cap {state_cap}")
     for D in operator_family(spec, n):
         s = orbit_brute(D, f, max_steps=state_cap)
         if not all(_maximality(D, s.preperiod, s.period)):
@@ -206,7 +206,7 @@ def census(spec: FieldSpec, n: int, cap: int = STATE_CAP) -> QuotaReport:
     """
     rep = quota(spec, n)
     if spec.q**n > cap:
-        raise ResourceLimitError(f"census over {spec.q**n} states exceeds cap {cap}")
+        raise ResourceLimitError(f"census over {spec.q}^{n} states exceeds cap {cap}")
     count = _census_count(spec, n)
     expected = rep.quota_formula * rep.state_count
     if count != expected:

@@ -201,7 +201,7 @@ def successor_array(D: DiffOperator, cap: int = STATE_CAP):
     total = spec.q**n
     if total > cap:
         raise ResourceLimitError(
-            f"state space {total} exceeds cap {cap}; use cycle_spectrum instead")
+            f"state space {spec.q}^{n} exceeds cap {cap}; use cycle_spectrum instead")
     p, width = spec.p, n * spec.e
     basis = []
     for k in range(width):

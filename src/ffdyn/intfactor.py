@@ -14,38 +14,47 @@ from .errors import DomainError, ResourceLimitError
 TRIAL_BOUND = 10**6
 RHO_ITER_BUDGET = 2_000_000
 
-# Miller-Rabin witnesses: the primes up to 41 decide every n below
-# psi_13 = 3317044064679887385961981 (OEIS A014233), the least composite
-# that passes them all.
+# Miller-Rabin witnesses and, beside them, psi_k (OEIS A014233; Jaeschke
+# 1993, Sorenson and Webster 2017): the least odd composite that passes the
+# first k bases, so passing them decides every n below psi_k. psi_13 is the
+# least composite that passes them all.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
 
 
 def is_prime(n: int) -> bool:
-    """Strong-probable-prime test to the bases _MR_BASES, exact below
-    psi_13; from psi_13 on, a strong Lucas test follows (so the whole is a
+    """Trial division by _MR_BASES, which decides n < 43^2 (a composite
+    with no prime factor up to 41 is at least 43^2), then strong-probable-
+    prime tests to the bases in turn, stopping at the first psi_k above n.
+    From psi_13 on, a strong Lucas test follows (so the whole is a
     Baillie-PSW test, with no known counterexample)."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _PSI_13 or is_strong_lucas_prp(n)
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return is_strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -47,9 +47,15 @@ def test_c1_quota_identity():
 
 
 def test_c2_quota_trend_bound():
+    """Every row's bound holds, and each row's boundOk equals the bound
+    (1 - q^-d)^((n-1)/d) >= (n/(n+1))^(n-1) on full-size rationals."""
     report = quota_trend_suite()
     bound_ok = all(row["boundOk"] for row in report["rows"])
     assert _report("C2", "quota-trend-bound", bound_ok)
+    for row in report["rows"]:
+        n, q, d = row["n"], row["q"], row["d"]
+        exact = Fraction(q**d - 1, q**d) ** ((n - 1) // d) >= Fraction(n, n + 1) ** (n - 1)
+        assert row["boundOk"] is exact, row
 
 
 def _is_prime(n):

@@ -86,6 +86,17 @@ def test_is_prime_matches_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_matches_sympy_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_matches_sympy_around_each_psi():
+    # below, at and above the bound where Miller-Rabin stops after base k
+    for psi in PSI:
+        for n in (psi - 2, psi, psi + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_strong_lucas_matches_sympy():
     """The Lucas stage alone: it passes the strong Lucas pseudoprimes and the
     primes, and fails psi_13 and odd composites near 10^25 to 10^30."""

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import sys
 
 import pytest
 
@@ -312,3 +314,44 @@ def test_main_shares_one_parser_across_calls(capsys):
     assert seen[0][0] == 0 and json.loads(seen[0][1])["operator"] == "1,1"
     assert seen[1] == (2, "", "error: argument --format: invalid choice: 'text' "
                                  "(choose from 'json')\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--q", "2", "--n", "100003"),
+     "census over 2^100003 states exceeds cap 2097152"),
+    (("graph", "--q", "2", "--n", "20000"),
+     "state space 2^20000 exceeds cap 2097152; use cycle_spectrum instead"),
+    (("classify", "--q", "2", "--n", "16384", "--gen", "random", "--seed", "1"),
+     "2^16383 - 1 operators exceed the cap 65536"),
+    (("classify", "--q", "2", "--n", "4", "--gen", "random", "--seed", "1",
+      "--cap-states", "8"),
+     "state space 2^4 exceeds the cap 8"),
+])
+def test_cap_messages_name_the_count_as_a_power(capsys, argv, message):
+    # q^n in full would pass Python's 4300-digit limit on int-to-str
+    assert main(list(argv)) == 1
+    assert capsys.readouterr() == ("", f"resource limit: {message}\n")
+
+
+def test_spectrum_writes_a_state_count_past_the_int_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(capsys, "spectrum", "--q", "2", "--n", "16384")
+    assert code == 0
+    digits = re.search(r'"stateCount": (\d+),', out).group(1)
+    value = 0
+    for c in digits:  # int(digits) would meet the same limit
+        value = value * 10 + int(c)
+    assert len(digits) == 4933 and value == 2**16384
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_spectrum_csv_writes_counts_past_the_int_digit_limit(capsys):
+    # GF(2), n = 3 * 2^13: the component (t^2 + t + 1)^8192 holds 4^8192
+    # states, so some cycle counts have more than 4300 digits
+    argv = ("spectrum", "--q", "2", "--n", "24576")
+    code, csv = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert max(len(count) for _, count in rows) > 4300
+    _, report = run_cli(capsys, *argv)
+    assert all(f'"{length}": {count}' in report for length, count in rows)

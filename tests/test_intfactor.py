@@ -3,8 +3,8 @@ import math
 import pytest
 
 from ffdyn.errors import DomainError, ResourceLimitError
-from ffdyn.intfactor import (divisors, factor_int, is_prime, is_strong_lucas_prp, order,
-                              power)
+from ffdyn.intfactor import (_MR_BASES, _PSI, divisors, factor_int, is_prime,
+                              is_strong_lucas_prp, order, power)
 
 
 def test_is_prime_small():
@@ -37,6 +37,49 @@ PSI_13 = 3317044064679887385961981
 def test_is_prime_rejects_psi_13():
     assert not is_prime(PSI_13)
     assert factor_int(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+
+
+def strong_prp(n, a):
+    """One Miller-Rabin round: whether the odd n > 2 is a strong probable
+    prime to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def sieve(limit):
+    """flags[m] is whether m < limit is prime."""
+    flags = [False, False] + [True] * (limit - 2)
+    for m in range(2, math.isqrt(limit - 1) + 1):
+        if flags[m]:
+            flags[m * m::m] = [False] * len(range(m * m, limit, m))
+    return flags
+
+
+def test_is_prime_rejects_every_base_2_strong_pseudoprime_below_1e5():
+    flags = sieve(10**5)
+    spsp = [n for n in range(3, 10**5, 2) if strong_prp(n, 2) and not flags[n]]
+    assert spsp[:5] == [2047, 3277, 4033, 4681, 8321]  # OEIS A001262
+    assert len(spsp) == 16
+    assert not any(map(is_prime, spsp))
+
+
+def test_psi_table_entries_pass_exactly_their_bases():
+    """psi_k passes the first k bases and, where psi_(k+1) > psi_k, fails
+    base k + 1 (else psi_(k+1) <= psi_k)."""
+    assert len(_PSI) == len(_MR_BASES) and list(_PSI) == sorted(_PSI)
+    for k, psi in enumerate(_PSI, 1):
+        assert all(strong_prp(psi, a) for a in _MR_BASES[:k]), k
+        if k < len(_PSI) and _PSI[k] > psi:
+            assert not strong_prp(psi, _MR_BASES[k]), k
 
 
 def test_strong_lucas_rejects_squares():
