@@ -105,7 +105,7 @@ def digit_planes(p: int, e: int, count: int, stride: int, w: int):
 
         return lambda encs: pack_slots([d for v in encs for d in digits(v, p, stride)], w), read
     size, step = count * stride * w // 8, stride * w // 8  # in bytes
-    planes = [(i * w // 8, bytes(v // p**i % p for v in range(256))) for i in range(e)]
+    planes = [(i * w // 8, table) for i, table in enumerate(_digit_tables(p, e))]
 
     def pack(encs) -> int:
         src, buf = bytes(encs).ljust(count, b"\0"), bytearray(size)
@@ -120,6 +120,12 @@ def digit_planes(p: int, e: int, count: int, stride: int, w: int):
         return tuple(y.to_bytes(count, "little"))
 
     return pack, read
+
+
+@lru_cache(maxsize=64)
+def _digit_tables(p: int, e: int) -> tuple[bytes, ...]:
+    """For each i < e, the translate table from a byte encoding to its digit i."""
+    return tuple(bytes(v // p**i % p for v in range(256)) for i in range(e))
 
 
 @lru_cache(maxsize=64)
@@ -318,10 +324,6 @@ class FieldSpec:
         if not 0 <= value < self.q:
             raise DomainError(f"encoding {value} outside [0, {self.q})")
         return value
-
-    def from_int(self, k: int) -> "FieldElem":
-        """Embed the integer k via the prime subfield (k mod p)."""
-        return FieldElem(self, k % self.p)
 
     @property
     def zero(self) -> "FieldElem":

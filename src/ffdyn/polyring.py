@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .ffield import (FieldElem, FieldSpec, digit_planes, digits, pack_slots, parse_ints,
-                     read_slots, reduce_slots, slot_bits, undigits)
+                     reduce_slots, slot_bits, undigits)
 from .intfactor import divisors, factor_int, order, power
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -29,8 +29,9 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem
 # (rem gives the canonical native form), and degree, lead and monic on
 # nonzero canonical forms. cyclic_ring(n) is the residue ring mod t^n - 1
-# (a _Modulus): packed bits over GF(2), and over every other field the one
-# slot ring (_ListKernel.cyclic_ring), built once per (field, n).
+# (a _Modulus). Over GF(2) everything is packed bits; over every other field
+# mul, cyclic_ring and _PackedModulus run on the one slot layout
+# (_ListKernel.layout), and add, neg and divmod on lists.
 
 
 class _GF2Kernel:
@@ -130,48 +131,70 @@ class _ListKernel:
         return self.unpack(self.divmod(a, b)[1])
 
     @lru_cache(maxsize=256)
-    def cyclic_ring(self, n: int) -> "_Modulus":
-        """The one slot ring mod t^n - 1 over GF(p^e): a residue is one int of
-        w-bit slots, coefficient j a block of b = 2e - 1 slots whose slots
-        i < e hold its base-p digits (Kronecker substitution in t and the
-        generator s; von zur Gathen and Gerhard, Modern Computer Algebra,
-        8.4). A product is one multiply, where digits i and i' meet in slot
-        i + i' < b of their block; the t^n = 1 fold of block n + j onto block
-        j; the fold of slot e + m onto slots 0..e - 1 times the digits r_m of
-        s^(e+m) mod the field's modulus; and one reduce_slots.
+    def layout(self, count: int, terms: int):
+        """(w, reduce, pack, read), the one slot layout: count coefficients
+        over GF(p^e) in one int of w-bit slots, coefficient j a block of
+        b = 2e - 1 slots whose slots i < e hold its base-p digits (Kronecker
+        substitution in t and the generator s; von zur Gathen and Gerhard,
+        Modern Computer Algebra, 8.4), packed and read by ffield.digit_planes.
+        In a product, digits i and i' meet in slot i + i' < b of their block;
+        reduce(z, blocks) folds slot e + m of every block onto slots 0..e - 1
+        times the digits r_m of s^(e+m) mod the field's modulus, then reduces
+        the low blocks * b slots mod p by one reduce_slots.
 
-        Slot bound: slot k of a t-folded block sums n * min(k + 1, b - k)
+        Slot bound: when each coefficient of z sums at most `terms` products
+        of two coefficients, slot k of a block sums terms * min(k + 1, b - k)
         digit products, each at most (p - 1)^2, so slot i < e ends at most
-        n (p - 1)^2 (i + 1 + sum_m (e - 1 - m) r_m,i), which the all-(q - 1)
-        operator and state reach; w holds it, so no slot carries.
+        terms (p - 1)^2 (i + 1 + sum_m (e - 1 - m) r_m,i), which the
+        all-(q - 1) operands reach; w holds it, so no slot carries. So does
+        any z whose slots are each at most that product's before the fold.
         """
         p, e = self.spec.p, self.spec.e
         b = 2 * e - 1
         r = [digits(self.spec.pow_enc(p, e + m), p, e) for m in range(e - 1)]  # s encodes as p
-        w = slot_bits(n * (p - 1) ** 2 * max(
+        w = slot_bits(terms * (p - 1) ** 2 * max(
             i + 1 + sum((e - 1 - m) * r[m][i] for m in range(e - 1)) for i in range(e)))
-        top, mask = n * b * w, (1 << n * b * w) - 1
-        slot0 = pack_slots(([(1 << w) - 1] + [0] * (b - 1)) * n, w)
+        slot0 = pack_slots(([(1 << w) - 1] + [0] * (b - 1)) * count, w)
         # z >> shift & slot0 is slot e + m of each block: add it times r_m, less itself
         folds = [((e + m) * w, pack_slots(r[m], w) - (1 << (e + m) * w)) for m in range(e - 1)]
 
-        def cyclic(a: int, x: int) -> int:
-            z = a * x
-            z = (z & mask) + (z >> top)
+        def reduce(z: int, blocks: int = count) -> int:
             for shift, fold in folds:
                 z += (z >> shift & slot0) * fold
-            return reduce_slots(z, n * b, w, p)
+            return reduce_slots(z, blocks * b, w, p)
+
+        return (w, reduce, *digit_planes(p, e, count, b, w))
+
+    def mul(self, a, b):
+        """a * b on the layout: a coefficient sums at most min(len a, len b) products."""
+        if not a or not b:
+            return []
+        _, reduce, pack, read = self.layout(len(a) + len(b) - 1, min(len(a), len(b)))
+        return read(reduce(pack(a) * pack(b)))
+
+    @lru_cache(maxsize=256)
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """The residues mod t^n - 1 on the layout for n coefficients: a
+        product is one multiply, the t^n = 1 fold of block n + j onto block
+        j, which leaves each coefficient a sum of n products, and reduce."""
+        w, reduce, pack, read = self.layout(n, n)
+        p, b = self.spec.p, 2 * self.spec.e - 1
+        top, mask = n * b * w, (1 << n * b * w) - 1
+
+        def cyclic(a: int, x: int) -> int:
+            z = a * x
+            return reduce((z & mask) + (z >> top))
 
         def prime(a: int, x: int) -> int:  # e = 1: one slot per coefficient, no s fold
             z = a * x
             return reduce_slots((z & mask) + (z >> top), n, w, p)
 
-        return _Modulus(1, cyclic if folds else prime, *digit_planes(p, e, n, b, w))
+        return _Modulus(1, prime if b == 1 else cyclic, pack, read)
 
 
 class _PrimeKernel(_ListKernel):
-    """GF(p)[t], p odd: integer arithmetic on local lists, one % p per
-    coefficient at the end of each product and division."""
+    """GF(p)[t], p odd: add, neg and division on integer lists, one % p per
+    coefficient at the end of each division."""
 
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
@@ -185,19 +208,6 @@ class _PrimeKernel(_ListKernel):
     def neg(self, a):
         p = self.p
         return [-x % p for x in a]
-
-    def mul(self, a, b):
-        if not a or not b:
-            return []
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a  # the row loop runs over the sparser factor
-        lb = len(b)
-        out = [0] * (len(a) + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
-        p = self.p
-        return [c % p for c in out]
 
     def divmod(self, a, b):
         p = self.p
@@ -217,8 +227,8 @@ class _PrimeKernel(_ListKernel):
 
 
 class _TableKernel(_ListKernel):
-    """GF(p^e)[t] through the field's add/neg/mul tables (indexable by
-    encoding; they compute on digits above _TABLE_LIMIT elements)."""
+    """GF(p^e)[t]: add, neg and division through the field's tables (indexable
+    by encoding; they compute on digits above _TABLE_LIMIT elements)."""
 
     def __init__(self, spec: FieldSpec):
         self.add_t, self.neg_t, self.mul_t = spec.op_tables()
@@ -233,20 +243,6 @@ class _TableKernel(_ListKernel):
     def neg(self, a):
         N = self.neg_t
         return [N[x] for x in a]
-
-    def mul(self, a, b):
-        if not a or not b:
-            return []
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        A, M = self.add_t, self.mul_t
-        lb = len(b)
-        out = [0] * (len(a) + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                row = M[x]
-                out[i:i + lb] = [A[o][row[y]] for o, y in zip(out[i:i + lb], b)]
-        return out
 
     def divmod(self, a, b):
         db = len(b) - 1
@@ -473,24 +469,22 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return _poly(a.spec, kern.unpack(kern.monic(g)))
 
 
-# deg m from which odd-p powmod packs (_PackedModulus): the least at which
-# packing was no slower for p = 3, 5, 7, 251 and 65537 at the exponents unit
-# orders use, k = (p^d - 1)/2 and (p^d - 1)/(its largest prime), and at
-# k = p, which factorize uses. Per powmod with the ring set up once, list
-# route -> packed, best of 25 interleaved runs over 20 random monic moduli
-# (2-vCPU VM, Python 3.11.7), in ms: d = 3, p = 3 0.039 -> 0.027 and
-# 0.015 -> 0.015 (k = 3), p = 7 0.069 -> 0.028, p = 251 0.265 -> 0.228 and
-# 0.151 -> 0.148 (k = 251), p = 65537 0.409 -> 0.286; d = 2, p = 3
-# 0.013 -> 0.016, p = 251 0.112 -> 0.118. Only k = 2 still loses at d = 3
-# (p = 3 0.010 -> 0.014).
-_KRONECKER_MIN_DEGREE = 3
+# deg m from which powmod's ring packs (_PackedModulus; Barrett needs d >= 2)
+# over every field but GF(2). Per powmod with the ring set up once, best of 25
+# interleaved runs over 20 random monic moduli (2-vCPU VM, Python 3.11.7),
+# rem(mul) -> packed at d = 2, k = (q^d - 1)/2, in ms: GF(3) 0.005 -> 0.003,
+# GF(4) 0.022 -> 0.011, GF(8) 0.048 -> 0.021, GF(9) 0.024 -> 0.011, GF(25)
+# 0.046 -> 0.019, GF(65537) 0.134 -> 0.100. Packing won as well at k = q,
+# k = 2 and k = (q^d - 1)/(its largest prime), at d = 3 and 4, and for p = 5,
+# 7, 251 and 2^31 - 1.
+_KRONECKER_MIN_DEGREE = 2
 
 
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
     """base^k mod m by square-and-multiply; k >= 0.
 
-    Over odd GF(p) with deg m >= _KRONECKER_MIN_DEGREE the products are
-    packed big-int products reduced by Barrett's method (_PackedModulus).
+    Over every field but GF(2) with deg m >= _KRONECKER_MIN_DEGREE the products
+    are packed big-int products reduced by Barrett's method (_PackedModulus).
     """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
@@ -505,10 +499,10 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
 
 
 def _modulus(kern, m):
-    """The residue ring mod m, a canonical kernel form: packed over odd
-    GF(p) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's own form,
-    which enter and leave keep."""
-    if type(kern) is _PrimeKernel and len(m) > _KRONECKER_MIN_DEGREE:
+    """The residue ring mod m, a canonical kernel form: packed over every
+    field but GF(2) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's
+    own form, which enter and leave keep."""
+    if isinstance(kern, _ListKernel) and len(m) > _KRONECKER_MIN_DEGREE:
         return _PackedModulus(kern, m)
     return _Modulus(kern.rem(kern.one, m), lambda x, y: kern.rem(kern.mul(x, y), m))
 
@@ -529,35 +523,37 @@ class _Modulus:
 
 
 class _PackedModulus(_Modulus):
-    """Residues mod m over odd GF(p), deg m = d, packed into one int with a
-    fixed-width slot per coefficient (Kronecker substitution), so a product
-    is one big-int multiply and one reduce_slots. The slots never carry: no
-    slot sum below exceeds (p - 1)^2 * d.
+    """Residues mod m over GF(p^e), deg m = d, on the layout for 2d - 1
+    coefficients of d terms: a product is one big-int multiply and a reduce.
 
     The remainder is Barrett's: with mu = t^(2d-2) // m, computed once per
     modulus (the reversal of rev(m)^-1 mod t^(d-1)), any c of degree
     <= 2d - 2 has quotient (c // t^d) * mu // t^(d-2) exactly, so c mod m
-    costs two more packed products and a subtraction, which adds `lift`, a
-    multiple of p in every slot at least the largest slot of quot * m_low,
-    (p - 1)^2 * (d - 1). None of this needs m monic. A packed residue has
-    every slot below p, so equal residues are equal ints and one is 1.
+    is c + quot * (-m mod t^d) mod t^d: two more products of d - 1 terms, the
+    second plus c's slots i < e, each at most p - 1 <= (i + 1)(p - 1)^2, the
+    room a d-th term leaves in slot i, so every reduce stays within the slot
+    bound of d terms. None of this needs m monic. A packed residue has every
+    slot below p, so equal residues are equal ints and one is 1.
     """
 
-    def __init__(self, kern: _PrimeKernel, m):
-        p, d = kern.p, len(m) - 1
-        w = slot_bits((p - 1) ** 2 * d)
-        top, shift, mask = d * w, (d - 2) * w, (1 << d * w) - 1
-        mu = pack_slots(kern.divmod([0] * (2 * d - 2) + [1], m)[0], w)
-        m_low = pack_slots(m[:d], w)
-        lift = pack_slots([-(-(p - 1) ** 2 * (d - 1) // p) * p] * d, w)
+    def __init__(self, kern: _ListKernel, m):
+        p, d, b = kern.spec.p, len(m) - 1, 2 * kern.spec.e - 1
+        w, reduce, pack, read = kern.layout(2 * d - 1, d)
+        top, shift, mask = d * b * w, (d - 2) * b * w, (1 << d * b * w) - 1
+        mu = pack(kern.divmod([0] * (2 * d - 2) + [1], m)[0])
+        m_low = pack(kern.neg(m[:d]))
 
-        def mul(x: int, y: int) -> int:
+        def prime(x: int, y: int) -> int:  # e = 1: one slot per coefficient, no s fold
             c = reduce_slots(x * y, 2 * d - 1, w, p)
             quot = reduce_slots((c >> top) * mu >> shift, d - 1, w, p)
-            return reduce_slots((c & mask) + lift - (quot * m_low & mask), d, w, p)
+            return reduce_slots((c & mask) + (quot * m_low & mask), d, w, p)
 
-        super().__init__(1, mul, lambda a: pack_slots(a, w),
-                         lambda x: kern.unpack(read_slots(x, d, w)))
+        def mul(x: int, y: int) -> int:
+            c = reduce(x * y)
+            quot = reduce((c >> top) * mu >> shift, d - 1)
+            return reduce((c & mask) + (quot * m_low & mask), d)
+
+        super().__init__(1, prime if b == 1 else mul, pack, lambda x: kern.unpack(read(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +607,12 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
         g = _euclid(kern, f, a)
         if not 0 < kern.degree(g) < deg:  # else a lucky split via a common factor
             if spec.p == 2:
-                # char 2: additive trace map of a over GF(2), q = 2^e, in
-                # the kernel's form, which the ring mod f keeps
-                b = cur = a
+                # char 2: additive trace map of a over GF(2), q = 2^e, summed
+                # in the kernel's form from the ring's powers
+                b, cur = a, ring.enter(a)
                 for _ in range(spec.e * d - 1):
                     cur = ring.mul(cur, cur)
-                    b = kern.add(b, cur)
+                    b = kern.add(b, ring.leave(cur))
             else:
                 b = ring.leave(ring.pow(ring.enter(a), (q**d - 1) // 2))
                 b = kern.add(b, kern.neg(kern.one))

@@ -236,12 +236,6 @@ def test_element_takes_integer_likes_and_integer_digits_only():
         assert "\n" not in str(exc.value)
 
 
-def test_from_int_embeds_through_prime_subfield():
-    assert F4.from_int(7).enc == 1
-    assert F9.from_int(5).enc == 2
-    assert F2.from_int(2).enc == 0
-
-
 def test_elements_are_hashable_and_comparable():
     seen = {a for a in F9.elements()}
     assert len(seen) == 9

@@ -177,7 +177,7 @@ def ref_mulmod_p(p, a, b, m):
     return strip(rem)
 
 
-ODD_P_DEGREES = [2, 3, 4, 5, 6, 7, 9, 30, 64, 121]
+ODD_P_DEGREES = [1, 2, 3, 4, 5, 6, 7, 9, 30, 64, 121]
 
 
 def test_odd_p_degrees_straddle_the_crossover():
@@ -433,6 +433,87 @@ def test_orbit_algebraic_matches_brute_over_extension_fields(q, n):
         for values in states:
             f = CyclicSeq(spec, values)
             assert orbit_algebraic(D, f) == orbit_brute(D, f), (D, values)
+
+
+# -- the one slot layout: kern.mul and the rings mod a polynomial -----------
+
+
+# every list kernel's field family: small and word-sized p, and extension
+# fields below and above 256 elements (digit_planes' byte and element paths)
+LAYOUT_FIELDS = [FieldSpec.of_order(q) for q in
+                 (3, 5, 251, 65537, 2**31 - 1, 4, 8, 9, 25, 27, 1024, 2187)]
+layout_fields = pytest.mark.parametrize("spec", LAYOUT_FIELDS,
+                                        ids=[f"q{spec.q}" for spec in LAYOUT_FIELDS])
+
+
+def layout_edges(spec, most=100):
+    """Each term count t < most at which the slot bound of a t-term product
+    (slot_bound_block) still fits a width that t + 1 terms outgrow."""
+    widths = [slot_bits(max(slot_bound_block(spec, t))) for t in range(1, most + 1)]
+    return [t for t in range(1, most) if widths[t] != widths[t - 1]]
+
+
+def test_layout_edges_reach_every_field_but_one():
+    """Only GF(65537) has no width edge below 100 terms: its one-term bound
+    is 2^32 and its next edge lies at 2^32 terms."""
+    edges = {spec.q: layout_edges(spec) for spec in LAYOUT_FIELDS}
+    assert edges == {3: [63], 5: [15], 251: [1], 65537: [], 2**31 - 1: [4], 4: [85],
+                     8: [51], 9: [21], 25: [3], 27: [10], 1024: [12], 2187: [3]}
+
+
+@layout_fields
+def test_mul_matches_schoolbook(spec):
+    """kern.mul is the layout's one product: every pair of operand lengths
+    0..3, random and all-(q - 1), and both sides of each width edge, where
+    the all-(q - 1) square fills its middle block to the slot bound, so a
+    slot one bit too narrow carries. The layout's width is the narrowest
+    that holds the bound."""
+    kern = kernel(spec)
+    assert type(kern).mul is polyring._ListKernel.mul
+    rng = random.Random(spec.q)
+    top = spec.q - 1
+
+    def draw(k):
+        return [rng.randrange(spec.q) for _ in range(k)]
+
+    cases = [([top] * la, [top] * lb) for la in range(4) for lb in range(4)]
+    cases += [(draw(la), draw(lb)) for la in range(4) for lb in range(4)]
+    for t in layout_edges(spec):
+        cases += [([top] * t, [top] * t), ([top] * (t + 1), [top] * (t + 1)),
+                  ([top] * (t + 1), [top] * (3 * t))]
+        assert kern.layout(2 * t - 1, t)[0] == slot_bits(max(slot_bound_block(spec, t)))
+        assert kern.layout(2 * t + 1, t + 1)[0] > kern.layout(2 * t - 1, t)[0]
+    for a, b in cases:
+        assert strip(kern.mul(a, b)) == ref_mul(spec, a, b), (len(a), len(b))
+
+
+# extension fields whose Barrett layout for deg m = 2..6 crosses a width edge
+# (GF(25) and GF(3^7) at deg m = 3 | 4) and ones that do not
+PACKED_EXT_FIELDS = [FieldSpec.of_order(q) for q in (4, 8, 9, 25, 27, 1024, 2187)]
+
+
+@pytest.mark.parametrize("spec", PACKED_EXT_FIELDS, ids=[f"q{s.q}" for s in PACKED_EXT_FIELDS])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_packed_modulus_over_extension_fields(spec, d):
+    """The ring _modulus gives for a non-monic m of degree d is the packed
+    one, and its product of two residues is kern.rem of the schoolbook
+    product: the all-(q - 1) residue squared, which fills the product's
+    middle block to the slot bound (a width edge at GF(25) and GF(3^7)),
+    then random pairs, and pow against repeated mul."""
+    kern = kernel(spec)
+    rng = random.Random(spec.q * 10 + d)
+    m = [rng.randrange(spec.q) for _ in range(d)] + [rng.randrange(2, spec.q)]
+    ring = polyring._modulus(kern, m)
+    assert isinstance(ring, polyring._PackedModulus)
+    residues = [[spec.q - 1] * d] + [[rng.randrange(spec.q) for _ in range(d)] for _ in range(4)]
+    for x, y in zip(residues, residues[:1] + residues[2:] + residues[1:2]):
+        expected = kern.rem(ref_mul(spec, x, y), m)
+        assert ring.leave(ring.mul(ring.enter(x), ring.enter(y))) == expected, (x, y)
+    x, acc = ring.enter(residues[1]), ring.one
+    for k in range(8):
+        assert ring.pow(x, k) == acc, k
+        acc = ring.mul(acc, x)
+    assert ring.leave(ring.one) == (1,)
 
 
 # -- Euclid on the kernels' forms --------------------------------------------

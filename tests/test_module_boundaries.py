@@ -2,8 +2,9 @@
 what the other exports. The one exception is polyring._order_prime_power,
 which the benchmark's tracer wraps by that name. Only ffield lays digits out
 in an int, intfactor.power is the one loop that halves an exponent, one
-slot ring serves t^n - 1 over every field but GF(2), and outside ffield a
-FieldElem is built only by the public functions that return one."""
+slot ring serves t^n - 1 over every field but GF(2), polyring sizes slots
+in one layout builder, and outside ffield a FieldElem is built only by the
+public functions that return one."""
 
 import ast
 from pathlib import Path
@@ -205,6 +206,49 @@ def test_the_ring_checker_sees_every_form(tmp_path):
     assert list(_ring_builders(src)) == [("K.cyclic_ring", "cyclic_ring"),
                                          ("K.cyclic_ring", "_Modulus"), ("R", "subclass"),
                                          ("ring", "_Modulus")]
+
+
+# the ffield calls that size slots and lay digits out in them; in polyring
+# only the one slot layout makes them
+LAYOUT_CALLS = ("slot_bits", "digit_planes")
+
+
+def _layout_calls(path: Path):
+    """(owner, name) for each call of a LAYOUT_CALLS name in path: the owner
+    is a function, Class.method, the class for code in a class body outside
+    its methods, and None at module level."""
+    tree = ast.parse(path.read_text(), str(path))
+    for top in tree.body:
+        units = _units(top)
+        rest = [node for node in top.body if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))] if isinstance(top, ast.ClassDef) else []
+        for name in LAYOUT_CALLS:
+            yield from ((owner, name) for owner, unit in units if _calls(unit, name))
+            if not units and _calls(top, name):
+                yield None, name
+            if any(_calls(node, name) for node in rest):
+                yield top.name, name
+
+
+def test_one_slot_layout_in_polyring():
+    """kern.mul, cyclic_ring and _PackedModulus all take their slots from
+    _ListKernel.layout, so no second private packing can come back."""
+    found = set(_layout_calls(SRC / "polyring.py"))
+    assert found == {("_ListKernel.layout", name) for name in LAYOUT_CALLS}
+
+
+def test_the_layout_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class K:\n"
+                   "    W = slot_bits(9)\n"
+                   "    def layout(self, n):\n"
+                   "        return ffield.digit_planes(3, 1, n, 1, slot_bits(n))\n"
+                   "def ring(n):\n"
+                   "    return [slot_bits(k) for k in range(n)]\n"
+                   "PLANES = digit_planes(3, 2, 4, 3, 8)\n")
+    assert list(_layout_calls(src)) == [("K.layout", "slot_bits"), ("K", "slot_bits"),
+                                        ("K.layout", "digit_planes"), ("ring", "slot_bits"),
+                                        (None, "digit_planes")]
 
 
 # the public functions that return a FieldElem built from an encoding; the
