@@ -2,10 +2,10 @@
 
 Dense representation: a tuple of coefficient encodings, low degree first,
 no trailing zeros. Provides division, gcd, modular powering, the irreducible
-factors of t^n - 1 from its cyclotomic structure, complete factorization of
-any polynomial (one distinct-degree pass that peels multiplicities, then
-Cantor-Zassenhaus), resultants and the unit orders on the components pi^e of
-a modulus.
+factors of t^n - 1 from its cyclotomic structure (each Phi_m split inside
+its Frobenius-fixed subalgebra), complete factorization of any polynomial
+(one distinct-degree pass that peels multiplicities, then Cantor-Zassenhaus),
+resultants and the unit orders on the components pi^e of a modulus.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import tee
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .ffield import (FieldElem, FieldSpec, digit_planes, digits, pack_slots, parse_ints,
                      reduce_slots, slot_bits, undigits)
 from .intfactor import divisors, factor_int, order, power
@@ -590,9 +591,23 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+# Rounds a randomized split draws before it gives up (ResourceLimitError).
+# In either split below a round leaves two given factors of one piece
+# together with probability at most 5/9 (q = 3; see their docstrings), so an
+# input of k < 2^24 factors reaches the cap with probability at most
+# (k^2 / 2)(5/9)^128 < 2^47 * 2^-108 = 2^-61.
+_SPLIT_ROUNDS = 128
+
+
 def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus splitting of f, a monic product of distinct degree-d
-    irreducibles in the kernel's form, into those irreducibles (same form)."""
+    irreducibles in the kernel's form, into those irreducibles (same form).
+
+    A uniform residue a takes independent uniform values in GF(q^d) on the
+    factors, so a round separates two given factors with probability at
+    least 4/9: for odd q when exactly one of the two values is a nonzero
+    square, for q = 2^e when exactly one is 0 or their traces to GF(2)
+    differ. ResourceLimitError after _SPLIT_ROUNDS rounds without a split."""
     kern, q = kernel(spec), spec.q
     deg = kern.degree(f)
     if deg < 1:
@@ -600,7 +615,7 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
     if deg == d:
         return [f]
     ring = _modulus(kern, f)
-    while True:
+    for _ in range(_SPLIT_ROUNDS):
         a = kern.rem(kern.pack([rng.randrange(q) for _ in range(deg)]), f)
         if kern.degree(a) < 1:
             continue
@@ -624,6 +639,40 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
             g = kern.monic(g)
             return (_equal_degree_split(spec, g, d, rng)
                     + _equal_degree_split(spec, kern.divmod(f, g)[0], d, rng))
+    raise ResourceLimitError(
+        f"equal-degree splitting over GF({q}) at degree {d} found no split in {_SPLIT_ROUNDS} rounds")
+
+
+def _fixed_split(spec: FieldSpec, m: int, f, d: int, rounds) -> list:
+    """The degree-d irreducible factors of f, a monic divisor of Phi_m in
+    the kernel's form; rounds yields one fixed element b per round, reduced
+    mod f or an ancestor of f (cyclotomic_factors)."""
+    kern, q = kernel(spec), spec.q
+    deg = kern.degree(f)
+    if deg == d:
+        return [f]
+    ring = _modulus(kern, f) if q > 3 else None
+    for b in rounds:
+        c = b = kern.rem(b, f)
+        if q % 2:  # b^((q-1)/2) - 1
+            if ring:
+                c = ring.leave(ring.pow(ring.enter(b), q // 2))
+            c = kern.add(c, kern.neg(kern.one))
+        elif ring:  # Tr(b) = b + b^2 + ... + b^(q/2)
+            x = ring.enter(b)
+            for _ in range(spec.e - 1):
+                x = ring.mul(x, x)
+                c = kern.add(c, ring.leave(x))
+        g = _euclid(kern, f, kern.rem(c, f))
+        if q % 2 and not 0 < kern.degree(g) < deg:
+            g = _euclid(kern, f, b)
+        if 0 < kern.degree(g) < deg:
+            g = kern.monic(g)
+            left, right = tee(kern.rem(x, f) for x in rounds)
+            return (_fixed_split(spec, m, g, d, left)
+                    + _fixed_split(spec, m, kern.divmod(f, g)[0], d, right))
+    raise ResourceLimitError(
+        f"splitting Phi_{m} over GF({q}) did not finish in {_SPLIT_ROUNDS} rounds")
 
 
 def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
@@ -631,10 +680,31 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
     characteristic p, sorted by (degree, coefficients).
 
     t^n - 1 is the product of the cyclotomic polynomials Phi_m over m | n,
-    and Phi_m is the product of phi(m)/d irreducibles of the one degree
+    and Phi_m is the product of k = phi(m)/d irreducibles of the one degree
     d = ord_m(q) (Lidl and Niederreiter, Finite Fields, Thm 2.47). Phi_m is
-    t^m - 1 divided exactly by the Phi_k of its proper divisors k, and
-    equal-degree splitting runs only where deg Phi_m = phi(m) > d.
+    t^m - 1 divided exactly by the Phi_k of its proper divisors k.
+
+    Where k > 1, Phi_m splits inside its Frobenius-fixed subalgebra
+    (Berlekamp's subalgebra; Lidl and Niederreiter, 4.1). For each
+    cyclotomic coset C = {i, iq, iq^2, ...} of q in Z/m let
+    eta_C = sum_{i in C} t^i. In GF(q)[t]/(t^m - 1), the group algebra of
+    Z/m, (sum c_i t^i)^q = sum c_i t^(iq), so the elements fixed by
+    g -> g^q are exactly those whose coefficients are constant on every
+    coset: the span of the eta_C over all cosets, which are linearly
+    independent. Reduction mod Phi_m is onto and commutes with g -> g^q,
+    and by the CRT it maps that span onto the fixed subalgebra mod Phi_m,
+    GF(q)^k: one coordinate b mod pi in GF(q) per factor pi. The unit
+    cosets alone do not span it when m is composite: at m = 4, t and
+    t^3 = -t mod Phi_4 are dependent. So b = sum_C a_C eta_C, each a_C
+    uniform in GF(q), has independent uniform coordinates. Each round draws
+    one b, reduces it down the split tree (b mod Phi_m, then that residue
+    mod each piece split off it) and splits every open piece f by
+    gcd(f, b^((q-1)/2) - 1) for odd q, then gcd(f, b) if that does not
+    split f, and by gcd(f, Tr(b)) for q = 2^e, Tr(b) = b + b^2 + ... +
+    b^(2^(e-1)) with e - 1 squarings mod f. So a round parts two factors
+    of one piece with probability at least (q^2 - 1)/(2q^2) >= 4/9 for odd
+    q (exactly one coordinate a nonzero square) and exactly 1/2 for
+    q = 2^e (traces to GF(2) that differ); _SPLIT_ROUNDS caps the rounds.
     """
     if n < 1 or n % spec.p == 0:
         raise DomainError("cyclotomic factors need n >= 1 coprime to the characteristic")
@@ -650,7 +720,25 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
         phis[m] = phi
         deg = kern.degree(phi)
         d = order(q % m, deg, lambda x, j: pow(x, j, m), 1 % m)
-        found += _equal_degree_split(spec, phi, d, rng)
+        if deg == d:
+            found.append(phi)
+            continue
+        coset, count = [-1] * m, 0  # coset[i]: the index of i's coset
+        for i in range(m):
+            if coset[i] < 0:
+                j = i
+                while coset[j] < 0:
+                    coset[j], j = count, j * q % m
+                count += 1
+        # b mod (t^m - 1)/(t^top - 1), a multiple of Phi_m, for r the least
+        # prime dividing m (its least divisor in phis): t^(m-top) =
+        # -(1 + t^top + ... + t^(m-2top)) there, so the top block of
+        # top = m/r coefficients folds onto the r - 1 blocks below
+        top = m // next(k for k in phis if k > 1 and m % k == 0)
+        draws = ([rng.randrange(q) for _ in range(count)] for _ in range(_SPLIT_ROUNDS))
+        bs = ([a[c] for c in coset] for a in draws)
+        found += _fixed_split(spec, m, phi, d, (kern.rem(kern.add(
+            kern.pack(b[:-top]), kern.neg(kern.pack(b[-top:] * (m // top - 1)))), phi) for b in bs))
     return sorted((_poly(spec, kern.unpack(f)) for f in found),
                   key=lambda f: (f.degree, f.coeff_encs))
 

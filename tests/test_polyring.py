@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import F2, F3, F4, F5, F7, F8, F9
 from ffdyn import DomainError, FieldSpec, Poly, factorize, groupalg, polyring, resultant
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import crt_split
-from ffdyn.intfactor import order
+from ffdyn.intfactor import divisors, order
 from ffdyn.polyring import (NEG_INF, _order_prime_power, cyclotomic_factors, gcd,
                             geometric_sum, is_irreducible, powmod, t_pow_minus_one)
 
@@ -250,13 +251,13 @@ def test_squarefree_decomposition_char_p_powers():
     assert factorize(f).factors == ((Poly(F2, [1, 1]), 3), (Poly(F2, [1, 1, 1]), 1))
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9],
-                         ids=["q2", "q3", "q4", "q5", "q7", "q8", "q9"])
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9] + [
+    FieldSpec.of_order(q) for q in (16, 25, 27, 32, 49, 64, 81)], ids=lambda s: f"q{s.q}")
 def test_crt_split_p_power_shortcut_matches_factorize(spec):
     """crt_split splits only t^m - 1 for n = p^k * m, into its cyclotomic
     factors, and gives each multiplicity p^k; factorize of t^n - 1 itself
-    must give the same pairs in the same order at every n <= 60: prime,
-    composite and divisible by p."""
+    (Cantor-Zassenhaus, an independent split) must give the same pairs in
+    the same order at every n <= 60: prime, composite and divisible by p."""
     for n in range(1, 61):
         assert factorize(t_pow_minus_one(spec, n)).factors == crt_split(spec, n), n
 
@@ -265,12 +266,78 @@ def test_crt_split_never_factorizes(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("crt_split called factorize")
 
+    def refuse_cz(*_args, **_kwargs):
+        raise AssertionError("crt_split called Cantor-Zassenhaus")
+
     monkeypatch.setattr(polyring, "factorize", refuse)
     monkeypatch.setattr(groupalg, "factorize", refuse, raising=False)
+    monkeypatch.setattr(polyring, "_equal_degree_split", refuse_cz)
     crt_split.cache_clear()
     for spec in (F2, F3, F4, F9):
         for n in (1, 15, 21, 45, 63, 90):
             assert crt_split(spec, n)
+
+
+@pytest.mark.parametrize("q, n", [(7, 6), (9, 8), (25, 24)])
+def test_cyclotomic_factors_of_degree_one(q, n):
+    """q = 1 mod n: t^n - 1 is the product of t - r over the n roots r^n = 1."""
+    spec = FieldSpec.of_order(q)
+    roots = [r for r in range(1, q) if spec.pow_enc(r, n) == 1]
+    assert len(roots) == n
+    assert cyclotomic_factors(spec, n) == sorted(
+        (Poly(spec, (spec.neg_enc(r), 1)) for r in roots), key=lambda f: f.coeff_encs)
+
+
+@pytest.mark.parametrize("q, n", [(4, 5), (9, 10)])
+def test_cyclotomic_factors_conjugate_over_the_prime_field(q, n):
+    """Phi_5 is irreducible over GF(p) but splits over GF(p^2) into two
+    quadratics that c -> c^p on coefficients swaps."""
+    spec = FieldSpec.of_order(q)
+    factors = cyclotomic_factors(spec, n)
+    assert factors == [pi for pi, _e in factorize(t_pow_minus_one(spec, n)).factors]
+    quadratics = [f for f in factors if f.degree == 2]
+    assert len(quadratics) == (2 if n == 5 else 4)
+    for f in quadratics:
+        conj = Poly(spec, [spec.pow_enc(c, spec.p) for c in f.coeff_encs])
+        assert conj != f and conj in quadratics and is_irreducible(f)
+
+
+def test_cyclotomic_factors_with_hundreds_of_factors():
+    """GF(2), n = 4095 = 3^2 5 7 13: each Phi_m gives phi(m)/d irreducibles
+    of degree d = ord_m(2), and their product is t^n - 1."""
+    n = 4095
+    factors = cyclotomic_factors(F2, n)
+    assert len(factors) > 300
+    product = Poly.one(F2)
+    for f in factors:
+        product = product * f
+    assert product == t_pow_minus_one(F2, n)
+    assert all(is_irreducible(f) for f in factors)
+    phis = {}
+    for m in divisors(n):
+        phi = t_pow_minus_one(F2, m)
+        for k in phis:
+            if m % k == 0:
+                phi = phi // phis[k]
+        phis[m] = phi
+        d = order(2 % m, phi.degree, lambda x, j: pow(x, j, m), 1 % m)
+        mine = [f for f in factors if (phi % f).is_zero]
+        assert len(mine) == phi.degree // d and all(f.degree == d for f in mine), m
+
+
+def test_splitting_stops_at_the_round_cap(monkeypatch):
+    """A draw that never separates two factors hits the cap and raises,
+    naming the field and Phi_m; so does Cantor-Zassenhaus."""
+    class Zeros:
+        def randrange(self, _q):
+            return 0
+
+    monkeypatch.setattr(polyring, "random", SimpleNamespace(Random=lambda _seed: Zeros()))
+    with pytest.raises(ResourceLimitError, match=r"Phi_5 over GF\(4\)"):
+        cyclotomic_factors(F4, 5)
+    kern = polyring.kernel(F3)
+    with pytest.raises(ResourceLimitError, match=r"GF\(3\)"):
+        polyring._equal_degree_split(F3, kern.pack((2, 0, 1)), 1, Zeros())
 
 
 def test_cyclotomic_factors_need_n_coprime_to_p():
