@@ -374,29 +374,17 @@ class FieldSpec:
 
     # -- the operation tables of an extension field -------------------------
 
-    def op_tables(self):
-        """The (add, neg, mul) tables of an extension field, indexed by
-        encoding: add[a][b], neg[a], mul[a][b]."""
-        return self._tables[:3]
-
     @cached_property
     def _tables(self):
         """(add, neg, mul, inv) of an extension field, indexed by encoding
         (inv[0] is unused). Fields of at most _TABLE_LIMIT elements get lists
         built once; larger ones get lookups that compute on base-p digits."""
         p, e, q = self.p, self.e, self.q
-        if q > _TABLE_LIMIT:
-            if p == 2:
-                add, neg = operator.xor, operator.pos
-            else:
-                def add(a, b):
-                    return undigits([(x + y) % p for x, y in
-                                     zip(digits(a, p, e), digits(b, p, e))], p)
-
-                def neg(a):
-                    return undigits([-x % p for x in digits(a, p, e)], p)
-            return (_call_table(add), _Lookup(neg), _call_table(self._digit_mul),
-                    _Lookup(partial(self.pow_enc, k=q - 2)))
+        if q > _TABLE_LIMIT:  # -a is (p - 1) * a
+            add = operator.xor if p == 2 else lambda a, b: undigits(
+                [(x + y) % p for x, y in zip(digits(a, p, e), digits(b, p, e))], p)
+            return (_call_table(add), _Lookup(partial(self._digit_mul, p - 1)),
+                    _call_table(self._digit_mul), _Lookup(partial(self.pow_enc, k=q - 2)))
         # add: with a = a0 + p*a', the low digits add mod p and the rest is
         # the table of the field with one digit less
         add = [[0]]

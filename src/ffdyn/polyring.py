@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import tee
+from math import isqrt
 
 from .errors import DomainError, ResourceLimitError
 from .ffield import (FieldElem, FieldSpec, digit_planes, digits, pack_slots, parse_ints,
-                     reduce_slots, slot_bits, undigits)
+                     read_slots, reduce_slots, slot_bits, undigits)
 from .intfactor import divisors, factor_int, order, power
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -26,13 +27,18 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
-# works on its own native form of a coefficient tuple (pack; unpack gives back
-# the canonical tuple, no trailing zeros) with add, neg, mul, divmod and rem
-# (rem gives the canonical native form), and degree, lead and monic on
-# nonzero canonical forms. cyclic_ring(n) is the residue ring mod t^n - 1
-# (a _Modulus). Over GF(2) everything is packed bits; over every other field
-# mul, cyclic_ring and _PackedModulus run on the one slot layout
-# (_ListKernel.layout), and add, neg and divmod on lists.
+# has a native form of a coefficient tuple (pack; unpack gives the canonical
+# tuple back) with add, neg, mul, divmod, rem, gcd (monic) and degree;
+# cyclic_ring(n), the residue ring mod t^n - 1 (a _Modulus); and slots(count),
+# the packed form that gcd and resultant run on. GF(2) packs bits; every other
+# field runs on the one slot layout (_ListKernel.layout).
+
+
+def _euclid(form, a, b):
+    """A gcd, not monic, of a and b in a packed form (GF(2) kernel, _Slots)."""
+    while b:
+        a, b = b, form.rem(a, b)
+    return a
 
 
 class _GF2Kernel:
@@ -40,21 +46,11 @@ class _GF2Kernel:
 
     one = 1
     pack = staticmethod(lambda c: undigits(c, 2))
+    unpack = staticmethod(lambda x: digits(x, 2, x.bit_length()))
     degree = staticmethod(lambda x: x.bit_length() - 1)
     lead = staticmethod(lambda x: 1)
-    monic = staticmethod(lambda x: x)
-
-    @staticmethod
-    def unpack(x: int) -> tuple[int, ...]:
-        return digits(x, 2, x.bit_length())
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    @staticmethod
-    def neg(a: int) -> int:
-        return a
+    add = staticmethod(operator.xor)
+    neg = staticmethod(operator.pos)
 
     @staticmethod
     def mul(a: int, b: int) -> int:
@@ -86,6 +82,11 @@ class _GF2Kernel:
             quot |= 1 << (la - db)
         return quot, a
 
+    def slots(self, count: int) -> "_GF2Kernel":  # the kernel's form is packed
+        return self
+
+    gcd = _euclid
+
     def cyclic_ring(self, n: int) -> "_Modulus":
         """Residues mod t^n - 1 as packed ints of degree < n; a product has
         degree <= 2n - 2, so one fold reduces it."""
@@ -99,13 +100,22 @@ class _GF2Kernel:
 
 
 class _ListKernel:
-    """Shared parts of the kernels that keep coefficients in a sequence."""
+    """GF(q)[t] for every field but GF(2): coefficient tuples outside, the
+    one slot layout inside. add, neg, divmod, rem and gcd pack each input
+    once into a _Slots form and read each result once."""
 
     one = (1,)
 
-    @staticmethod
-    def pack(c):
-        return c
+    def __init__(self, spec: FieldSpec):
+        p, e = spec.p, spec.e
+        self.spec = spec
+        # r_m = s^(e+m) mod the modulus (s encodes as p); term: one term's slot bound
+        self.r = r = [digits(spec.pow_enc(p, e + m), p, e) for m in range(e - 1)]
+        self.term = (p - 1) ** 2 * max(
+            i + 1 + sum((e - 1 - m) * r[m][i] for m in range(e - 1)) for i in range(e))
+
+    pack = staticmethod(lambda c: c)
+    degree = staticmethod(lambda c: len(c) - 1)
 
     @staticmethod
     def unpack(c) -> tuple[int, ...]:
@@ -113,23 +123,6 @@ class _ListKernel:
         while k and not c[k - 1]:
             k -= 1
         return tuple(c[:k])
-
-    @staticmethod
-    def degree(c) -> int:
-        return len(c) - 1
-
-    @staticmethod
-    def lead(c) -> int:
-        return c[-1]
-
-    def monic(self, a):
-        lead = a[-1]
-        return a if lead == 1 else self.mul(a, (self.spec.inv_enc(lead),))
-
-    def rem(self, a, b):
-        """a mod b as a canonical tuple: divmod keeps deg b remainder slots,
-        whose top coefficients may be zero."""
-        return self.unpack(self.divmod(a, b)[1])
 
     @lru_cache(maxsize=256)
     def layout(self, count: int, terms: int):
@@ -150,11 +143,9 @@ class _ListKernel:
         all-(q - 1) operands reach; w holds it, so no slot carries. So does
         any z whose slots are each at most that product's before the fold.
         """
-        p, e = self.spec.p, self.spec.e
+        p, e, r = self.spec.p, self.spec.e, self.r
         b = 2 * e - 1
-        r = [digits(self.spec.pow_enc(p, e + m), p, e) for m in range(e - 1)]  # s encodes as p
-        w = slot_bits(terms * (p - 1) ** 2 * max(
-            i + 1 + sum((e - 1 - m) * r[m][i] for m in range(e - 1)) for i in range(e)))
+        w = slot_bits(terms * self.term)
         slot0 = pack_slots(([(1 << w) - 1] + [0] * (b - 1)) * count, w)
         # z >> shift & slot0 is slot e + m of each block: add it times r_m, less itself
         folds = [((e + m) * w, pack_slots(r[m], w) - (1 << (e + m) * w)) for m in range(e - 1)]
@@ -165,6 +156,42 @@ class _ListKernel:
             return reduce_slots(z, blocks * b, w, p)
 
         return (w, reduce, *digit_planes(p, e, count, b, w))
+
+    @lru_cache(maxsize=256)
+    def slots(self, count: int) -> "_Slots":
+        """Polynomials of at most count coefficients on the layout (_Slots)."""
+        return _Slots(self, count)
+
+    @lru_cache(maxsize=1024)
+    def constant(self, c: int) -> int:  # one cache per field: no _Slots width depends on count
+        return pack_slots(digits(c, self.spec.p, self.spec.e), self.layout(1, 2)[0])
+
+    @lru_cache(maxsize=1024)
+    def encoding(self, block: int) -> int:  # of the coefficient in a reduced block
+        return undigits(read_slots(block, self.spec.e, self.layout(1, 2)[0]), self.spec.p)
+
+    def add(self, a, b):
+        s = self.slots(max(len(a), len(b), 1))
+        return s.unpack(s.reduce(s.pack(a) + s.pack(b)))
+
+    def neg(self, a):
+        s = self.slots(max(len(a), 1))
+        return s.unpack(s.reduce(s.pack(a) * (self.spec.p - 1)))
+
+    def divmod(self, a, b, quotient=True):
+        """(a // b, or () when not wanted, and a mod b) for canonical b != 0."""
+        if len(a) < len(b):
+            return (), self.unpack(a)
+        s = self.slots(len(a))
+        quot, rem = s.divmod(s.pack(a), s.pack(b), quotient)
+        return s.unpack(quot) if quotient else (), s.unpack(rem)
+
+    def rem(self, a, b):
+        return self.divmod(a, b, False)[1]
+
+    def gcd(self, a, b):
+        s = self.slots(max(len(a), len(b)))
+        return s.unpack(s.monic(_euclid(s, s.pack(a), s.pack(b))))
 
     def mul(self, a, b):
         """a * b on the layout: a coefficient sums at most min(len a, len b) products."""
@@ -193,83 +220,81 @@ class _ListKernel:
         return _Modulus(1, prime if b == 1 else cyclic, pack, read)
 
 
-class _PrimeKernel(_ListKernel):
-    """GF(p)[t], p odd: add, neg and division on integer lists, one % p per
-    coefficient at the end of each division."""
+class _Slots:
+    """Polynomials of at most count coefficients as ints on the layout of two
+    terms, every slot below p, so 0 is zero and the bit length gives the
+    degree: a kernel's pack, unpack, degree, lead, monic and rem for a whole
+    remainder sequence. A division step reads the top block of x and reduces
+    it to c (% p over GF(p), reduce of one block otherwise), then adds
+    c * (-y / lc(y)) there, one product term per coefficient, which leaves
+    the top a multiple of p. A slot starts below p, within one term, so
+    interval = (the terms w holds) - 1 steps never carry (two terms make it
+    >= 1): the steps run in chunks of at most interval, each then masked and
+    reduced once. A step costs O(chunk + dy) blocks and a chunk O(deg x), so
+    a chunk is also at most dy + sqrt((deg x + 1) * block bits) steps.
+    """
 
-    def __init__(self, spec: FieldSpec):
-        self.spec, self.p = spec, spec.p
+    def __init__(self, kern: _ListKernel, count: int):
+        self.kern, self.spec, self.p, self.e = kern, kern.spec, kern.spec.p, kern.spec.e
+        w, self.reduce, self.pack, self.read = kern.layout(count, 2)
+        self.block, self.interval = (2 * self.e - 1) * w, (2**w - 1) // kern.term - 1
+        self.scalar = kern.constant  # the form of a constant
 
-    def add(self, a, b):
-        p = self.p
-        if len(a) < len(b):
-            a, b = b, a
-        return [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
+    def unpack(self, x: int) -> tuple[int, ...]:
+        return self.read(x)[:self.degree(x) + 1]
 
-    def neg(self, a):
-        p = self.p
-        return [-x % p for x in a]
+    def degree(self, x: int) -> int:
+        return (x.bit_length() - 1) // self.block
 
-    def divmod(self, a, b):
-        p = self.p
-        db = len(b) - 1
-        if len(a) <= db:
-            return [], a
-        rem = list(a)
-        inv = pow(b[-1], p - 2, p)
-        low = b[:db]
-        quot = [0] * (len(rem) - db)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + db] * inv % p
-            if c:
-                quot[k] = c
-                rem[k:k + db] = [r - c * y for r, y in zip(rem[k:k + db], low)]
-        return quot, [r % p for r in rem[:db]]
+    def lead(self, x: int) -> int:
+        return self.kern.encoding(x >> self.degree(x) * self.block)
 
+    def monic(self, x: int) -> int:
+        lead = self.lead(x)
+        return x if lead == 1 else self.reduce(x * self.scalar(self.spec.inv_enc(lead)))
 
-class _TableKernel(_ListKernel):
-    """GF(p^e)[t]: add, neg and division through the field's tables (indexable
-    by encoding; they compute on digits above _TABLE_LIMIT elements)."""
+    def rem(self, x: int, y: int) -> int:
+        return self.divmod(x, y, False)[1]
 
-    def __init__(self, spec: FieldSpec):
-        self.add_t, self.neg_t, self.mul_t = spec.op_tables()
-        self.spec = spec
-
-    def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        A = self.add_t
-        return [A[x][y] for x, y in zip(a, b)] + list(a[len(b):])
-
-    def neg(self, a):
-        N = self.neg_t
-        return [N[x] for x in a]
-
-    def divmod(self, a, b):
-        db = len(b) - 1
-        if len(a) <= db:
-            return [], a
-        A, N, M = self.add_t, self.neg_t, self.mul_t
-        rem = list(a)
-        lead = b[-1]
-        inv_row = M[1 if lead == 1 else self.spec.inv_enc(lead)]
-        low = b[:db]
-        quot = [0] * (len(rem) - db)
-        for k in range(len(quot) - 1, -1, -1):
-            c = inv_row[rem[k + db]]
-            if c:
-                quot[k] = c
-                row = M[N[c]]
-                rem[k:k + db] = [A[r][row[y]] for r, y in zip(rem[k:k + db], low)]
-        return quot, rem[:db]
+    def divmod(self, x: int, y: int, quotient: bool = True) -> tuple[int, int]:
+        """(x // y, or 0 when not wanted, and x mod y) of forms x and y != 0."""
+        p, block, reduce = self.p, self.block, self.reduce
+        dy = (y.bit_length() - 1) // block
+        span = (x.bit_length() - 1) // block - dy + 1  # quotient coefficients
+        if span <= 0:
+            return 0, x
+        top, ones, prime = dy * block, (1 << block) - 1, self.e == 1
+        inv = self.spec.inv_enc(self.kern.encoding(y >> top))
+        # over GF(p) a step adds (c * m) * y for m = -1/l, else c * m * y,
+        # and the quotient is scaled by 1/l at the end
+        m = p - inv if prime else reduce(y * self.scalar(self.spec.neg_enc(inv)), dy + 1)
+        quot, k, chunk = 0, span - 1, min(self.interval, dy + isqrt((span + dy) * block))
+        while k >= 0:  # a chunk: steps k down to k0, on the blocks from k0 up
+            k0 = max(k - chunk + 1, 0)
+            shift = k0 * block
+            hi, x, part = x >> shift, x & (1 << shift) - 1, 0
+            for j in range(k - k0, -1, -1):
+                t = hi >> top + j * block & ones
+                if prime:
+                    c = t * m % p
+                    if c:
+                        hi += c * y << j * block
+                        part += p - c << j * block
+                elif c := t if j == k - k0 else reduce(t, 1):  # a chunk's first top is reduced
+                    hi += c * m << j * block
+                    part += c << j * block
+            x += reduce(hi & (1 << top) - 1, dy) << shift
+            quot += part << shift
+            k = k0 - 1
+        if quotient and not prime and inv != 1:
+            quot = reduce(quot * self.scalar(inv), span)
+        return quot, x
 
 
 @lru_cache(maxsize=64)
 def kernel(spec: FieldSpec):
     """The arithmetic backend for polynomials over spec."""
-    if spec.e > 1:
-        return _TableKernel(spec)
-    return _GF2Kernel() if spec.p == 2 else _PrimeKernel(spec)
+    return _GF2Kernel() if spec.q == 2 else _ListKernel(spec)
 
 
 class Poly:
@@ -338,8 +363,8 @@ class Poly:
     def monic(self) -> "Poly":
         if not self._c:
             raise DomainError("cannot normalize the zero polynomial")
-        k = kernel(self.spec)
-        return _poly(self.spec, k.unpack(k.monic(k.pack(self._c))))
+        k = kernel(self.spec)  # the monic gcd of self and 0
+        return _poly(self.spec, k.unpack(k.gcd(k.pack(self._c), k.pack(()))))
 
     # -- ring operations (through the field's kernel) ----------------------
 
@@ -452,32 +477,19 @@ def t_minus_one(spec: FieldSpec) -> Poly:
 # Division, gcd, powering
 
 
-def _euclid(kern, a, b):
-    """A gcd of the kernel forms a and b, b canonical; not normalised."""
-    while b:
-        a, b = b, kern.rem(a, b)
-    return a
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; DomainError when both inputs are zero. The remainder
-    sequence runs on the kernel's form."""
+    sequence runs on packed ints (kern.gcd)."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
     a._check(b)
     kern = kernel(a.spec)
-    g = _euclid(kern, kern.pack(a.coeff_encs), kern.pack(b.coeff_encs))
-    return _poly(a.spec, kern.unpack(kern.monic(g)))
+    return _poly(a.spec, kern.unpack(kern.gcd(kern.pack(a.coeff_encs), kern.pack(b.coeff_encs))))
 
 
 # deg m from which powmod's ring packs (_PackedModulus; Barrett needs d >= 2)
-# over every field but GF(2). Per powmod with the ring set up once, best of 25
-# interleaved runs over 20 random monic moduli (2-vCPU VM, Python 3.11.7),
-# rem(mul) -> packed at d = 2, k = (q^d - 1)/2, in ms: GF(3) 0.005 -> 0.003,
-# GF(4) 0.022 -> 0.011, GF(8) 0.048 -> 0.021, GF(9) 0.024 -> 0.011, GF(25)
-# 0.046 -> 0.019, GF(65537) 0.134 -> 0.100. Packing won as well at k = q,
-# k = 2 and k = (q^d - 1)/(its largest prime), at d = 3 and 4, and for p = 5,
-# 7, 251 and 2^31 - 1.
+# over every field but GF(2): packing beat rem(mul) at d = 2, 3 and 4 over
+# every field tried, GF(3) to GF(65537) (2-vCPU VM, Python 3.11.7).
 _KRONECKER_MIN_DEGREE = 2
 
 
@@ -542,7 +554,7 @@ class _PackedModulus(_Modulus):
         w, reduce, pack, read = kern.layout(2 * d - 1, d)
         top, shift, mask = d * b * w, (d - 2) * b * w, (1 << d * b * w) - 1
         mu = pack(kern.divmod([0] * (2 * d - 2) + [1], m)[0])
-        m_low = pack(kern.neg(m[:d]))
+        m_low = reduce(pack(m[:d]) * (p - 1), d)  # -(m mod t^d)
 
         def prime(x: int, y: int) -> int:  # e = 1: one slot per coefficient, no s fold
             c = reduce_slots(x * y, 2 * d - 1, w, p)
@@ -619,7 +631,7 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
         a = kern.rem(kern.pack([rng.randrange(q) for _ in range(deg)]), f)
         if kern.degree(a) < 1:
             continue
-        g = _euclid(kern, f, a)
+        g = kern.gcd(f, a)
         if not 0 < kern.degree(g) < deg:  # else a lucky split via a common factor
             if spec.p == 2:
                 # char 2: additive trace map of a over GF(2), q = 2^e, summed
@@ -634,9 +646,8 @@ def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
             b = kern.rem(b, f)
             if not b:
                 continue
-            g = _euclid(kern, f, b)
+            g = kern.gcd(f, b)
         if 0 < kern.degree(g) < deg:
-            g = kern.monic(g)
             return (_equal_degree_split(spec, g, d, rng)
                     + _equal_degree_split(spec, kern.divmod(f, g)[0], d, rng))
     raise ResourceLimitError(
@@ -663,11 +674,10 @@ def _fixed_split(spec: FieldSpec, m: int, f, d: int, rounds) -> list:
             for _ in range(spec.e - 1):
                 x = ring.mul(x, x)
                 c = kern.add(c, ring.leave(x))
-        g = _euclid(kern, f, kern.rem(c, f))
+        g = kern.gcd(f, kern.rem(c, f))
         if q % 2 and not 0 < kern.degree(g) < deg:
-            g = _euclid(kern, f, b)
+            g = kern.gcd(f, b)
         if 0 < kern.degree(g) < deg:
-            g = kern.monic(g)
             left, right = tee(kern.rem(x, f) for x in rounds)
             return (_fixed_split(spec, m, g, d, left)
                     + _fixed_split(spec, m, kern.divmod(f, g)[0], d, right))
@@ -792,31 +802,31 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
 def resultant(a: Poly, b: Poly) -> FieldElem:
     """Sylvester-determinant resultant: lc(a)^deg(b) * prod b(root of a).
 
-    Computed by the Euclidean recurrence on the kernel's form and on field
-    encodings, the sign folded into the product; zero exactly when the inputs
-    share a nonconstant factor.
+    Computed by the Euclidean recurrence on the kernel's packed form
+    (kern.slots) and on field encodings, the sign folded into the product;
+    zero exactly when the inputs share a nonconstant factor.
     """
     if a.is_zero or b.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
     spec = a.spec
     a._check(b)
-    kern = kernel(spec)
+    form = kernel(spec).slots(max(len(a.coeff_encs), len(b.coeff_encs)))
     acc = 1
-    A, B = kern.pack(a.coeff_encs), kern.pack(b.coeff_encs)
+    A, B = form.pack(a.coeff_encs), form.pack(b.coeff_encs)
     while True:
-        dA, dB = kern.degree(A), kern.degree(B)
+        dA, dB = form.degree(A), form.degree(B)
         if dA == 0 or dB == 0:
-            lead, k = (kern.lead(A), dB) if dA == 0 else (kern.lead(B), dA)
+            lead, k = (form.lead(A), dB) if dA == 0 else (form.lead(B), dA)
             return FieldElem(spec, spec.mul_enc(acc, spec.pow_enc(lead, k)))
         if dA * dB % 2 == 1:
             acc = spec.neg_enc(acc)
         if dA < dB:
             A, B = B, A
             continue
-        R = kern.rem(A, B)
+        R = form.rem(A, B)
         if not R:
             return FieldElem(spec, 0)
-        acc = spec.mul_enc(acc, spec.pow_enc(kern.lead(B), dA - kern.degree(R)))
+        acc = spec.mul_enc(acc, spec.pow_enc(form.lead(B), dA - form.degree(R)))
         A, B = B, R
 
 

@@ -10,13 +10,13 @@ from functools import reduce  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.ntheory.primetest import \
     is_strong_lucas_prp as is_strong_lucas_prp_sympy  # noqa: E402
-from sympy.polys.galoistools import gf_mul, gf_rem  # noqa: E402
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_rem  # noqa: E402
 
 from ffdyn import FieldSpec  # noqa: E402
 from ffdyn.dynamics import orbit_algebraic, orbit_brute  # noqa: E402
 from ffdyn.groupalg import CyclicSeq, build_operator, crt_split  # noqa: E402
 from ffdyn.intfactor import is_prime, is_strong_lucas_prp, order  # noqa: E402
-from ffdyn.polyring import Poly, is_irreducible, t_pow_minus_one  # noqa: E402
+from ffdyn.polyring import Poly, gcd, is_irreducible, t_pow_minus_one  # noqa: E402
 
 T = sympy.Symbol("t")
 LENGTHS = [1, 2, 6, 15, 31, 63, 64, 81, 105, 127, 210, 243, 255, 300]
@@ -49,6 +49,20 @@ def test_crt_split_matches_sympy_in_the_hundreds(p, lengths):
     for n in lengths:
         ours = {(pi.coeff_encs, e) for pi, e in crt_split(spec, n)}
         assert ours == sympy_factors(p, n), n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gcd_of_degree_600_matches_sympy(p):
+    """gcd(c * u, c * v) for random c of degree 600 and u, v of degree 400:
+    a remainder sequence on forms of degree 1000, against sympy's gf_gcd."""
+    rng = random.Random(p)
+    c, u, v = ([rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)]
+               for k in (600, 400, 400))
+    a, b = (gf_mul(c[::-1], x[::-1], p, ZZ) for x in (u, v))
+    want = [int(x) % p for x in reversed(gf_gcd(a, b, p, ZZ))]
+    spec = FieldSpec(p)
+    assert list(gcd(Poly(spec, a[::-1]), Poly(spec, b[::-1])).coeff_encs) == want
+    assert len(want) > 600
 
 
 # psi_k (OEIS A014233): the least strong pseudoprime to the first k prime
@@ -120,8 +134,8 @@ def test_order_matches_sympy():
 
 
 # -- extension fields above the 512-element table limit ------------------------
-# These answer through base-p digits and the polynomial kernel's lookup
-# stand-ins, not through tables.
+# These answer through base-p digits, not through tables: FieldSpec's element
+# ops compute on them, and the polynomial kernel lays them out in slots.
 
 GF1024 = FieldSpec.of_order(2**10)
 GF2187 = FieldSpec.of_order(3**7)

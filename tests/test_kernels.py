@@ -3,7 +3,8 @@
 Every reference below makes one FieldSpec.add_enc / mul_enc call per
 coefficient operation, except ref_mulmod_p, which works on int lists with
 one % p per coefficient operation; none shares a loop with the kernels.
-GF(3^6) lies above the table limit and runs the per-call fallback kernel.
+GF(3^6) lies above the field's table limit, where FieldSpec's element ops,
+which the references call, compute on digits.
 """
 
 import random
@@ -234,21 +235,24 @@ def test_powmod_reaches_the_largest_slot_sum(p, d, monkeypatch):
     assert packed == list(ks)
 
 
-def test_table_kernel_inverts_through_the_field(monkeypatch):
-    """The table kernel is cached per field, so it must look FieldSpec.inv_enc
-    up when it divides: a wrapper put on the class after the kernel is built
-    still sees the inverse of a non-monic divisor's leading coefficient."""
-    F9 = FieldSpec.of_order(9)
-    kernel(F9)
+@pytest.mark.parametrize("q", [5, 9])
+def test_kernel_inverts_through_the_field(q, monkeypatch):
+    """The kernel and its slot forms are cached per field, so they must look
+    FieldSpec.inv_enc up when they divide: a wrapper put on the class after
+    the kernel and the form are built still sees the inverse of a non-monic
+    divisor's leading coefficient."""
+    spec = FieldSpec.of_order(q)
+    a, b = Poly(spec, [1, 2, 3, 4]), Poly(spec, [3, 2])
+    divmod(a, b)
     calls = []
     inv_enc = FieldSpec.inv_enc
 
-    def counted(self, a):
-        calls.append(a)
-        return inv_enc(self, a)
+    def counted(self, x):
+        calls.append(x)
+        return inv_enc(self, x)
 
     monkeypatch.setattr(FieldSpec, "inv_enc", counted)
-    divmod(Poly(F9, [1, 2, 3, 4]), Poly(F9, [5, 2]))
+    divmod(a, b)
     assert calls == [2]
 
 
@@ -555,7 +559,8 @@ def ref_resultant(spec, a, b):
     return spec.mul_enc(sign, spec.mul_enc(scale, ref_resultant(spec, b, r)))
 
 
-# one field per kernel: GF(2) packed ints, odd-p lists, extension-field tables
+# GF(2) packed ints, and the slot forms of a prime and an extension field of
+# each characteristic
 EUCLID_FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9)]
 euclid_fields = pytest.mark.parametrize("spec", EUCLID_FIELDS,
                                         ids=[f"q{spec.q}" for spec in EUCLID_FIELDS])
@@ -597,3 +602,180 @@ def test_euclid_edge_cases(spec):
     assert gcd(Poly(spec, cases[0][0]), Poly(spec, b)) == Poly.one(spec)
     assert gcd(Poly(spec, cases[-1][0]), Poly(spec, cases[-1][1])) == Poly(spec, b)
     assert resultant(Poly(spec, c), Poly(spec, b)).enc == ref_power(spec, c[0], 3)
+
+
+# -- division and remainder sequences on the slot form (_Slots) ---------------
+
+
+def slot_interval(spec):
+    return kernel(spec).slots(1).interval
+
+
+def test_slot_intervals():
+    """Division steps between two reductions for each of LAYOUT_FIELDS: the
+    terms the width of two terms holds, less one. GF(251) and GF(65537) never
+    reduce within any division below."""
+    assert {spec.q: slot_interval(spec) for spec in LAYOUT_FIELDS} == {
+        3: 62, 5: 14, 251: 68718, 65537: 2**32 - 2, 2**31 - 1: 3, 4: 84, 8: 50, 9: 20,
+        25: 2, 27: 9, 1024: 11, 2187: 2}
+
+
+@layout_fields
+def test_packed_divmod_matches_reference(spec):
+    """All-(q - 1) operands, whose divisors are non-monic; random non-monic
+    divisors of degree 0 to 12 with quotients of one
+    coefficient up to 3 * interval + 2 (at most 64 where the interval is
+    longer); the zero dividend and dividends below the divisor."""
+    kern = kernel(spec)
+    rng = random.Random(spec.q + 1)
+    top = spec.q - 1
+    longest = min(3 * slot_interval(spec) + 2, 64)
+
+    def draw(k):
+        return [rng.randrange(spec.q) for _ in range(k)]
+
+    cases = [([top] * la, [top] * lb) for la, lb in
+             [(1, 1), (2, 1), (5, 2), (8, 8), (20, 3), (40, 17), (longest + 4, 5)]]
+    for lb in (1, 2, 5, 13):
+        for span in sorted({1, 2, longest // 2, longest}):
+            b = draw(lb - 1) + [rng.randrange(2, spec.q) if spec.q > 2 else 1]
+            cases.append((draw(lb + span - 2) + [rng.randrange(1, spec.q)], b))
+        cases += [([], b), (draw(lb - 1), b)]
+    for a, b in cases:
+        quot, rem = kern.divmod(a, b)
+        assert (list(quot), list(rem)) == ref_divmod(spec, strip(a), b), (len(a), len(b))
+        assert kern.rem(a, b) == rem
+
+
+def fullest_division(spec, dy, span):
+    """(x, y, quot) with every division step adding the most one product term
+    can to each block of the remainder below its top: over GF(p) a step adds
+    c * y for c the top coefficient times -1/lc(y), so y and c are all p - 1;
+    otherwise it adds the top coefficient times -y/lc(y), so lc(y) = 1, the
+    other coefficients of -y and the quotient are all q - 1. x is quot * y
+    plus a remainder of all-(q - 1) coefficients."""
+    top = spec.q - 1
+    if spec.e == 1:
+        y, quot = [top] * (dy + 1), [1] * span
+    else:
+        y, quot = ref_neg(spec, [top] * dy) + [1], [top] * span
+    return ref_add(spec, ref_mul(spec, quot, y), [top] * dy), y, quot
+
+
+@pytest.mark.parametrize("spec", [s for s in LAYOUT_FIELDS if slot_interval(s) < 100],
+                         ids=[f"q{s.q}" for s in LAYOUT_FIELDS if slot_interval(s) < 100])
+def test_packed_division_fills_its_slots(spec):
+    """A divisor of degree interval makes each chunk interval steps long, and
+    fullest_division fills every slot of a chunk to interval terms on top
+    of the dividend's: a step more than the width holds would carry. The
+    quotient runs over two chunks and a partial third."""
+    kern = kernel(spec)
+    dy = slot_interval(spec)
+    x, y, quot = fullest_division(spec, dy, 2 * dy + 3)
+    assert kern.divmod(x, y) == (tuple(quot), (spec.q - 1,) * dy)
+
+
+def ref_mul_sparse(spec, a, b):
+    """a * b by one shifted scalar multiple of a per nonzero coefficient of b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
+                out[i + j] = spec.add_enc(out[i + j], spec.mul_enc(x, y))
+    return strip(out)
+
+
+@layout_fields
+def test_packed_division_by_a_sparse_divisor(spec):
+    """Phi_10(t^200) = t^800 - t^600 + t^400 - t^200 + 1 times a non-monic
+    scalar divides a random dividend of degree 1000: the quotient and
+    remainder satisfy x = quot * y + rem with deg rem < 800, which fixes both."""
+    rng = random.Random(spec.q + 2)
+    one, minus = 1, spec.neg_enc(1)
+    scale = rng.randrange(2, spec.q) if spec.q > 2 else 1
+    y = [0] * 801
+    for j, c in zip(range(0, 801, 200), (one, minus, one, minus, one)):
+        y[j] = spec.mul_enc(scale, c)
+    x = [rng.randrange(spec.q) for _ in range(1000)] + [rng.randrange(1, spec.q)]
+    quot, rem = divmod(Poly(spec, x), Poly(spec, y))
+    assert rem.degree < 800
+    assert ref_add(spec, ref_mul_sparse(spec, list(quot.coeff_encs), y),
+                   list(rem.coeff_encs)) == x
+
+
+def coprime_pair(spec, k, rng):
+    """(u_k, u_(k-1)) for u_0 = 1, u_1 = t + a_0 and u_(i+1) = (t + a_i) u_i
+    + b_i u_(i-1), b_i != 0: gcd(u_(i+1), u_i) = gcd(u_i, u_(i-1)) = 1, and
+    Euclid takes k steps."""
+    prev, cur = [1], [rng.randrange(spec.q), 1]
+    for _ in range(k - 1):
+        step = ref_mul(spec, [rng.randrange(spec.q), 1], cur)
+        prev, cur = cur, ref_add(spec, step, ref_mul(spec, [rng.randrange(1, spec.q)], prev))
+    return cur, prev
+
+
+@layout_fields
+def test_packed_gcd_of_degree_200(spec):
+    """gcd(c * u, c * v) = c for a monic c of degree 200 and coprime u, v
+    of degree 40 and 39 whose remainder sequence is 40 steps long, on forms
+    of degree over 200, and the resultant of c * u and c * v is 0. Then
+    gcds and resultants of random non-monic pairs and all-(q - 1) pairs
+    against ref_gcd and ref_resultant."""
+    rng = random.Random(spec.q + 3)
+
+    def draw(k):
+        return [rng.randrange(spec.q) for _ in range(k)] + [rng.randrange(1, spec.q)]
+
+    c = draw(200)[:-1] + [1]
+    u, v = coprime_pair(spec, 40, rng)
+    a, b = Poly(spec, ref_mul(spec, c, u)), Poly(spec, ref_mul(spec, c, v))
+    assert list(gcd(a, b).coeff_encs) == c
+    assert resultant(a, b).enc == 0
+    top = spec.q - 1
+    for u, v in ((draw(9), draw(6)), ([top] * 8, [top] * 5), ([top] * 6, [1, 1])):
+        assert resultant(Poly(spec, u), Poly(spec, v)).enc == ref_resultant(spec, u, v)
+        assert list(gcd(Poly(spec, u), Poly(spec, v)).coeff_encs) == ref_gcd(spec, u, v)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_remainder_sequence_stays_packed(q, monkeypatch):
+    """gcd and resultant of inputs of degree over 200 pack each input once
+    and read at most once, whatever the length of the remainder sequence:
+    every pack and read of the slot layout is counted, so a conversion per
+    step would count dozens."""
+    spec = FieldSpec.of_order(q)
+    rng = random.Random(q)
+    c = [rng.randrange(q) for _ in range(200)] + [1]
+    u, v = coprime_pair(spec, 30, rng)
+    a, b = Poly(spec, ref_mul(spec, c, u)), Poly(spec, ref_mul(spec, c, v))
+    counts = {"pack": 0, "read": 0}
+    planes = polyring.digit_planes
+
+    def counted(*args):
+        pack, read = planes(*args)
+
+        def counted_pack(encs):
+            counts["pack"] += 1
+            return pack(encs)
+
+        def counted_read(x):
+            counts["read"] += 1
+            return read(x)
+
+        return counted_pack, counted_read
+
+    caches = (polyring._ListKernel.layout, polyring._ListKernel.slots)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(polyring, "digit_planes", counted)
+    try:
+        g = gcd(a, b)
+        assert counts == {"pack": 2, "read": 1}
+        counts.update(pack=0, read=0)
+        res = resultant(a, Poly(spec, u))
+        assert counts["pack"] == 2 and counts["read"] <= 1
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert list(g.coeff_encs) == c
+    assert res.enc == 0
