@@ -27,17 +27,18 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
-# has a native form of a coefficient tuple (pack; unpack gives the canonical
-# tuple back) with add, neg, mul, divmod, rem, gcd (monic) and degree;
-# cyclic_ring(n), the residue ring mod t^n - 1 (a _Modulus); and slots(count),
-# the packed form that gcd and resultant run on. GF(2) packs bits; every other
+# computes on one packed int form of a polynomial, 0 exactly at zero: pack
+# takes a coefficient sequence to it and unpack gives the canonical tuple
+# back, so they convert only where a Poly enters or leaves. On the form:
+# add, neg, mul, divmod, rem, gcd (monic), degree and lead; cyclic_ring(n),
+# the residue ring mod t^n - 1 (a _Modulus). GF(2) packs bits; every other
 # field runs on the one slot layout (_ListKernel.layout).
 
 
-def _euclid(form, a, b):
-    """A gcd, not monic, of a and b in a packed form (GF(2) kernel, _Slots)."""
+def _euclid(kern, a, b):
+    """A gcd, not monic, of forms a and b of a kernel."""
     while b:
-        a, b = b, form.rem(a, b)
+        a, b = b, kern.rem(a, b)
     return a
 
 
@@ -82,9 +83,6 @@ class _GF2Kernel:
             quot |= 1 << (la - db)
         return quot, a
 
-    def slots(self, count: int) -> "_GF2Kernel":  # the kernel's form is packed
-        return self
-
     gcd = _euclid
 
     def cyclic_ring(self, n: int) -> "_Modulus":
@@ -100,29 +98,33 @@ class _GF2Kernel:
 
 
 class _ListKernel:
-    """GF(q)[t] for every field but GF(2): coefficient tuples outside, the
-    one slot layout inside. add, neg, divmod, rem and gcd pack each input
-    once into a _Slots form and read each result once."""
+    """GF(q)[t] for every field but GF(2): a polynomial is one int, its form,
+    on the slot layout of two terms, every slot below p, so 0 is zero and
+    the bit length gives the degree. form(count) rounds count up to a power
+    of two, so a remainder sequence from count coefficients down makes at
+    most log2(count) + 1 layouts, not one per step.
 
-    one = (1,)
+    A division step reads the top block of x and reduces it to c (% p over
+    GF(p), reduce of one block otherwise), then adds c * (-y / lc(y))
+    there, one product term per coefficient, which leaves the top a
+    multiple of p. A slot starts below p, within one term, so interval =
+    (the terms w holds) - 1 steps never carry (two terms make it >= 1): the
+    steps run in chunks of at most interval, each then masked and reduced
+    once. A step costs O(chunk + dy) blocks and a chunk O(deg x), so a
+    chunk is also at most dy + sqrt((deg x + 1) * block bits) steps.
+    """
+
+    one = 1
 
     def __init__(self, spec: FieldSpec):
         p, e = spec.p, spec.e
-        self.spec = spec
+        self.spec, self.p, self.e = spec, p, e
         # r_m = s^(e+m) mod the modulus (s encodes as p); term: one term's slot bound
         self.r = r = [digits(spec.pow_enc(p, e + m), p, e) for m in range(e - 1)]
         self.term = (p - 1) ** 2 * max(
             i + 1 + sum((e - 1 - m) * r[m][i] for m in range(e - 1)) for i in range(e))
-
-    pack = staticmethod(lambda c: c)
-    degree = staticmethod(lambda c: len(c) - 1)
-
-    @staticmethod
-    def unpack(c) -> tuple[int, ...]:
-        k = len(c)
-        while k and not c[k - 1]:
-            k -= 1
-        return tuple(c[:k])
+        self.w = w = self.layout(1, 2)[0]
+        self.block, self.interval = (2 * e - 1) * w, (2**w - 1) // self.term - 1
 
     @lru_cache(maxsize=256)
     def layout(self, count: int, terms: int):
@@ -143,7 +145,7 @@ class _ListKernel:
         all-(q - 1) operands reach; w holds it, so no slot carries. So does
         any z whose slots are each at most that product's before the fold.
         """
-        p, e, r = self.spec.p, self.spec.e, self.r
+        p, e, r = self.p, self.e, self.r
         b = 2 * e - 1
         w = slot_bits(terms * self.term)
         slot0 = pack_slots(([(1 << w) - 1] + [0] * (b - 1)) * count, w)
@@ -157,117 +159,77 @@ class _ListKernel:
 
         return (w, reduce, *digit_planes(p, e, count, b, w))
 
-    @lru_cache(maxsize=256)
-    def slots(self, count: int) -> "_Slots":
-        """Polynomials of at most count coefficients on the layout (_Slots)."""
-        return _Slots(self, count)
+    def form(self, count: int):
+        """The layout of two terms for at least count coefficients."""
+        return self.layout(1 << (count - 1).bit_length(), 2)
 
     @lru_cache(maxsize=1024)
-    def constant(self, c: int) -> int:  # one cache per field: no _Slots width depends on count
-        return pack_slots(digits(c, self.spec.p, self.spec.e), self.layout(1, 2)[0])
+    def constant(self, c: int) -> int:  # the form of a constant
+        return pack_slots(digits(c, self.p, self.e), self.w)
 
     @lru_cache(maxsize=1024)
     def encoding(self, block: int) -> int:  # of the coefficient in a reduced block
-        return undigits(read_slots(block, self.spec.e, self.layout(1, 2)[0]), self.spec.p)
+        return undigits(read_slots(block, self.e, self.w), self.p)
 
-    def add(self, a, b):
-        s = self.slots(max(len(a), len(b), 1))
-        return s.unpack(s.reduce(s.pack(a) + s.pack(b)))
-
-    def neg(self, a):
-        s = self.slots(max(len(a), 1))
-        return s.unpack(s.reduce(s.pack(a) * (self.spec.p - 1)))
-
-    def divmod(self, a, b, quotient=True):
-        """(a // b, or () when not wanted, and a mod b) for canonical b != 0."""
-        if len(a) < len(b):
-            return (), self.unpack(a)
-        s = self.slots(len(a))
-        quot, rem = s.divmod(s.pack(a), s.pack(b), quotient)
-        return s.unpack(quot) if quotient else (), s.unpack(rem)
-
-    def rem(self, a, b):
-        return self.divmod(a, b, False)[1]
-
-    def gcd(self, a, b):
-        s = self.slots(max(len(a), len(b)))
-        return s.unpack(s.monic(_euclid(s, s.pack(a), s.pack(b))))
-
-    def mul(self, a, b):
-        """a * b on the layout: a coefficient sums at most min(len a, len b) products."""
-        if not a or not b:
-            return []
-        _, reduce, pack, read = self.layout(len(a) + len(b) - 1, min(len(a), len(b)))
-        return read(reduce(pack(a) * pack(b)))
-
-    @lru_cache(maxsize=256)
-    def cyclic_ring(self, n: int) -> "_Modulus":
-        """The residues mod t^n - 1 on the layout for n coefficients: a
-        product is one multiply, the t^n = 1 fold of block n + j onto block
-        j, which leaves each coefficient a sum of n products, and reduce."""
-        w, reduce, pack, read = self.layout(n, n)
-        p, b = self.spec.p, 2 * self.spec.e - 1
-        top, mask = n * b * w, (1 << n * b * w) - 1
-
-        def cyclic(a: int, x: int) -> int:
-            z = a * x
-            return reduce((z & mask) + (z >> top))
-
-        def prime(a: int, x: int) -> int:  # e = 1: one slot per coefficient, no s fold
-            z = a * x
-            return reduce_slots((z & mask) + (z >> top), n, w, p)
-
-        return _Modulus(1, prime if b == 1 else cyclic, pack, read)
-
-
-class _Slots:
-    """Polynomials of at most count coefficients as ints on the layout of two
-    terms, every slot below p, so 0 is zero and the bit length gives the
-    degree: a kernel's pack, unpack, degree, lead, monic and rem for a whole
-    remainder sequence. A division step reads the top block of x and reduces
-    it to c (% p over GF(p), reduce of one block otherwise), then adds
-    c * (-y / lc(y)) there, one product term per coefficient, which leaves
-    the top a multiple of p. A slot starts below p, within one term, so
-    interval = (the terms w holds) - 1 steps never carry (two terms make it
-    >= 1): the steps run in chunks of at most interval, each then masked and
-    reduced once. A step costs O(chunk + dy) blocks and a chunk O(deg x), so
-    a chunk is also at most dy + sqrt((deg x + 1) * block bits) steps.
-    """
-
-    def __init__(self, kern: _ListKernel, count: int):
-        self.kern, self.spec, self.p, self.e = kern, kern.spec, kern.spec.p, kern.spec.e
-        w, self.reduce, self.pack, self.read = kern.layout(count, 2)
-        self.block, self.interval = (2 * self.e - 1) * w, (2**w - 1) // kern.term - 1
-        self.scalar = kern.constant  # the form of a constant
+    def pack(self, c) -> int:
+        return self.form(len(c))[2](c)
 
     def unpack(self, x: int) -> tuple[int, ...]:
-        return self.read(x)[:self.degree(x) + 1]
+        k = self.degree(x) + 1
+        return self.form(k)[3](x)[:k]
 
     def degree(self, x: int) -> int:
         return (x.bit_length() - 1) // self.block
 
     def lead(self, x: int) -> int:
-        return self.kern.encoding(x >> self.degree(x) * self.block)
+        return self.encoding(x >> self.degree(x) * self.block)
 
-    def monic(self, x: int) -> int:
-        lead = self.lead(x)
-        return x if lead == 1 else self.reduce(x * self.scalar(self.spec.inv_enc(lead)))
+    def _sum(self, z: int) -> int:
+        """z, a sum of forms or a form times at most p - 1, slot by slot mod p."""
+        return reduce_slots(z, -(-z.bit_length() // self.w), self.w, self.p)
+
+    def add(self, a: int, b: int) -> int:
+        return self._sum(a + b)
+
+    def neg(self, a: int) -> int:
+        return self._sum(a * (self.p - 1))
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b: a coefficient sums at most min(len a, len b) products, so
+        the form's width holds it up to interval + 1 of them; longer factors
+        are repacked on the layout of that many terms."""
+        if not a or not b:
+            return 0
+        la, lb = self.degree(a) + 1, self.degree(b) + 1
+        if min(la, lb) <= self.interval + 1:
+            return self.form(la + lb - 1)[1](a * b, la + lb - 1)
+        _, reduce, pack, read = self.layout(la + lb - 1, min(la, lb))
+        return self.pack(read(reduce(pack(self.unpack(a)) * pack(self.unpack(b)))))
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of forms a and b, not both zero."""
+        g = _euclid(self, a, b)
+        lead = self.lead(g)
+        if lead == 1:
+            return g
+        return self.form(self.degree(g) + 1)[1](g * self.constant(self.spec.inv_enc(lead)))
 
     def rem(self, x: int, y: int) -> int:
         return self.divmod(x, y, False)[1]
 
     def divmod(self, x: int, y: int, quotient: bool = True) -> tuple[int, int]:
         """(x // y, or 0 when not wanted, and x mod y) of forms x and y != 0."""
-        p, block, reduce = self.p, self.block, self.reduce
+        p, block = self.p, self.block
         dy = (y.bit_length() - 1) // block
         span = (x.bit_length() - 1) // block - dy + 1  # quotient coefficients
         if span <= 0:
             return 0, x
+        reduce = self.form(span + dy)[1]
         top, ones, prime = dy * block, (1 << block) - 1, self.e == 1
-        inv = self.spec.inv_enc(self.kern.encoding(y >> top))
+        inv = self.spec.inv_enc(self.encoding(y >> top))
         # over GF(p) a step adds (c * m) * y for m = -1/l, else c * m * y,
         # and the quotient is scaled by 1/l at the end
-        m = p - inv if prime else reduce(y * self.scalar(self.spec.neg_enc(inv)), dy + 1)
+        m = p - inv if prime else reduce(y * self.constant(self.spec.neg_enc(inv)), dy + 1)
         quot, k, chunk = 0, span - 1, min(self.interval, dy + isqrt((span + dy) * block))
         while k >= 0:  # a chunk: steps k down to k0, on the blocks from k0 up
             k0 = max(k - chunk + 1, 0)
@@ -287,8 +249,27 @@ class _Slots:
             quot += part << shift
             k = k0 - 1
         if quotient and not prime and inv != 1:
-            quot = reduce(quot * self.scalar(inv), span)
+            quot = reduce(quot * self.constant(inv), span)
         return quot, x
+
+    @lru_cache(maxsize=256)
+    def cyclic_ring(self, n: int) -> "_Modulus":
+        """The residues mod t^n - 1 on the layout for n coefficients: a
+        product is one multiply, the t^n = 1 fold of block n + j onto block
+        j, which leaves each coefficient a sum of n products, and reduce."""
+        w, reduce, pack, read = self.layout(n, n)
+        p, b = self.p, 2 * self.e - 1
+        top, mask = n * b * w, (1 << n * b * w) - 1
+
+        def cyclic(a: int, x: int) -> int:
+            z = a * x
+            return reduce((z & mask) + (z >> top))
+
+        def prime(a: int, x: int) -> int:  # e = 1: one slot per coefficient, no s fold
+            z = a * x
+            return reduce_slots((z & mask) + (z >> top), n, w, p)
+
+        return _Modulus(1, prime if b == 1 else cyclic, pack, read)
 
 
 @lru_cache(maxsize=64)
@@ -364,7 +345,7 @@ class Poly:
         if not self._c:
             raise DomainError("cannot normalize the zero polynomial")
         k = kernel(self.spec)  # the monic gcd of self and 0
-        return _poly(self.spec, k.unpack(k.gcd(k.pack(self._c), k.pack(()))))
+        return _poly(self.spec, k.unpack(k.gcd(k.pack(self._c), 0)))
 
     # -- ring operations (through the field's kernel) ----------------------
 
@@ -479,7 +460,7 @@ def t_minus_one(spec: FieldSpec) -> Poly:
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; DomainError when both inputs are zero. The remainder
-    sequence runs on packed ints (kern.gcd)."""
+    sequence runs on the kernel's form (kern.gcd)."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
     a._check(b)
@@ -487,17 +468,11 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return _poly(a.spec, kern.unpack(kern.gcd(kern.pack(a.coeff_encs), kern.pack(b.coeff_encs))))
 
 
-# deg m from which powmod's ring packs (_PackedModulus; Barrett needs d >= 2)
-# over every field but GF(2): packing beat rem(mul) at d = 2, 3 and 4 over
-# every field tried, GF(3) to GF(65537) (2-vCPU VM, Python 3.11.7).
-_KRONECKER_MIN_DEGREE = 2
-
-
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
     """base^k mod m by square-and-multiply; k >= 0.
 
-    Over every field but GF(2) with deg m >= _KRONECKER_MIN_DEGREE the products
-    are packed big-int products reduced by Barrett's method (_PackedModulus).
+    Over every field but GF(2) with deg m >= 2 the products are packed
+    big-int products reduced by Barrett's method (_PackedModulus).
     """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
@@ -512,10 +487,11 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
 
 
 def _modulus(kern, m):
-    """The residue ring mod m, a canonical kernel form: packed over every
-    field but GF(2) from deg m = _KRONECKER_MIN_DEGREE, else the kernel's
-    own form, which enter and leave keep."""
-    if isinstance(kern, _ListKernel) and len(m) > _KRONECKER_MIN_DEGREE:
+    """The residue ring mod m, a kernel form: over every field but GF(2)
+    Barrett's ring (_PackedModulus) where it is defined, from deg m = 2 on
+    (its quotient shifts by deg m - 2), else the kernel's own form, which
+    enter and leave keep."""
+    if isinstance(kern, _ListKernel) and kern.degree(m) >= 2:
         return _PackedModulus(kern, m)
     return _Modulus(kern.rem(kern.one, m), lambda x, y: kern.rem(kern.mul(x, y), m))
 
@@ -546,15 +522,16 @@ class _PackedModulus(_Modulus):
     second plus c's slots i < e, each at most p - 1 <= (i + 1)(p - 1)^2, the
     room a d-th term leaves in slot i, so every reduce stays within the slot
     bound of d terms. None of this needs m monic. A packed residue has every
-    slot below p, so equal residues are equal ints and one is 1.
+    slot below p, so equal residues are equal ints and one is 1. enter reads
+    a kernel form and packs it on this layout, and leave does the reverse.
     """
 
-    def __init__(self, kern: _ListKernel, m):
-        p, d, b = kern.spec.p, len(m) - 1, 2 * kern.spec.e - 1
+    def __init__(self, kern: _ListKernel, m: int):
+        p, d, b = kern.p, kern.degree(m), 2 * kern.e - 1
         w, reduce, pack, read = kern.layout(2 * d - 1, d)
         top, shift, mask = d * b * w, (d - 2) * b * w, (1 << d * b * w) - 1
-        mu = pack(kern.divmod([0] * (2 * d - 2) + [1], m)[0])
-        m_low = reduce(pack(m[:d]) * (p - 1), d)  # -(m mod t^d)
+        mu = pack(kern.unpack(kern.divmod(1 << (2 * d - 2) * kern.block, m)[0]))
+        m_low = reduce(pack(kern.unpack(m)[:d]) * (p - 1), d)  # -(m mod t^d)
 
         def prime(x: int, y: int) -> int:  # e = 1: one slot per coefficient, no s fold
             c = reduce_slots(x * y, 2 * d - 1, w, p)
@@ -566,7 +543,8 @@ class _PackedModulus(_Modulus):
             quot = reduce((c >> top) * mu >> shift, d - 1)
             return reduce((c & mask) + (quot * m_low & mask), d)
 
-        super().__init__(1, prime if b == 1 else mul, pack, lambda x: kern.unpack(read(x)))
+        super().__init__(1, prime if b == 1 else mul, lambda x: pack(kern.unpack(x)),
+                         lambda x: kern.pack(read(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -802,31 +780,31 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
 def resultant(a: Poly, b: Poly) -> FieldElem:
     """Sylvester-determinant resultant: lc(a)^deg(b) * prod b(root of a).
 
-    Computed by the Euclidean recurrence on the kernel's packed form
-    (kern.slots) and on field encodings, the sign folded into the product;
-    zero exactly when the inputs share a nonconstant factor.
+    Computed by the Euclidean recurrence on the kernel's form and on field
+    encodings, the sign folded into the product; zero exactly when the
+    inputs share a nonconstant factor.
     """
     if a.is_zero or b.is_zero:
         raise DomainError("resultant of the zero polynomial is undefined")
     spec = a.spec
     a._check(b)
-    form = kernel(spec).slots(max(len(a.coeff_encs), len(b.coeff_encs)))
+    kern = kernel(spec)
     acc = 1
-    A, B = form.pack(a.coeff_encs), form.pack(b.coeff_encs)
+    A, B = kern.pack(a.coeff_encs), kern.pack(b.coeff_encs)
     while True:
-        dA, dB = form.degree(A), form.degree(B)
+        dA, dB = kern.degree(A), kern.degree(B)
         if dA == 0 or dB == 0:
-            lead, k = (form.lead(A), dB) if dA == 0 else (form.lead(B), dA)
+            lead, k = (kern.lead(A), dB) if dA == 0 else (kern.lead(B), dA)
             return FieldElem(spec, spec.mul_enc(acc, spec.pow_enc(lead, k)))
         if dA * dB % 2 == 1:
             acc = spec.neg_enc(acc)
         if dA < dB:
             A, B = B, A
             continue
-        R = form.rem(A, B)
+        R = kern.rem(A, B)
         if not R:
             return FieldElem(spec, 0)
-        acc = spec.mul_enc(acc, spec.pow_enc(form.lead(B), dA - form.degree(R)))
+        acc = spec.mul_enc(acc, spec.pow_enc(kern.lead(B), dA - kern.degree(R)))
         A, B = B, R
 
 
@@ -862,7 +840,7 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
         x, v = kern.add(b, kern.neg(kern.one)), 0
         while v < e:  # v = v_pi(b - 1) >= 1, capped at e
             x, rest = kern.divmod(x, pi_k)
-            if kern.unpack(rest):
+            if rest:
                 break
             v += 1
         for m in range(2, e + 1):

@@ -19,8 +19,7 @@ from ffdyn.dynamics import orbit_algebraic, orbit_brute
 from ffdyn.ffield import read_slots, slot_bits
 from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, crt_split, delta_operator
 from ffdyn.intfactor import factor_int, power
-from ffdyn.polyring import (_KRONECKER_MIN_DEGREE, _order_prime_power, gcd, kernel, powmod,
-                            resultant)
+from ffdyn.polyring import _order_prime_power, gcd, kernel, powmod, resultant
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]
@@ -182,7 +181,12 @@ ODD_P_DEGREES = [1, 2, 3, 4, 5, 6, 7, 9, 30, 64, 121]
 
 
 def test_odd_p_degrees_straddle_the_crossover():
-    assert ODD_P_DEGREES[0] < _KRONECKER_MIN_DEGREE <= ODD_P_DEGREES[-1]
+    """ODD_P_DEGREES reach both rings mod m: the kernel's own below deg m = 2,
+    where Barrett's quotient is undefined, and the packed one from there."""
+    kern = kernel(FieldSpec.of_order(3))
+    packed = [isinstance(polyring._modulus(kern, kern.pack([1] * (d + 1))),
+                         polyring._PackedModulus) for d in ODD_P_DEGREES]
+    assert packed == [d >= 2 for d in ODD_P_DEGREES] and not all(packed) and any(packed)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 251])
@@ -488,7 +492,8 @@ def test_mul_matches_schoolbook(spec):
         assert kern.layout(2 * t - 1, t)[0] == slot_bits(max(slot_bound_block(spec, t)))
         assert kern.layout(2 * t + 1, t + 1)[0] > kern.layout(2 * t - 1, t)[0]
     for a, b in cases:
-        assert strip(kern.mul(a, b)) == ref_mul(spec, a, b), (len(a), len(b))
+        product = kern.mul(kern.pack(a), kern.pack(b))
+        assert list(kern.unpack(product)) == ref_mul(spec, a, b), (len(a), len(b))
 
 
 # extension fields whose Barrett layout for deg m = 2..6 crosses a width edge
@@ -506,18 +511,19 @@ def test_packed_modulus_over_extension_fields(spec, d):
     then random pairs, and pow against repeated mul."""
     kern = kernel(spec)
     rng = random.Random(spec.q * 10 + d)
-    m = [rng.randrange(spec.q) for _ in range(d)] + [rng.randrange(2, spec.q)]
+    m = kern.pack([rng.randrange(spec.q) for _ in range(d)] + [rng.randrange(2, spec.q)])
     ring = polyring._modulus(kern, m)
     assert isinstance(ring, polyring._PackedModulus)
     residues = [[spec.q - 1] * d] + [[rng.randrange(spec.q) for _ in range(d)] for _ in range(4)]
     for x, y in zip(residues, residues[:1] + residues[2:] + residues[1:2]):
-        expected = kern.rem(ref_mul(spec, x, y), m)
-        assert ring.leave(ring.mul(ring.enter(x), ring.enter(y))) == expected, (x, y)
-    x, acc = ring.enter(residues[1]), ring.one
+        expected = kern.unpack(kern.rem(kern.pack(ref_mul(spec, x, y)), m))
+        product = ring.mul(ring.enter(kern.pack(x)), ring.enter(kern.pack(y)))
+        assert kern.unpack(ring.leave(product)) == expected, (x, y)
+    x, acc = ring.enter(kern.pack(residues[1])), ring.one
     for k in range(8):
         assert ring.pow(x, k) == acc, k
         acc = ring.mul(acc, x)
-    assert ring.leave(ring.one) == (1,)
+    assert kern.unpack(ring.leave(ring.one)) == (1,)
 
 
 # -- Euclid on the kernels' forms --------------------------------------------
@@ -604,11 +610,11 @@ def test_euclid_edge_cases(spec):
     assert resultant(Poly(spec, c), Poly(spec, b)).enc == ref_power(spec, c[0], 3)
 
 
-# -- division and remainder sequences on the slot form (_Slots) ---------------
+# -- division and remainder sequences on the list kernel's form ---------------
 
 
 def slot_interval(spec):
-    return kernel(spec).slots(1).interval
+    return kernel(spec).interval
 
 
 def test_slot_intervals():
@@ -642,9 +648,10 @@ def test_packed_divmod_matches_reference(spec):
             cases.append((draw(lb + span - 2) + [rng.randrange(1, spec.q)], b))
         cases += [([], b), (draw(lb - 1), b)]
     for a, b in cases:
-        quot, rem = kern.divmod(a, b)
-        assert (list(quot), list(rem)) == ref_divmod(spec, strip(a), b), (len(a), len(b))
-        assert kern.rem(a, b) == rem
+        quot, rem = kern.divmod(kern.pack(a), kern.pack(b))
+        assert (list(kern.unpack(quot)), list(kern.unpack(rem))) == ref_divmod(
+            spec, strip(a), b), (len(a), len(b))
+        assert kern.rem(kern.pack(a), kern.pack(b)) == rem
 
 
 def fullest_division(spec, dy, span):
@@ -662,8 +669,13 @@ def fullest_division(spec, dy, span):
     return ref_add(spec, ref_mul(spec, quot, y), [top] * dy), y, quot
 
 
-@pytest.mark.parametrize("spec", [s for s in LAYOUT_FIELDS if slot_interval(s) < 100],
-                         ids=[f"q{s.q}" for s in LAYOUT_FIELDS if slot_interval(s) < 100])
+# the fields whose interval is short enough to fill within a test
+SHORT_INTERVAL_FIELDS = [s for s in LAYOUT_FIELDS if slot_interval(s) < 100]
+short_interval_fields = pytest.mark.parametrize(
+    "spec", SHORT_INTERVAL_FIELDS, ids=[f"q{s.q}" for s in SHORT_INTERVAL_FIELDS])
+
+
+@short_interval_fields
 def test_packed_division_fills_its_slots(spec):
     """A divisor of degree interval makes each chunk interval steps long, and
     fullest_division fills every slot of a chunk to interval terms on top
@@ -672,7 +684,42 @@ def test_packed_division_fills_its_slots(spec):
     kern = kernel(spec)
     dy = slot_interval(spec)
     x, y, quot = fullest_division(spec, dy, 2 * dy + 3)
-    assert kern.divmod(x, y) == (tuple(quot), (spec.q - 1,) * dy)
+    got = kern.divmod(kern.pack(x), kern.pack(y))
+    assert tuple(map(kern.unpack, got)) == (tuple(quot), (spec.q - 1,) * dy)
+
+
+@short_interval_fields
+def test_mul_in_the_form_up_to_its_width(spec):
+    """kern.mul multiplies two forms as they are while the shorter has at
+    most interval + 1 coefficients, the terms the form's width holds, and
+    repacks them past that: all-(q - 1) factors whose shorter one has
+    interval + 1 or interval + 2 coefficients fill their middle slots to
+    the bound of that many terms, so a product in the form one term past
+    its width carries. In characteristic 2 a carry out of an 8-bit slot is
+    0 mod p there, and shows only in the canonical form."""
+    kern = kernel(spec)
+    top = spec.q - 1
+    for short in (kern.interval + 1, kern.interval + 2):
+        for long in (short, 2 * short + 1):
+            a, b = [top] * short, [top] * long
+            product, expected = kern.mul(kern.pack(a), kern.pack(b)), ref_mul(spec, a, b)
+            assert list(kern.unpack(product)) == expected, (short, long)
+            assert product == kern.pack(expected), (short, long)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_remainder_sequence_reuses_its_layouts(q):
+    """A gcd of degree-1000 inputs runs about 1000 divisions on forms of
+    falling length, whose layouts round the count up to a power of two: at
+    most the 11 of 1, 2, 4, ..., 1024 coefficients, not one per length."""
+    spec = FieldSpec.of_order(q)
+    rng = random.Random(q + 4)
+    a, b = (Poly(spec, [rng.randrange(q) for _ in range(1000)] + [1]) for _ in range(2))
+    info = polyring._ListKernel.layout.cache_info
+    before = info().misses
+    g = gcd(a, b)
+    assert info().misses - before <= 11
+    assert (a % g).is_zero and (b % g).is_zero
 
 
 def ref_mul_sparse(spec, a, b):
@@ -764,9 +811,8 @@ def test_remainder_sequence_stays_packed(q, monkeypatch):
 
         return counted_pack, counted_read
 
-    caches = (polyring._ListKernel.layout, polyring._ListKernel.slots)
-    for cache in caches:
-        cache.cache_clear()
+    layout = polyring._ListKernel.layout
+    layout.cache_clear()
     monkeypatch.setattr(polyring, "digit_planes", counted)
     try:
         g = gcd(a, b)
@@ -775,7 +821,6 @@ def test_remainder_sequence_stays_packed(q, monkeypatch):
         res = resultant(a, Poly(spec, u))
         assert counts["pack"] == 2 and counts["read"] <= 1
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        layout.cache_clear()
     assert list(g.coeff_encs) == c
     assert res.enc == 0
