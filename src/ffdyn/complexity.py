@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
-from .ffield import FieldElem, FieldSpec, read_slots
+from .ffield import FieldElem, FieldSpec
 from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator, linear_images,
                        seq_to_poly, seq_valuations, valuation_map)
 from .intfactor import is_prime, order
@@ -184,11 +184,9 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     pi, so linear_images gives every state's residues as digit planes.
     """
     import numpy as np
-    vmap = valuation_map(spec, n)
     t_minus_1 = t_minus_one(spec)
-    basis = [list(read_slots(col, vmap.size, vmap.w)) for col in vmap.cols]
-    spans = [slice(a, a + blk) for (pi, _m), (a, _end, blk, _e) in
-             zip(crt_split(spec, n), vmap.spans) if pi != t_minus_1]
+    basis, firsts = valuation_map(spec, n).digit_rows()
+    spans = [first for (pi, _m), first in zip(crt_split(spec, n), firsts) if pi != t_minus_1]
     total = 0
     for planes in linear_images(spec.p, basis):
         ok = np.ones(planes.shape[1], dtype=bool)

@@ -13,8 +13,8 @@ from functools import lru_cache, partial, reduce
 from itertools import repeat
 
 from .errors import DegenerateOperatorError, DomainError
-from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, reduce_slots,
-                     slot_bits, slot_marks, undigits)
+from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, read_slots,
+                     reduce_slots, slot_bits, slot_marks, undigits)
 from .polyring import Poly, cyclotomic_factors, kernel, t_pow_minus_one
 
 
@@ -72,9 +72,10 @@ def poly_to_seq(spec: FieldSpec, n: int, poly: Poly) -> CyclicSeq:
     """Inverse of seq_to_poly for residues of degree < n."""
     if poly.spec != spec:
         raise DomainError("polynomial from a different field")
-    if poly.degree != float("-inf") and poly.degree >= n:
+    if poly.degree >= n:  # the zero polynomial's degree -inf passes
         raise DomainError("residue degree must stay below n")
-    c = list(poly.coeff_encs) + [0] * (n - len(poly.coeff_encs))
+    c = poly.coeff_encs
+    c += (0,) * (n - len(c))
     return CyclicSeq(spec, c[1:] + c[:1])
 
 
@@ -112,9 +113,10 @@ class DiffOperator:
             raise DomainError("n must be >= 1")
         if op_poly.spec != spec:
             raise DomainError("operator polynomial from a different field")
-        if op_poly.degree != float("-inf") and op_poly.degree >= n:
+        if op_poly.degree >= n:
             op_poly = op_poly % t_pow_minus_one(spec, n)
-        if reduce(spec.add_enc, op_poly.coeff_encs, 0):  # the value at t = 1
+        coeffs = op_poly.coeff_encs
+        if reduce(spec.add_enc, coeffs, 0):  # the value at t = 1
             raise DomainError("operator polynomial must vanish at t = 1")
         if op_poly.is_zero and n > 1:
             raise DegenerateOperatorError("zero operator polynomial")
@@ -122,7 +124,7 @@ class DiffOperator:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "op_poly", op_poly)
         ring = kernel(spec).cyclic_ring(n)
-        op = ring.enter(op_poly.coeff_encs)
+        op = ring.enter(coeffs)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "step", partial(ring.mul, op))
@@ -241,10 +243,10 @@ class _ValuationMap:
     as one int: b is copied across its block and multiplied by the digits
     of t^d - pi one bit plane at a time. spans keeps crt_split order; the
     slots are in order of shape. A state is read as its digits times the
-    columns or, on the per-state path, as a sum of chunk-table entries (a
-    hex digit of the packed state for p = 2, a value for odd q <= 256;
-    built on the second per-state read unless they would pass _TABLE_BYTES,
-    so a map read for one state, as a fresh (q, n) is, skips them).
+    columns or, once the map has read two, as a sum of chunk-table entries
+    (a hex digit of the packed state for p = 2, a value for odd q <= 256;
+    built on the third read unless they would pass _TABLE_BYTES, so a map
+    read for an operator and one state, as a fresh (q, n) is, skips them).
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -252,7 +254,7 @@ class _ValuationMap:
         self.p, self.ef, self.q, self.size = p, ef, q, n * ef
         self.chunk, w, tables = _read_layout(spec, n)
         self.w, self.tabled, self.tables = w, tables > 0, None
-        self.first_read = True  # no per-state read yet
+        self.reads = 0  # column reads before the tables are built
         # columns summed between two reductions mod p
         self.group = (2**w - p) // (p - 1) ** 2 if p > 2 else self.size
         add = operator.xor if p == 2 else operator.add
@@ -275,11 +277,11 @@ class _ValuationMap:
             # digit s of each block's top coefficient, moved to the block's
             # first slot and copied across the block, times the digits of
             # p^s * (t^d - pi): one (shift, mask, j) term per bit plane j
-            terms = []
+            terms, lows = [], [comps[k][0].coeff_encs[:d] for k in members]
             for s in range(ef):
                 masks = [0] * (p - 1).bit_length()
-                for i, k in enumerate(members):
-                    low = [spec.mul_enc(p**s, spec.neg_enc(c)) for c in comps[k][0].coeff_encs[:d]]
+                for i, low in enumerate(lows):
+                    low = [spec.mul_enc(p**s, spec.neg_enc(c)) for c in low]
                     if ef > 1:
                         low = [r for c in low for r in digits(c, p, ef)]
                     for j in range(len(masks)):
@@ -319,16 +321,22 @@ class _ValuationMap:
             tables.append(table if p == 2 else [reduce_slots(t, size, w, p) for t in table])
         return tables
 
-    def read(self, values, tables: bool = False) -> tuple[int, ...]:
-        """min(v_pi, e) on each component for the state with these values;
-        tables: through the chunk tables, for a map that reads many states."""
+    def digit_rows(self) -> tuple[list[list[int]], list[slice]]:
+        """(the base-p digits of each column, the slots of each component's
+        first digit block in crt_split order): column j holds the residues
+        of state p^j, for a census that reads states by their digits."""
+        rows = [list(read_slots(col, self.size, self.w)) for col in self.cols]
+        return rows, [slice(a, a + blk) for a, _end, blk, _e in self.spans]
+
+    def read(self, values) -> tuple[int, ...]:
+        """min(v_pi, e) on each component for the state with these values."""
         p, q, size, w = self.p, self.q, self.size, self.w
-        if tables and self.tabled and self.tables is None:
-            if self.first_read:
-                tables = self.first_read = False
+        if self.tabled and self.tables is None:
+            if self.reads < 2:
+                self.reads += 1
             else:
                 self.tables = self._tabulate()
-        if tables and self.tabled:
+        if self.tables is not None:
             if p == 2:
                 values = digits(undigits(values, q), 16, len(self.tables))
             terms = map(operator.getitem, self.tables, values)
@@ -349,15 +357,14 @@ valuation_map = lru_cache(maxsize=64)(_ValuationMap)  # one map per (spec, n)
 
 
 def seq_valuations(f: CyclicSeq) -> tuple[int, ...]:
-    """component_valuations of seq_to_poly(f), read off f's values through
-    the chunk tables of (f.spec, f.n)."""
-    return valuation_map(f.spec, f.n).read(f.value_encs, tables=True)
+    """component_valuations of seq_to_poly(f), read off f's values."""
+    return valuation_map(f.spec, f.n).read(f.value_encs)
 
 
 def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
     """pi-adic valuation of r on each component pi^e of t^n - 1, in
     crt_split order: 0 where r is a unit, e where r vanishes."""
-    if r.degree != float("-inf") and r.degree >= n:
+    if r.degree >= n:
         r = r % t_pow_minus_one(r.spec, n)
     return valuation_map(r.spec, n).read(r.coeff_encs)
 

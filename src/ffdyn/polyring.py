@@ -1,11 +1,12 @@
 """Univariate polynomial arithmetic over GF(q).
 
-Dense representation: a tuple of coefficient encodings, low degree first,
-no trailing zeros. Provides division, gcd, modular powering, the irreducible
-factors of t^n - 1 from its cyclotomic structure (each Phi_m split inside
-its Frobenius-fixed subalgebra), complete factorization of any polynomial
-(one distinct-degree pass that peels multiplicities, then Cantor-Zassenhaus),
-resultants and the unit orders on the components pi^e of a modulus.
+A Poly holds one int, its field kernel's form of the polynomial, so ring
+operations pass it straight to the kernel. Provides division, gcd, modular
+powering, the irreducible factors of t^n - 1 from its cyclotomic structure
+(each Phi_m split inside its Frobenius-fixed subalgebra), complete
+factorization of any polynomial (one distinct-degree pass that peels
+multiplicities, then Cantor-Zassenhaus), resultants and the unit orders on
+the components pi^e of a modulus.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 # ---------------------------------------------------------------------------
 # Arithmetic kernels: one backend per field family, chosen in kernel(). Each
-# computes on one packed int form of a polynomial, 0 exactly at zero: pack
-# takes a coefficient sequence to it and unpack gives the canonical tuple
-# back, so they convert only where a Poly enters or leaves. On the form:
+# computes on one packed int form of a polynomial, canonical and 0 exactly
+# at zero, which a Poly holds: pack takes coefficients to it where a Poly is
+# built from them and unpack reads them back (Poly.coeff_encs). On the form:
 # add, neg, mul, divmod, rem, gcd (monic), degree and lead; cyclic_ring(n),
 # the residue ring mod t^n - 1 (a _Modulus). GF(2) packs bits; every other
 # field runs on the one slot layout (_ListKernel.layout).
@@ -279,17 +280,13 @@ def kernel(spec: FieldSpec):
 
 
 class Poly:
-    """Polynomial over a FieldSpec; immutable, canonical (no trailing zeros)."""
+    """Polynomial over a FieldSpec; immutable, held as its kernel's form."""
 
-    __slots__ = ("spec", "_c")
+    __slots__ = ("spec", "_f")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        encs = spec.encodings(coeffs)
-        k = len(encs)
-        while k and not encs[k - 1]:
-            k -= 1
         _set_spec(self, spec)
-        _set_coeffs(self, encs[:k])
+        _set_form(self, kernel(spec).pack(spec.encodings(coeffs)))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -321,31 +318,31 @@ class Poly:
 
     @property
     def coeff_encs(self) -> tuple[int, ...]:
-        return self._c
+        """The coefficient encodings, low degree first, no trailing zeros."""
+        return kernel(self.spec).unpack(self._f)
 
     @property
     def coeffs(self) -> tuple[FieldElem, ...]:
-        return tuple(FieldElem(self.spec, c) for c in self._c)
+        return tuple(FieldElem(self.spec, c) for c in self.coeff_encs)
 
     @property
     def degree(self):
         """Degree as an int; NEG_INF for the zero polynomial."""
-        return len(self._c) - 1 if self._c else NEG_INF
+        return kernel(self.spec).degree(self._f) if self._f else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._f
 
     def lc(self) -> FieldElem:
-        if not self._c:
+        if not self._f:
             raise DomainError("zero polynomial has no leading coefficient")
-        return FieldElem(self.spec, self._c[-1])
+        return FieldElem(self.spec, kernel(self.spec).lead(self._f))
 
     def monic(self) -> "Poly":
-        if not self._c:
+        if not self._f:
             raise DomainError("cannot normalize the zero polynomial")
-        k = kernel(self.spec)  # the monic gcd of self and 0
-        return _poly(self.spec, k.unpack(k.gcd(k.pack(self._c), 0)))
+        return _poly(self.spec, kernel(self.spec).gcd(self._f, 0))  # the monic gcd of self and 0
 
     # -- ring operations (through the field's kernel) ----------------------
 
@@ -355,25 +352,22 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        k = kernel(self.spec)
-        return _poly(self.spec, k.unpack(k.add(k.pack(self._c), k.pack(other._c))))
+        return _poly(self.spec, kernel(self.spec).add(self._f, other._f))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        k = kernel(self.spec)
-        return _poly(self.spec, k.unpack(k.neg(k.pack(self._c))))
+        return _poly(self.spec, kernel(self.spec).neg(self._f))
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             if other.spec != self.spec:
                 raise DomainError("scalar from a different field")
-            other = _poly(self.spec, (other.enc,) if other.enc else ())
+            other = Poly(self.spec, (other.enc,))
         else:
             self._check(other)
-        k = kernel(self.spec)
-        return _poly(self.spec, k.unpack(k.mul(k.pack(self._c), k.pack(other._c))))
+        return _poly(self.spec, kernel(self.spec).mul(self._f, other._f))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElem):
@@ -385,12 +379,11 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
-        if not other._c:
+        if not other._f:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        k = kernel(spec)
-        quot, rem = k.divmod(k.pack(self._c), k.pack(other._c))
-        return _poly(spec, k.unpack(quot)), _poly(spec, k.unpack(rem))
+        quot, rem = kernel(spec).divmod(self._f, other._f)
+        return _poly(spec, quot), _poly(spec, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -404,7 +397,7 @@ class Poly:
         spec = self.spec
         enc = spec.element(x).enc
         acc = 0
-        for c in reversed(self._c):
+        for c in reversed(self.coeff_encs):
             acc = spec.add_enc(spec.mul_enc(acc, enc), c)
         return FieldElem(spec, acc)
 
@@ -412,28 +405,28 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.spec == other.spec and self._c == other._c
+            return self.spec == other.spec and self._f == other._f
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self._c))
+        return hash((self.spec, self._f))
 
     def __str__(self):
-        return ",".join(str(c) for c in self._c) if self._c else "0"
+        return ",".join(map(str, self.coeff_encs)) or "0"
 
     def __repr__(self):
         return f"Poly(GF({self.spec.q}), [{self}])"
 
 
 _set_spec = Poly.spec.__set__
-_set_coeffs = Poly._c.__set__
+_set_form = Poly._f.__set__
 
 
-def _poly(spec: FieldSpec, encs: tuple[int, ...]) -> Poly:
-    """Trusted constructor for kernel results: encs is already canonical."""
+def _poly(spec: FieldSpec, form: int) -> Poly:
+    """Trusted constructor for kernel results, already in kernel(spec)'s form."""
     out = object.__new__(Poly)
     _set_spec(out, spec)
-    _set_coeffs(out, encs)
+    _set_form(out, form)
     return out
 
 
@@ -464,8 +457,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
     a._check(b)
-    kern = kernel(a.spec)
-    return _poly(a.spec, kern.unpack(kern.gcd(kern.pack(a.coeff_encs), kern.pack(b.coeff_encs))))
+    return _poly(a.spec, kernel(a.spec).gcd(a._f, b._f))
 
 
 def powmod(base: Poly, k: int, m: Poly) -> Poly:
@@ -480,10 +472,9 @@ def powmod(base: Poly, k: int, m: Poly) -> Poly:
         raise DomainError("negative exponent")
     base._check(m)
     kern = kernel(m.spec)
-    m_k = kern.pack(m.coeff_encs)
-    ring = _modulus(kern, m_k)
-    a = ring.enter(kern.rem(kern.pack(base.coeff_encs), m_k))
-    return _poly(m.spec, kern.unpack(ring.leave(ring.pow(a, k))))
+    ring = _modulus(kern, m._f)
+    a = ring.enter(kern.rem(base._f, m._f))
+    return _poly(m.spec, ring.leave(ring.pow(a, k)))
 
 
 def _modulus(kern, m):
@@ -566,7 +557,7 @@ class Factorization:
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: t^(q^k) == t mod f exactly at k = deg f."""
     d = f.degree
-    if f.is_zero or d < 1:
+    if d < 1:  # the zero polynomial's degree is -inf
         return False
     if d == 1:
         return True
@@ -727,7 +718,7 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
         bs = ([a[c] for c in coset] for a in draws)
         found += _fixed_split(spec, m, phi, d, (kern.rem(kern.add(
             kern.pack(b[:-top]), kern.neg(kern.pack(b[-top:] * (m // top - 1)))), phi) for b in bs))
-    return sorted((_poly(spec, kern.unpack(f)) for f in found),
+    return sorted((_poly(spec, f) for f in found),
                   key=lambda f: (f.degree, f.coeff_encs))
 
 
@@ -749,7 +740,6 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
         raise DomainError("cannot factor the zero polynomial")
     spec = f.spec
     rng = random.Random(seed)
-    kern = kernel(spec)
     t = Poly.x(spec)
     found: dict[Poly, int] = {}
     v, h, d = f.monic(), t, 0
@@ -761,8 +751,8 @@ def factorize(f: Poly, seed: int = 0) -> Factorization:
             k += 1
             v = v // g
             w = gcd(g, v)
-            for irr in _equal_degree_split(spec, kern.pack((g // w).coeff_encs), d, rng):
-                found[_poly(spec, kern.unpack(irr))] = k
+            for irr in _equal_degree_split(spec, (g // w)._f, d, rng):
+                found[_poly(spec, irr)] = k
             g = w
         if v.degree > 0:
             h = h % v
@@ -790,7 +780,7 @@ def resultant(a: Poly, b: Poly) -> FieldElem:
     a._check(b)
     kern = kernel(spec)
     acc = 1
-    A, B = kern.pack(a.coeff_encs), kern.pack(b.coeff_encs)
+    A, B = a._f, b._f
     while True:
         dA, dB = kern.degree(A), kern.degree(B)
         if dA == 0 or dB == 0:
@@ -826,7 +816,7 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
     """
     spec = a.spec
     kern = kernel(spec)
-    pi_k, a_k = kern.pack(pi.coeff_encs), kern.pack(a.coeff_encs)
+    pi_k, a_k = pi._f, a._f
     residue = kern.rem(a_k, pi_k)
     if not residue:
         raise DomainError("element is not a unit modulo pi")

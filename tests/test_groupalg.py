@@ -305,9 +305,11 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
     assert (layout[2] > 0) == tabled
     assert layout[2] <= groupalg._TABLE_BYTES
     if n < 300:  # the large ones cost a factorization of t^n - 1
-        for _ in range(2):  # the second per-state read builds the tables
-            seq_valuations(CyclicSeq(spec, (0,) * n))
-        vmap = groupalg.valuation_map(spec, n)
+        vmap = groupalg._ValuationMap(spec, n)  # a private map: no earlier reads
+        values = rand_seq(spec, n, random.Random(n)).value_encs
+        by_columns = [vmap.read(values) for _ in range(2)]
+        assert vmap.tables is None
+        assert vmap.read(values) == by_columns[0]  # the third read builds the tables
         if tabled:  # the tables built are the ones the layout sized
             assert sum(map(len, vmap.tables)) * -(-vmap.size * vmap.w // 8) == layout[2]
             assert max(map(len, vmap.tables)) <= 256
@@ -316,22 +318,26 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
 
 
 def test_first_per_state_read_builds_no_tables():
-    """A map read for one state (a fresh (q, n)) reads it by columns; the
-    second per-state read builds the tables, and both agree."""
+    """A map's first two reads (an operator and one state, as a fresh
+    (q, n) makes) go by columns; the third builds the tables, and both
+    agree."""
     vmap = groupalg._ValuationMap(F3, 80)
     rng = random.Random(5)
-    states = [rand_seq(F3, 80, rng).value_encs for _ in range(3)]
-    assert vmap.read(states[0], tables=True) == vmap.read(states[0])
+    states = [rand_seq(F3, 80, rng).value_encs for _ in range(4)]
+    by_columns = [vmap.read(v) for v in states[:2]]
     assert vmap.tables is None
-    for v in states[1:]:
-        assert vmap.read(v, tables=True) == vmap.read(v)
+    by_tables = [vmap.read(v) for v in states]
     assert vmap.tables is not None
+    assert by_tables[:2] == by_columns
+    fresh = groupalg._ValuationMap(F3, 80)
+    assert [fresh.read(v) for v in states[2:]] == by_tables[2:]
+    assert fresh.tables is None
 
 
 def test_interrupted_table_build_keeps_no_partial_tables(monkeypatch):
     vmap = groupalg._ValuationMap(F3, 80)  # a private map, not the cached one
     values = rand_seq(F3, 80, random.Random(3)).value_encs
-    vmap.read(values, tables=True)  # the first per-state read goes by columns
+    by_columns = [vmap.read(values) for _ in range(2)]  # the first two reads
     calls, reduce_slots = 0, groupalg.reduce_slots
 
     def failing(x, count, w, p):
@@ -343,11 +349,12 @@ def test_interrupted_table_build_keeps_no_partial_tables(monkeypatch):
 
     monkeypatch.setattr(groupalg, "reduce_slots", failing)
     with pytest.raises(MemoryError):
-        vmap.read(values, tables=True)
+        vmap.read(values)
     assert vmap.tables is None
     monkeypatch.undo()
-    assert vmap.read(values, tables=True) == vmap.read(values) == _repeated_division(
+    assert vmap.read(values) == by_columns[0] == _repeated_division(
         seq_to_poly(CyclicSeq(F3, values)), 80)
+    assert vmap.tables is not None
 
 
 # -- the GF(p)-linear block kernel ------------------------------------------------

@@ -786,15 +786,15 @@ def test_packed_gcd_of_degree_200(spec):
 
 @pytest.mark.parametrize("q", [3, 9])
 def test_remainder_sequence_stays_packed(q, monkeypatch):
-    """gcd and resultant of inputs of degree over 200 pack each input once
-    and read at most once, whatever the length of the remainder sequence:
-    every pack and read of the slot layout is counted, so a conversion per
-    step would count dozens."""
+    """Building two inputs of degree over 200, taking their gcd or
+    resultant and reading the gcd's coefficients packs each input once and
+    reads once, whatever the length of the remainder sequence: every pack
+    and read of the slot layout is counted, so a conversion per step would
+    count dozens."""
     spec = FieldSpec.of_order(q)
     rng = random.Random(q)
     c = [rng.randrange(q) for _ in range(200)] + [1]
     u, v = coprime_pair(spec, 30, rng)
-    a, b = Poly(spec, ref_mul(spec, c, u)), Poly(spec, ref_mul(spec, c, v))
     counts = {"pack": 0, "read": 0}
     planes = polyring.digit_planes
 
@@ -815,12 +815,12 @@ def test_remainder_sequence_stays_packed(q, monkeypatch):
     layout.cache_clear()
     monkeypatch.setattr(polyring, "digit_planes", counted)
     try:
-        g = gcd(a, b)
+        g = gcd(Poly(spec, ref_mul(spec, c, u)), Poly(spec, ref_mul(spec, c, v)))
+        assert list(g.coeff_encs) == c
         assert counts == {"pack": 2, "read": 1}
         counts.update(pack=0, read=0)
-        res = resultant(a, Poly(spec, u))
-        assert counts["pack"] == 2 and counts["read"] <= 1
+        res = resultant(Poly(spec, ref_mul(spec, c, u)), Poly(spec, u))
+        assert counts == {"pack": 2, "read": 0}
     finally:
         layout.cache_clear()
-    assert list(g.coeff_encs) == c
     assert res.enc == 0

@@ -3,8 +3,9 @@ what the other exports. The one exception is polyring._order_prime_power,
 which the benchmark's tracer wraps by that name. Only ffield lays digits out
 in an int, intfactor.power is the one loop that halves an exponent, one
 slot ring serves t^n - 1 over every field but GF(2), polyring sizes slots
-in one layout builder, and outside ffield a FieldElem is built only by the
-public functions that return one."""
+in one layout builder, outside ffield a FieldElem is built only by the
+public functions that return one, and a Poly reaches its kernel as the form
+it holds, never repacked from its coefficients."""
 
 import ast
 from pathlib import Path
@@ -292,3 +293,47 @@ def test_the_element_checker_sees_every_form(tmp_path):
     assert list(_element_uses(src)) == [("C.value", "FieldElem"), ("f", "from_int"),
                                         ("g", "FieldElem"), (None, "FieldElem"),
                                         (None, "from_int")]
+
+
+def _round_trips(path: Path):
+    """(line, use) for each call in path that passes an expression's
+    .coeff_encs to a pack ('pack') and each _poly(...) call with an
+    unpack(...) in its arguments ('_poly'), sorted by line."""
+    tree = ast.parse(path.read_text(), str(path))
+
+    def name(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    def inside(call, test):
+        return any(test(node) for arg in call.args for node in ast.walk(arg))
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if name(node) == "pack" and inside(
+                node, lambda x: isinstance(x, ast.Attribute) and x.attr == "coeff_encs"):
+            found.append((node.lineno, "pack"))
+        if name(node) == "_poly" and inside(
+                node, lambda x: isinstance(x, ast.Call) and name(x) == "unpack"):
+            found.append((node.lineno, "_poly"))
+    return sorted(found)
+
+
+def test_a_poly_reaches_its_kernel_as_its_form():
+    """A Poly holds its kernel's form, so no operation packs a Poly's
+    coefficients for the kernel or reads a kernel result to build one."""
+    found = {(path.name, line, use)
+             for path in sorted(SRC.glob("*.py")) for line, use in _round_trips(path)}
+    assert not found
+
+
+def test_the_round_trip_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(kern, p, q):\n"
+                   "    a = kern.pack(p.coeff_encs)\n"
+                   "    b = pack(list((p * q).coeff_encs))\n"
+                   "    return _poly(p.spec, kern.unpack(kern.mul(a, b)))\n"
+                   "c = _poly(spec, unpack(x)[:2])\n"
+                   "d = kern.pack(c) + len(p.coeff_encs)\n")
+    assert _round_trips(src) == [(2, "pack"), (3, "pack"), (4, "_poly"), (5, "_poly")]

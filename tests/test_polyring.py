@@ -25,9 +25,21 @@ def rand_poly(spec, max_deg, rng, nonzero=False):
 
 
 def test_canonical_form_strips_trailing_zeros():
-    p = Poly(F2, [1, 1, 0, 0])
-    assert p.coeff_encs == (1, 1)
-    assert p.degree == 1
+    """Trailing zeros vanish in the kernel's form: a padded polynomial is the
+    same polynomial, and an all-zero one is zero, over each kernel family."""
+    for q in (2, 3, 4, 9, 256, 65537):
+        spec = FieldSpec.of_order(q)
+        rng = random.Random(q)
+        for k in range(6):
+            c = tuple(rng.randrange(q) for _ in range(k)) + (rng.randrange(1, q),)
+            p, padded = Poly(spec, c), Poly(spec, c + (0, 0))
+            assert padded == p and hash(padded) == hash(p)
+            assert padded.coeff_encs == p.coeff_encs == c
+            assert padded.degree == p.degree == k
+        for k in range(4):
+            zero = Poly(spec, (0,) * k)
+            assert zero == Poly.zero(spec) and hash(zero) == hash(Poly.zero(spec))
+            assert zero.coeff_encs == () and zero.degree == NEG_INF and zero.is_zero
 
 
 def test_zero_degree_marker_is_not_an_integer():
