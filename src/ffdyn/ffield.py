@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from .errors import DomainError
-from .intfactor import factor_int, is_prime, power
+from .intfactor import is_prime, power, prime_power
 
 _TABLE_LIMIT = 512  # build full operation tables only for small fields
 
@@ -254,10 +254,9 @@ class FieldSpec:
         q, p, e = (None if v is None else _integer(name, v)
                    for name, v in (("q", q), ("p", p), ("e", e)))
         if q is not None:
-            fac = factor_int(q) if q >= 2 else {}
-            if len(fac) != 1:
+            if (qpe := prime_power(q)) is None:
                 raise DomainError(f"{q} is not a prime power")
-            (qp, qe), = fac.items()
+            qp, qe = qpe
             if p not in (None, qp) or e not in (None, qe):
                 given = ", ".join(f"{k}={v}" for k, v in (("p", p), ("e", e)) if v is not None)
                 raise DomainError(f"q={q} is {qp}^{qe}, which contradicts {given}")

@@ -57,6 +57,19 @@ def is_prime(n: int) -> bool:
     return is_strong_lucas_prp(n)
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with p prime and p^e == n, or None: is_prime tests each exact
+    integer k-th root of n, found by Newton's iteration on integers from
+    2^ceil(bits / k), above the root, down to floor(n^(1/k)); no factoring."""
+    for k in range(1, n.bit_length() if n > 1 else 0):
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n and is_prime(r):
+            return r, k
+    return None
+
+
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for odd n > 0."""
     a %= n

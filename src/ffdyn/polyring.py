@@ -5,8 +5,9 @@ operations pass it straight to the kernel. Provides division, gcd, modular
 powering, the irreducible factors of t^n - 1 from its cyclotomic structure
 (each Phi_m split inside its Frobenius-fixed subalgebra), complete
 factorization of any polynomial (one distinct-degree pass that peels
-multiplicities, then Cantor-Zassenhaus), resultants and the unit orders on
-the components pi^e of a modulus.
+multiplicities, then Cantor-Zassenhaus on uniform residues; both splits run
+the one round loop, _split), resultants and the unit orders on the
+components pi^e of a modulus.
 """
 
 from __future__ import annotations
@@ -572,86 +573,59 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-# Rounds a randomized split draws before it gives up (ResourceLimitError).
-# In either split below a round leaves two given factors of one piece
-# together with probability at most 5/9 (q = 3; see their docstrings), so an
-# input of k < 2^24 factors reaches the cap with probability at most
+# Rounds one stream of draws feeds a split before it gives up
+# (ResourceLimitError). A round of _split leaves two given factors of one
+# piece together with probability at most 5/9 (Q = 3; see its docstring),
+# so an input of k < 2^24 factors reaches the cap with probability at most
 # (k^2 / 2)(5/9)^128 < 2^47 * 2^-108 = 2^-61.
 _SPLIT_ROUNDS = 128
 
 
-def _equal_degree_split(spec: FieldSpec, f, d: int, rng: random.Random) -> list:
-    """Cantor-Zassenhaus splitting of f, a monic product of distinct degree-d
-    irreducibles in the kernel's form, into those irreducibles (same form).
-
-    A uniform residue a takes independent uniform values in GF(q^d) on the
-    factors, so a round separates two given factors with probability at
-    least 4/9: for odd q when exactly one of the two values is a nonzero
-    square, for q = 2^e when exactly one is 0 or their traces to GF(2)
-    differ. ResourceLimitError after _SPLIT_ROUNDS rounds without a split."""
-    kern, q = kernel(spec), spec.q
-    deg = kern.degree(f)
-    if deg < 1:
-        return []
-    if deg == d:
-        return [f]
-    ring = _modulus(kern, f)
-    for _ in range(_SPLIT_ROUNDS):
-        a = kern.rem(kern.pack([rng.randrange(q) for _ in range(deg)]), f)
-        if kern.degree(a) < 1:
-            continue
-        g = kern.gcd(f, a)
-        if not 0 < kern.degree(g) < deg:  # else a lucky split via a common factor
-            if spec.p == 2:
-                # char 2: additive trace map of a over GF(2), q = 2^e, summed
-                # in the kernel's form from the ring's powers
-                b, cur = a, ring.enter(a)
-                for _ in range(spec.e * d - 1):
-                    cur = ring.mul(cur, cur)
-                    b = kern.add(b, ring.leave(cur))
-            else:
-                b = ring.leave(ring.pow(ring.enter(a), (q**d - 1) // 2))
-                b = kern.add(b, kern.neg(kern.one))
-            b = kern.rem(b, f)
-            if not b:
-                continue
-            g = kern.gcd(f, b)
-        if 0 < kern.degree(g) < deg:
-            return (_equal_degree_split(spec, g, d, rng)
-                    + _equal_degree_split(spec, kern.divmod(f, g)[0], d, rng))
-    raise ResourceLimitError(
-        f"equal-degree splitting over GF({q}) at degree {d} found no split in {_SPLIT_ROUNDS} rounds")
-
-
-def _fixed_split(spec: FieldSpec, m: int, f, d: int, rounds) -> list:
-    """The degree-d irreducible factors of f, a monic divisor of Phi_m in
-    the kernel's form; rounds yields one fixed element b per round, reduced
-    mod f or an ancestor of f (cyclotomic_factors)."""
-    kern, q = kernel(spec), spec.q
+def _split(spec: FieldSpec, f, d: int, k: int, rounds, what: str) -> list:
+    """The one equal-degree split: the degree-d irreducible factors of f, a
+    monic product of distinct ones in the kernel's form. rounds yields one element b per round, reduced mod f or an ancestor of
+    f, whose values on the factors of f are independent and uniform in
+    GF(Q), Q = q^k: k = d for a uniform residue (Cantor-Zassenhaus,
+    factorize) and k = 1 for an element of the Frobenius-fixed subalgebra
+    (cyclotomic_factors). For odd Q a round splits f by
+    gcd(f, b^((Q-1)/2) - 1), then by gcd(f, b) if that does not split it;
+    for Q = 2^j by gcd(f, Tr(b)), Tr(b) = b + b^2 + ... + b^(2^(j-1)) with
+    j - 1 = e k - 1 squarings mod f. So a round parts two given factors of
+    one piece with probability at least (Q^2 - 1)/(2Q^2) >= 4/9 for odd Q
+    (exactly one value a nonzero square) and exactly 1/2 for Q = 2^j
+    (traces to GF(2) that differ). Each piece split off takes the rest of
+    the one stream, so _SPLIT_ROUNDS bounds the rounds along every branch;
+    ResourceLimitError, naming what is split, when the stream runs out.
+    """
+    kern, Q = kernel(spec), spec.q**k
     deg = kern.degree(f)
     if deg == d:
         return [f]
-    ring = _modulus(kern, f) if q > 3 else None
+    ring = _modulus(kern, f) if Q > 3 else None
     for b in rounds:
         c = b = kern.rem(b, f)
-        if q % 2:  # b^((q-1)/2) - 1
+        if Q % 2:  # b^((Q-1)/2) - 1
             if ring:
-                c = ring.leave(ring.pow(ring.enter(b), q // 2))
+                c = ring.leave(ring.pow(ring.enter(b), Q // 2))
             c = kern.add(c, kern.neg(kern.one))
-        elif ring:  # Tr(b) = b + b^2 + ... + b^(q/2)
+        elif ring:  # Tr(b)
             x = ring.enter(b)
-            for _ in range(spec.e - 1):
+            for _ in range(spec.e * k - 1):
                 x = ring.mul(x, x)
                 c = kern.add(c, ring.leave(x))
         g = kern.gcd(f, kern.rem(c, f))
-        if q % 2 and not 0 < kern.degree(g) < deg:
+        if Q % 2 and not 0 < kern.degree(g) < deg:
             g = kern.gcd(f, b)
         if 0 < kern.degree(g) < deg:
             left, right = tee(kern.rem(x, f) for x in rounds)
-            return (_fixed_split(spec, m, g, d, left)
-                    + _fixed_split(spec, m, kern.divmod(f, g)[0], d, right))
-    raise ResourceLimitError(
-        f"splitting Phi_{m} over GF({q}) did not finish in {_SPLIT_ROUNDS} rounds")
+            return (_split(spec, g, d, k, left, what)
+                    + _split(spec, kern.divmod(f, g)[0], d, k, right, what))
+    raise ResourceLimitError(f"splitting {what} did not finish in {_SPLIT_ROUNDS} rounds")
+
+
+def _sorted(kern, forms) -> list:
+    """Forms in the one factor order: by degree, then by coefficients."""
+    return sorted(forms, key=lambda f: (kern.degree(f), kern.unpack(f)))
 
 
 def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
@@ -675,15 +649,8 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
     GF(q)^k: one coordinate b mod pi in GF(q) per factor pi. The unit
     cosets alone do not span it when m is composite: at m = 4, t and
     t^3 = -t mod Phi_4 are dependent. So b = sum_C a_C eta_C, each a_C
-    uniform in GF(q), has independent uniform coordinates. Each round draws
-    one b, reduces it down the split tree (b mod Phi_m, then that residue
-    mod each piece split off it) and splits every open piece f by
-    gcd(f, b^((q-1)/2) - 1) for odd q, then gcd(f, b) if that does not
-    split f, and by gcd(f, Tr(b)) for q = 2^e, Tr(b) = b + b^2 + ... +
-    b^(2^(e-1)) with e - 1 squarings mod f. So a round parts two factors
-    of one piece with probability at least (q^2 - 1)/(2q^2) >= 4/9 for odd
-    q (exactly one coordinate a nonzero square) and exactly 1/2 for
-    q = 2^e (traces to GF(2) that differ); _SPLIT_ROUNDS caps the rounds.
+    uniform in GF(q), has independent uniform coordinates: each round draws
+    one b, reduced mod Phi_m, for _split at Q = q.
     """
     if n < 1 or n % spec.p == 0:
         raise DomainError("cyclotomic factors need n >= 1 coprime to the characteristic")
@@ -716,51 +683,55 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
         top = m // next(k for k in phis if k > 1 and m % k == 0)
         draws = ([rng.randrange(q) for _ in range(count)] for _ in range(_SPLIT_ROUNDS))
         bs = ([a[c] for c in coset] for a in draws)
-        found += _fixed_split(spec, m, phi, d, (kern.rem(kern.add(
-            kern.pack(b[:-top]), kern.neg(kern.pack(b[-top:] * (m // top - 1)))), phi) for b in bs))
-    return sorted((_poly(spec, f) for f in found),
-                  key=lambda f: (f.degree, f.coeff_encs))
+        found += _split(spec, phi, d, 1, (kern.rem(kern.add(
+            kern.pack(b[:-top]), kern.neg(kern.pack(b[-top:] * (m // top - 1)))), phi)
+            for b in bs), f"Phi_{m} over GF({q})")
+    return [_poly(spec, f) for f in _sorted(kern, found)]
 
 
-def factorize(f: Poly, seed: int = 0) -> Factorization:
+def factorize(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities.
 
     One distinct-degree pass over f itself. At stage d the factors of degree
     < d are gone from v, so g = gcd(t^(q^d) - t, v) is the product of the
     distinct degree-d irreducibles left in v. Round k divides v by g, which
     strips one copy of each; w = gcd(g, v) keeps those that still divide v,
-    so g // w holds exactly the factors of multiplicity k, and equal-degree
-    splitting (Cantor-Zassenhaus) separates them. A factor of multiplicity k
-    costs k rounds. Once deg v < 2(d + 1), v is one irreducible.
+    so g // w holds exactly the factors of multiplicity k, and _split
+    separates them with uniform residues mod g // w (Cantor-Zassenhaus, one
+    stream of _SPLIT_ROUNDS each). A factor of multiplicity k costs k
+    rounds. Once deg v < 2(d + 1), v is one irreducible.
 
-    Deterministic: the equal-degree stage draws from a PRNG seeded with
-    `seed`, so repeated runs split identically.
+    Deterministic: the residues come from a PRNG seeded with 0, so repeated
+    runs split identically.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     spec = f.spec
-    rng = random.Random(seed)
+    kern, q = kernel(spec), spec.q
+    rng = random.Random(0)
     t = Poly.x(spec)
-    found: dict[Poly, int] = {}
+    found: dict[int, int] = {}  # form -> multiplicity
     v, h, d = f.monic(), t, 0
     while v.degree >= 2 * (d + 1):
         d += 1
-        h = powmod(h, spec.q, v)
+        h = powmod(h, q, v)
         g, k = gcd(h - t, v), 0
         while g.degree > 0:
             k += 1
             v = v // g
             w = gcd(g, v)
-            for irr in _equal_degree_split(spec, (g // w)._f, d, rng):
-                found[_poly(spec, irr)] = k
+            if (size := kern.degree(piece := (g // w)._f)) > 0:
+                draws = (kern.pack([rng.randrange(q) for _ in range(size)])
+                         for _ in range(_SPLIT_ROUNDS))
+                found.update(dict.fromkeys(_split(
+                    spec, piece, d, d, draws, f"degree-{d} factors over GF({q})"), k))
             g = w
         if v.degree > 0:
             h = h % v
     if v.degree > 0:
-        found[v] = 1
-    factors = tuple(sorted(found.items(),
-                           key=lambda kv: (kv[0].degree, kv[0].coeff_encs)))
-    return Factorization(unit=f.lc(), factors=factors)
+        found[v._f] = 1
+    return Factorization(unit=f.lc(), factors=tuple(
+        (_poly(spec, irr), found[irr]) for irr in _sorted(kern, found)))
 
 
 # ---------------------------------------------------------------------------

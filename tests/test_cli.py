@@ -180,6 +180,18 @@ def test_any_consistent_part_of_q_p_e_names_the_field(capsys):
         assert report["sequences"][0]["field"] == want
 
 
+def test_large_prime_powers_are_recognized_without_factoring(capsys):
+    """q = (2^61 - 1)^2 names the same field as --p 2^61 - 1 --e 2, and
+    q = (2^61 - 1)(2^89 - 1) is refused as no prime power (exit 2), though
+    factoring either q is beyond factor_int's effort caps."""
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    by_q = run_cli(capsys, "gen", "--q", str(m61**2), "--n", "2", "--gen", "const")
+    by_pe = run_cli(capsys, "gen", "--p", str(m61), "--e", "2", "--n", "2", "--gen", "const")
+    assert by_q == by_pe and by_q[0] == 0
+    assert main(["gen", "--q", str(m61 * m89), "--n", "2", "--gen", "const"]) == 2
+    assert capsys.readouterr().err == f"error: {m61 * m89} is not a prime power\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0",

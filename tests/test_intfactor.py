@@ -4,7 +4,7 @@ import pytest
 
 from ffdyn.errors import DomainError, ResourceLimitError
 from ffdyn.intfactor import (_MR_BASES, _PSI, divisors, factor_int, is_prime,
-                              is_strong_lucas_prp, order, power)
+                              is_strong_lucas_prp, order, power, prime_power)
 
 
 def test_is_prime_small():
@@ -134,6 +134,16 @@ def test_factor_cache_keys_on_the_budget():
     assert factor_int(n) == {1_000_003: 1, 1_000_033: 1}
     with pytest.raises(ResourceLimitError):
         factor_int(n, rho_budget=1)
+
+
+def test_prime_power_agrees_with_factoring():
+    for n in range(-3, 3000):
+        fac = factor_int(n) if n >= 2 else {}
+        assert prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None), n
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    for n, want in ((m61**2, (m61, 2)), (m61 * m89, None), (3**500, (3, 500)),
+                    (m89**3 * 2, None), ((2**127 - 1)**2, (2**127 - 1, 2))):
+        assert prime_power(n) == want
 
 
 def test_divisors():

@@ -4,8 +4,9 @@ which the benchmark's tracer wraps by that name. Only ffield lays digits out
 in an int, intfactor.power is the one loop that halves an exponent, one
 slot ring serves t^n - 1 over every field but GF(2), polyring sizes slots
 in one layout builder, outside ffield a FieldElem is built only by the
-public functions that return one, and a Poly reaches its kernel as the form
-it holds, never repacked from its coefficients."""
+public functions that return one, a Poly reaches its kernel as the form
+it holds, never repacked from its coefficients, and one round loop splits
+equal-degree factors."""
 
 import ast
 from pathlib import Path
@@ -337,3 +338,51 @@ def test_the_round_trip_checker_sees_every_form(tmp_path):
                    "c = _poly(spec, unpack(x)[:2])\n"
                    "d = kern.pack(c) + len(p.coeff_encs)\n")
     assert _round_trips(src) == [(2, "pack"), (3, "pack"), (4, "_poly"), (5, "_poly")]
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _split_loops(path: Path):
+    """The owner of each function or method in path with a loop that calls
+    a kernel's gcd (.gcd on anything but the math module): the round loop
+    of an equal-degree split."""
+    tree = ast.parse(path.read_text(), str(path))
+
+    def kernel_gcd(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "gcd" and getattr(node.func.value, "id", None) != "math")
+
+    for top in tree.body:
+        for owner, unit in _units(top):
+            if any(isinstance(loop, LOOPS) and any(map(kernel_gcd, ast.walk(loop)))
+                   for loop in ast.walk(unit)):
+                yield owner
+
+
+def test_one_equal_degree_split():
+    """Cantor-Zassenhaus (factorize) and the fixed-subalgebra split
+    (cyclotomic_factors) both run polyring._split's rounds."""
+    found = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _split_loops(path)]
+    assert found == [("polyring", "_split")]
+
+
+def test_the_split_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def _split(kern, f, rounds):\n"
+                   "    for b in rounds:\n"
+                   "        g = kern.gcd(f, b)\n"
+                   "class K:\n"
+                   "    def cz(self, f):\n"
+                   "        while True:\n"
+                   "            if kernel(self.spec).gcd(f, 1):\n"
+                   "                break\n"
+                   "def planted(kern, f, rounds):\n"
+                   "    return [kern.gcd(f, b) for b in rounds]\n"
+                   "def monic(kern, f):\n"
+                   "    return kern.gcd(f, 0)\n"
+                   "def rho(n, xs):\n"
+                   "    for x in xs:\n"
+                   "        g = math.gcd(n, x)\n")
+    assert list(_split_loops(src)) == ["_split", "K.cz", "planted"]

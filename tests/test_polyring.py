@@ -206,13 +206,11 @@ def test_factor_zero_rejected():
         factorize(Poly.zero(F2))
 
 
-def test_factor_determinism_and_seed_independence_of_result():
-    f = t_pow_minus_one(F3, 8) * Poly(F3, [2])
-    a = factorize(f, seed=0)
-    b = factorize(f, seed=0)
-    c = factorize(f, seed=99)
-    assert a == b
-    assert set(a.factors) == set(c.factors)
+def test_factor_determinism():
+    """factorize draws from a PRNG seeded with 0, so repeated runs agree."""
+    for f in (t_pow_minus_one(F3, 8) * Poly(F3, [2]), t_pow_minus_one(F4, 15),
+              rand_poly(F5, 40, random.Random(3), nonzero=True)):
+        assert factorize(f) == factorize(f)
 
 
 def _independent_irreducible(f):
@@ -268,26 +266,33 @@ def test_squarefree_decomposition_char_p_powers():
 def test_crt_split_p_power_shortcut_matches_factorize(spec):
     """crt_split splits only t^m - 1 for n = p^k * m, into its cyclotomic
     factors, and gives each multiplicity p^k; factorize of t^n - 1 itself
-    (Cantor-Zassenhaus, an independent split) must give the same pairs in
-    the same order at every n <= 60: prime, composite and divisible by p."""
+    (Cantor-Zassenhaus on uniform residues, which shares only _split's
+    rounds, whose gcds return divisors) must give the same pairs in the
+    same order at every n <= 60: prime, composite and divisible by p."""
     for n in range(1, 61):
         assert factorize(t_pow_minus_one(spec, n)).factors == crt_split(spec, n), n
 
 
 def test_crt_split_never_factorizes(monkeypatch):
+    """crt_split neither calls factorize nor draws Cantor-Zassenhaus
+    residues: every split it runs is in the fixed subalgebra, k = 1."""
     def refuse(*_args, **_kwargs):
         raise AssertionError("crt_split called factorize")
 
-    def refuse_cz(*_args, **_kwargs):
-        raise AssertionError("crt_split called Cantor-Zassenhaus")
+    split, ks = polyring._split, []
+
+    def fixed_only(spec, f, d, k, rounds, what):
+        ks.append(k)
+        return split(spec, f, d, k, rounds, what)
 
     monkeypatch.setattr(polyring, "factorize", refuse)
     monkeypatch.setattr(groupalg, "factorize", refuse, raising=False)
-    monkeypatch.setattr(polyring, "_equal_degree_split", refuse_cz)
+    monkeypatch.setattr(polyring, "_split", fixed_only)
     crt_split.cache_clear()
     for spec in (F2, F3, F4, F9):
         for n in (1, 15, 21, 45, 63, 90):
             assert crt_split(spec, n)
+    assert ks and set(ks) == {1}
 
 
 @pytest.mark.parametrize("q, n", [(7, 6), (9, 8), (25, 24)])
@@ -338,8 +343,8 @@ def test_cyclotomic_factors_with_hundreds_of_factors():
 
 
 def test_splitting_stops_at_the_round_cap(monkeypatch):
-    """A draw that never separates two factors hits the cap and raises,
-    naming the field and Phi_m; so does Cantor-Zassenhaus."""
+    """Draws that never separate two factors exhaust the stream and raise,
+    naming Phi_m and the field; so does factorize, naming the field."""
     class Zeros:
         def randrange(self, _q):
             return 0
@@ -347,9 +352,8 @@ def test_splitting_stops_at_the_round_cap(monkeypatch):
     monkeypatch.setattr(polyring, "random", SimpleNamespace(Random=lambda _seed: Zeros()))
     with pytest.raises(ResourceLimitError, match=r"Phi_5 over GF\(4\)"):
         cyclotomic_factors(F4, 5)
-    kern = polyring.kernel(F3)
     with pytest.raises(ResourceLimitError, match=r"GF\(3\)"):
-        polyring._equal_degree_split(F3, kern.pack((2, 0, 1)), 1, Zeros())
+        factorize(Poly(F3, (2, 0, 1)))
 
 
 def test_cyclotomic_factors_need_n_coprime_to_p():
