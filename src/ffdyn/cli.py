@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return 1
     output, ok = output if isinstance(output, tuple) else (output, True)
     if isinstance(output, dict):
         report = {"schema": SCHEMA, "command": args.command, **output}

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
-from .groupalg import (CyclicSeq, DiffOperator, component_valuations, crt_split,
-                       linear_images, seq_valuations)
+from .groupalg import CyclicSeq, DiffOperator, crt_split, linear_images, seq_valuations
 from .intfactor import power
 from .polyring import _order_prime_power
 
@@ -80,22 +79,17 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
 
 
 class _OrbitAnalyzer:
-    """The operator on each component pi^e of t^n - 1, in crt_split order.
-
-    On a live component (multiplier of valuation 0) the operator is a unit
-    and orders[m] is its multiplicative order mod pi^m; on a dead one it has
-    valuation val >= 1 (e for the zero multiplier) and orders is None.
+    """The operator on each component pi^e of t^n - 1, in crt_split order,
+    from one _order_prime_power call per component: op_vals holds its
+    valuations min(v_pi, e). On a live component (valuation 0) the operator
+    is a unit and orders[m] is its multiplicative order mod pi^m; on a dead
+    one orders is None. No valuation map is built: that serves states.
     """
 
     def __init__(self, D: DiffOperator):
         self.factors = crt_split(D.spec, D.n)
-        self.op_vals = component_valuations(D.op_poly, D.n)
-        self.orders = []
-        for (pi, e), val in zip(self.factors, self.op_vals):
-            if val:
-                self.orders.append(None)
-                continue
-            self.orders.append(_order_prime_power(D.op_poly, pi, e))
+        self.op_vals, self.orders = zip(*(_order_prime_power(D.op_poly, pi, e)
+                                          for pi, e in self.factors))
         # a unit of the algebra (valuation 0 everywhere) has the longest
         # tail and the longest cycle
         self.max_preperiod, self.max_period = self.analyze((0,) * len(self.factors))
@@ -120,7 +114,7 @@ def _analyzer(D: DiffOperator) -> _OrbitAnalyzer:
 
 
 def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int, int]:
-    """(preperiod, period) of a state under D from its component_valuations."""
+    """(preperiod, period) of a state under D from its seq_valuations."""
     return _analyzer(D).analyze(f_vals)
 
 

@@ -246,7 +246,7 @@ class _ValuationMap:
     columns or, once the map has read two, as a sum of chunk-table entries
     (a hex digit of the packed state for p = 2, a value for odd q <= 256;
     built on the third read unless they would pass _TABLE_BYTES, so a map
-    read for an operator and one state, as a fresh (q, n) is, skips them).
+    read for one or two states, as a fresh (q, n) is, skips them).
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -357,16 +357,9 @@ valuation_map = lru_cache(maxsize=64)(_ValuationMap)  # one map per (spec, n)
 
 
 def seq_valuations(f: CyclicSeq) -> tuple[int, ...]:
-    """component_valuations of seq_to_poly(f), read off f's values."""
+    """min(v_pi, e) of seq_to_poly(f) on each component pi^e, in crt_split
+    order (0 where f is a unit, e where it vanishes), read off f's values."""
     return valuation_map(f.spec, f.n).read(f.value_encs)
-
-
-def component_valuations(r: Poly, n: int) -> tuple[int, ...]:
-    """pi-adic valuation of r on each component pi^e of t^n - 1, in
-    crt_split order: 0 where r is a unit, e where r vanishes."""
-    if r.degree >= n:
-        r = r % t_pow_minus_one(r.spec, n)
-    return valuation_map(r.spec, n).read(r.coeff_encs)
 
 
 # states per block of linear_images; memory stays at one block of planes

@@ -78,12 +78,13 @@ class _GF2Kernel:
 
     @staticmethod
     def divmod(a: int, b: int) -> tuple[int, int]:
+        """Quotient bits go in a bytearray: or-ing into an int copies it at each step."""
         db = b.bit_length()
-        quot = 0
+        quot = bytearray(max(a.bit_length() - db + 1, 0))
         while (la := a.bit_length()) >= db:
             a ^= b << (la - db)
-            quot |= 1 << (la - db)
-        return quot, a
+            quot[la - db] = 1
+        return undigits(quot, 2), a
 
     gcd = _euclid
 
@@ -773,24 +774,35 @@ def resultant(a: Poly, b: Poly) -> FieldElem:
 # Multiplicative orders
 
 
-def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
-    """Orders of a in the unit groups of GF(q)[t]/pi^m for m = 0..e
-    (pi irreducible); DomainError when a is not a unit mod pi.
+def _pi_adic(kern, x: int, pi: int, e: int) -> int:
+    """min(v_pi(x), e) for kernel forms x and pi, by repeated division."""
+    for v in range(e):
+        x, rest = kern.divmod(x, pi)
+        if rest:
+            return v
+    return e
+
+
+def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None]:
+    """(min(v_pi(a), e), orders) for a on the component pi^e, pi irreducible:
+    the division giving a mod pi goes on with its quotient while pi divides.
+    orders is None unless a is a unit; then orders[m] is its order mod pi^m,
+    m = 0..e.
 
     Reduction mod pi maps the units mod pi^e onto GF(q^deg pi)^* with a
     p-group kernel, so the order mod pi^m is o * p^j: o is the order mod pi,
     a divisor of q^deg pi - 1 found by intfactor.order, and j is the least
     with b^(p^j) == 1 mod pi^m for b = a^o. In characteristic p,
-    b^(p^j) - 1 = (b - 1)^(p^j), so j is the least with p^j * v >= m, where
-    v = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3). All of
+    b^(p^j) - 1 = (b - 1)^(p^j), so j is the least with p^j * u >= m, where
+    u = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3). All of
     it runs on kernel forms, each modulus set up once (_modulus).
     """
     spec = a.spec
     kern = kernel(spec)
     pi_k, a_k = pi._f, a._f
-    residue = kern.rem(a_k, pi_k)
+    quot, residue = kern.divmod(a_k, pi_k)
     if not residue:
-        raise DomainError("element is not a unit modulo pi")
+        return 1 + _pi_adic(kern, quot, pi_k, e - 1), None
     ring = _modulus(kern, pi_k)
     o = order(ring.enter(residue), spec.q**pi.degree - 1, ring.pow, ring.one)
     orders = [1, o]
@@ -798,15 +810,10 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> list[int]:
         pi_e = power(kern.mul, pi_k, e, kern.one)
         ring = _modulus(kern, pi_e)
         b = ring.leave(ring.pow(ring.enter(kern.rem(a_k, pi_e)), o))
-        x, v = kern.add(b, kern.neg(kern.one)), 0
-        while v < e:  # v = v_pi(b - 1) >= 1, capped at e
-            x, rest = kern.divmod(x, pi_k)
-            if rest:
-                break
-            v += 1
+        u = _pi_adic(kern, kern.add(b, kern.neg(kern.one)), pi_k, e)  # >= 1
         for m in range(2, e + 1):
-            while v < m:
+            while u < m:
                 o *= spec.p
-                v *= spec.p
+                u *= spec.p
             orders.append(o)
-    return orders
+    return 0, orders

@@ -192,6 +192,15 @@ def test_large_prime_powers_are_recognized_without_factoring(capsys):
     assert capsys.readouterr().err == f"error: {m61 * m89} is not a prime power\n"
 
 
+@pytest.mark.parametrize("argv", [("spectrum",), ("gen", "--gen", "const")],
+                         ids=["spectrum", "gen-const"])
+def test_a_length_too_large_to_allocate_is_a_resource_limit(capsys, argv):
+    """At n = 10^14 the first n-coefficient allocation fails at once (it
+    asks for 8 * 10^14 bytes); the report is one line and exit 1."""
+    assert main([argv[0], "--q", "2", "--n", str(10**14), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", "resource limit: out of memory\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "orbit", "--q", "2", "--seq", "1,0,0",

@@ -3,16 +3,15 @@ import random
 
 import pytest
 
-from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
+from conftest import F2, F3, F4, F5, F7, F8, F9, all_seqs, seq
 from ffdyn import DomainError, FieldSpec, dynamics
 from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot, graph_summary,
                             index_of_state, max_period, max_preperiod,
                             orbit_algebraic, orbit_brute, orbit_pass, orbit_table,
                             state_of_index, successor_array)
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
-from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
-                            component_valuations, crt_split, delta_operator,
-                            delta_poly, seq_to_poly)
+from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator, crt_split,
+                            delta_operator, delta_poly, seq_to_poly, valuation_map)
 from ffdyn.polyring import gcd, t_minus_one, t_pow_minus_one
 
 
@@ -295,12 +294,46 @@ def test_attractor_entry_matches_brute_when_p_divides_n(spec, n):
     for coeffs in ((1,), (0, 1)):
         D = build_operator(spec, n, coeffs)
         # Delta^2 vanishes to order 2 on its dead component t - 1
-        assert component_valuations(D.op_poly, n)[dead] == len(coeffs)
+        assert valuation_map(spec, n).read(D.op_poly.coeff_encs)[dead] == len(coeffs)
         for f in all_seqs(spec, n):
             a = orbit_algebraic(D, f)
             assert a == orbit_brute(D, f), (coeffs, f)
             pres.add(a.preperiod)
     assert 0 in pres and max(pres) >= 2
+
+
+# the fields of test_crt_split_p_power_shortcut_matches_factorize
+ROUTE_FIELDS = [F2, F3, F4, F5, F7, F8, F9] + [
+    FieldSpec.of_order(q) for q in (16, 25, 27, 32, 49, 64, 81)]
+
+
+@pytest.mark.parametrize("spec", ROUTE_FIELDS, ids=lambda s: f"q{s.q}")
+def test_operator_valuations_match_the_valuation_map(spec):
+    """The analyzer's valuations of an operator, one _order_prime_power
+    call per component, against the valuation map's read of its
+    coefficients: Delta, Delta^2 and two seeded operators of one to three
+    terms at every n <= 30, prime, composite and divisible by p."""
+    rng = random.Random(spec.q)
+    for n in range(1, 31):
+        seeded = [[rng.randrange(spec.q) for _ in range(rng.randint(1, 3))] for _ in range(2)]
+        for coeffs in [(1,), (0, 1)] + seeded:
+            try:
+                D = build_operator(spec, n, coeffs)
+            except DegenerateOperatorError:
+                continue
+            vals = valuation_map(spec, n).read(D.op_poly.coeff_encs)
+            assert dynamics._analyzer(D).op_vals == vals, (n, coeffs)
+
+
+def test_operator_analysis_builds_no_valuation_map():
+    """max_period and cycle_spectrum read the operator per component and
+    never call valuation_map, which serves states and the census."""
+    D = build_operator(F7, 36, (3, 1))
+    before = valuation_map.cache_info()  # neither a miss nor a hit: no lookup
+    max_period(D)
+    cycle_spectrum(D)
+    after = valuation_map.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_state_index_round_trip():

@@ -7,11 +7,11 @@ from conftest import F2, F3, F4, F5, F9, all_seqs, seq
 from ffdyn import DomainError, FieldSpec, Poly, groupalg
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
-                            component_valuations, crt_split, delta,
-                            delta_operator, delta_poly, linear_images,
-                            parse_seq, poly_to_seq, seq_from_json, seq_text,
-                            seq_to_json, seq_to_poly, seq_valuations)
-from ffdyn.polyring import t_pow_minus_one
+                            crt_split, delta, delta_operator, delta_poly,
+                            linear_images, parse_seq, poly_to_seq, seq_from_json,
+                            seq_text, seq_to_json, seq_to_poly, seq_valuations,
+                            valuation_map)
+from ffdyn.polyring import _order_prime_power, t_pow_minus_one
 
 GF729 = FieldSpec.of_order(3**6)  # above the table limit: one field call per lookup
 F251, F257 = FieldSpec(251), FieldSpec(257)
@@ -270,23 +270,28 @@ VALUATION_CASES = [(F2, 15), (F2, 255), (F2, 257), (F2, 96), (F3, 80), (F3, 81),
 @pytest.mark.parametrize("spec, n", VALUATION_CASES,
                          ids=[f"GF{s.q}-n{n}" for s, n in VALUATION_CASES])
 def test_component_valuations_match_repeated_division(spec, n):
+    """The valuation map, read on a residue's coefficients and on its
+    sequence's values, against dividing by each pi."""
     rng = random.Random(n)
     modulus = t_pow_minus_one(spec, n)
     factors = crt_split(spec, n)
+    read = valuation_map(spec, n).read
     zero = tuple(e for _, e in factors)
-    assert component_valuations(Poly.zero(spec), n) == zero
+    assert read(Poly.zero(spec).coeff_encs) == zero
     assert seq_valuations(CyclicSeq(spec, (0,) * n)) == zero
     for i, (pi, e) in enumerate(factors):
         g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
         for j in range(e + 1):
             r = (pi**j * g) % modulus
-            vals = component_valuations(r, n)
+            vals = read(r.coeff_encs)
             assert vals == _repeated_division(r, n)
             assert vals[i] >= j
             # the per-state route reads the same residue off its values
             assert seq_valuations(poly_to_seq(spec, n, r)) == vals
-    # an element of degree >= n is read as its residue mod t^n - 1
-    assert component_valuations(g + modulus * g, n) == component_valuations(g, n)
+    # the per-component route reads an element of degree >= n as its
+    # residue mod t^n - 1
+    assert tuple(_order_prime_power(g + modulus * g, pi, e)[0]
+                 for pi, e in factors) == read(g.coeff_encs)
 
 
 # (field, n, input digits per table, bits per slot, tables or columns)
@@ -318,9 +323,8 @@ def test_valuation_map_layout_and_table_cap(spec, n, chunk, bits, tabled):
 
 
 def test_first_per_state_read_builds_no_tables():
-    """A map's first two reads (an operator and one state, as a fresh
-    (q, n) makes) go by columns; the third builds the tables, and both
-    agree."""
+    """A map's first two reads (one or two states, as a fresh (q, n)
+    makes) go by columns; the third builds the tables, and both agree."""
     vmap = groupalg._ValuationMap(F3, 80)
     rng = random.Random(5)
     states = [rand_seq(F3, 80, rng).value_encs for _ in range(4)]

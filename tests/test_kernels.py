@@ -272,7 +272,9 @@ def test_unit_orders_on_large_components(n):
         degrees.append(pi.degree)
         modulus = pi**e
         one = Poly.one(spec) % modulus
-        k = _order_prime_power(a, pi, e)[-1]
+        v, orders = _order_prime_power(a, pi, e)
+        assert v == 0
+        k = orders[-1]
         assert ref_powmod(a, k, modulus) == one
         for ell in factor_int(k):
             assert ref_powmod(a, k // ell, modulus) != one

@@ -5,8 +5,9 @@ in an int, intfactor.power is the one loop that halves an exponent, one
 slot ring serves t^n - 1 over every field but GF(2), polyring sizes slots
 in one layout builder, outside ffield a FieldElem is built only by the
 public functions that return one, a Poly reaches its kernel as the form
-it holds, never repacked from its coefficients, and one round loop splits
-equal-degree factors."""
+it holds, never repacked from its coefficients, one round loop splits
+equal-degree factors, and only states and the census read a valuation
+map."""
 
 import ast
 from pathlib import Path
@@ -215,16 +216,16 @@ def test_the_ring_checker_sees_every_form(tmp_path):
 LAYOUT_CALLS = ("slot_bits", "digit_planes")
 
 
-def _layout_calls(path: Path):
-    """(owner, name) for each call of a LAYOUT_CALLS name in path: the owner
-    is a function, Class.method, the class for code in a class body outside
-    its methods, and None at module level."""
+def _owned_calls(path: Path, names=LAYOUT_CALLS):
+    """(owner, name) for each call of one of names in path: the owner is a
+    function, Class.method, the class for code in a class body outside its
+    methods, and None at module level."""
     tree = ast.parse(path.read_text(), str(path))
     for top in tree.body:
         units = _units(top)
         rest = [node for node in top.body if not isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef))] if isinstance(top, ast.ClassDef) else []
-        for name in LAYOUT_CALLS:
+        for name in names:
             yield from ((owner, name) for owner, unit in units if _calls(unit, name))
             if not units and _calls(top, name):
                 yield None, name
@@ -235,7 +236,7 @@ def _layout_calls(path: Path):
 def test_one_slot_layout_in_polyring():
     """kern.mul, cyclic_ring and _PackedModulus all take their slots from
     _ListKernel.layout, so no second private packing can come back."""
-    found = set(_layout_calls(SRC / "polyring.py"))
+    found = set(_owned_calls(SRC / "polyring.py"))
     assert found == {("_ListKernel.layout", name) for name in LAYOUT_CALLS}
 
 
@@ -248,9 +249,32 @@ def test_the_layout_checker_sees_every_form(tmp_path):
                    "def ring(n):\n"
                    "    return [slot_bits(k) for k in range(n)]\n"
                    "PLANES = digit_planes(3, 2, 4, 3, 8)\n")
-    assert list(_layout_calls(src)) == [("K.layout", "slot_bits"), ("K", "slot_bits"),
-                                        ("K.layout", "digit_planes"), ("ring", "slot_bits"),
-                                        (None, "digit_planes")]
+    assert list(_owned_calls(src)) == [("K.layout", "slot_bits"), ("K", "slot_bits"),
+                                       ("K.layout", "digit_planes"), ("ring", "slot_bits"),
+                                       (None, "digit_planes")]
+
+
+def test_only_states_and_the_census_read_the_valuation_map():
+    """The map of (q, n) serves states (seq_valuations) and the census
+    (_census_count); an operator is read per component by
+    _order_prime_power, so no analysis of D builds a map."""
+    found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _name in _owned_calls(path, ("valuation_map",))}
+    assert found == {("groupalg", "seq_valuations"), ("complexity", "_census_count")}
+
+
+def test_the_map_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def seq_valuations(f):\n"
+                   "    return valuation_map(f.spec, f.n).read(f.value_encs)\n"
+                   "class A:\n"
+                   "    def __init__(self, D):\n"
+                   "        self.vals = groupalg.valuation_map(D.spec, D.n).read(D.op)\n"
+                   "MAP = valuation_map(F2, 3)\n"
+                   "valuation_map = lru_cache(maxsize=64)(_ValuationMap)\n")
+    assert list(_owned_calls(src, ("valuation_map",))) == [
+        ("seq_valuations", "valuation_map"), ("A.__init__", "valuation_map"),
+        (None, "valuation_map")]
 
 
 # the public functions that return a FieldElem built from an encoding; the

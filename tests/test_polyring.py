@@ -454,8 +454,11 @@ def test_mult_order_int_examples():
 
 
 def _order(a, pi, e=1):
-    """Order of a mod pi^e: the last entry of _order_prime_power."""
-    return _order_prime_power(a, pi, e)[-1]
+    """Order of a unit a mod pi^e: the last entry of _order_prime_power's
+    orders."""
+    v, orders = _order_prime_power(a, pi, e)
+    assert v == 0
+    return orders[-1]
 
 
 def test_mult_order_mod_examples():
@@ -478,10 +481,30 @@ def test_mult_order_mod_divides_group_order():
             assert powmod(a, k, m) == Poly.one(spec)
 
 
-def test_mult_order_mod_non_unit_rejected():
-    # a multiple of pi has no order mod pi^e; the lifting loop would not end
-    with pytest.raises(DomainError):
-        _order(Poly(F2, [1, 1]) * Poly(F2, [1, 1, 1]), Poly(F2, [1, 1]), 2)
+def _valuation_by_division(a, pi, e):
+    """min(v_pi(a), e), dividing a by pi while pi divides it."""
+    v = 0
+    while v < e and (a % pi).is_zero:
+        a, v = a // pi, v + 1
+    return v
+
+
+# p | n, so every component pi^e of t^n - 1 has e > 1; pi has degree up to 4
+NON_UNIT_CASES = [(F2, 12), (F2, 28), (F2, 64), (F3, 15), (F3, 18), (F4, 20), (F5, 50), (F9, 6)]
+
+
+@pytest.mark.parametrize("spec, n", NON_UNIT_CASES,
+                         ids=[f"q{spec.q}-n{n}" for spec, n in NON_UNIT_CASES])
+def test_order_prime_power_gives_a_non_unit_its_valuation(spec, n):
+    """A non-unit a has no order mod pi^e: _order_prime_power gives
+    (min(v_pi(a), e), None), for a = 0 and for pi^j * g, j = 1..e + 1."""
+    rng = random.Random(n * spec.q)
+    for pi, e in crt_split(spec, n):
+        assert e > 1
+        assert _order_prime_power(Poly.zero(spec), pi, e) == (e, None)
+        for j in range(1, e + 2):
+            a = pi**j * rand_poly(spec, 6, rng, nonzero=True)
+            assert _order_prime_power(a, pi, e) == (_valuation_by_division(a, pi, e), None)
 
 
 def test_mult_order_mod_prime_power_modulus():
@@ -530,7 +553,7 @@ def test_order_lifting_matches_iteration(spec, pi, e):
         if (a % pi).is_zero:
             continue
         units += 1
-        assert _order_prime_power(a, pi, e) == _orders_by_iteration(a, pi, e)
+        assert _order_prime_power(a, pi, e) == (0, _orders_by_iteration(a, pi, e))
 
 
 # small components pi^e, e = 1..3, up to 729 residues
@@ -548,7 +571,7 @@ def test_order_of_every_unit_matches_multiplication(spec, pi, e):
     for c in itertools.product(range(spec.q), repeat=e * pi.degree):
         a = Poly(spec, c)
         if not (a % pi).is_zero:
-            assert _order_prime_power(a, pi, e) == _orders_by_iteration(a, pi, e), a
+            assert _order_prime_power(a, pi, e) == (0, _orders_by_iteration(a, pi, e)), a
 
 
 # the degree-28 component of t^29 - 1 over GF(3) packs its residues mod pi,
