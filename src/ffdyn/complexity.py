@@ -20,7 +20,7 @@ from .ffield import FieldElem, FieldSpec
 from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator, linear_images,
                        seq_to_poly, seq_valuations, valuation_map)
 from .intfactor import is_prime, order
-from .polyring import Poly, geometric_sum, resultant, t_minus_one
+from .polyring import Poly, geometric_sum, resultant, t_pow_minus_one
 from .polyring import gcd as gcd_poly
 
 OP_CAP = 2**16  # default cap on the operators the brute-force oracle enumerates
@@ -61,12 +61,9 @@ class QuotaReport:
 
 def projection_profile(f: CyclicSeq) -> ProjectionProfile:
     """Which irreducible factors of t^n - 1 divide the sequence polynomial."""
-    spec = f.spec
-    t_minus_1 = t_minus_one(spec)
-    vals = seq_valuations(f)
     return ProjectionProfile(tuple(
-        ProjectionEntry(pi, e, v == 0, pi == t_minus_1)
-        for (pi, e), v in zip(crt_split(spec, f.n), vals)))
+        ProjectionEntry(c.pi, c.e, v == 0, c.m == 1)
+        for c, v in zip(crt_split(f.spec, f.n), seq_valuations(f))))
 
 
 def d_complicated_gcd(f: CyclicSeq) -> bool:
@@ -86,7 +83,7 @@ def d_complicated_gcd(f: CyclicSeq) -> bool:
 def operator_family(spec: FieldSpec, n: int):
     """Every differential operator on length n: the nonzero multiples of
     (t - 1) among residues mod t^n - 1, exactly q^(n-1) - 1 of them."""
-    t_minus_1 = t_minus_one(spec)
+    t_minus_1 = t_pow_minus_one(spec, 1)
     for coeffs in itertools.product(range(spec.q), repeat=n - 1):
         if not any(coeffs):
             continue
@@ -140,9 +137,7 @@ def classify(f: CyclicSeq, op_cap: int = OP_CAP,
     vals = seq_valuations(f)
     d1, d2 = _delta_verdict(f, vals)
     if n % spec.p != 0:
-        t_minus_1 = t_minus_one(spec)
-        witness = next((pi for (pi, _e), v in zip(crt_split(spec, n), vals)
-                        if v and pi != t_minus_1), None)
+        witness = next((c.pi for c, v in zip(crt_split(spec, n), vals) if v and c.m > 1), None)
         return ComplexityVerdict(d1, d2, witness is None, "lemma1-gcd", witness)
     dc, witness = _oracle_with_witness(f, op_cap, state_cap)
     return ComplexityVerdict(d1, d2, dc, "brute-force-oracle", witness)
@@ -162,13 +157,17 @@ def is_delta1(f: CyclicSeq) -> bool:
 # Quota and census (prime n, n != p)
 
 
-def quota(spec: FieldSpec, n: int) -> QuotaReport:
-    """Exact fraction of D-complicated sequences: (1 - q^-d)^((n-1)/d)."""
-    q = spec.q
+def _check_quota_n(spec: FieldSpec, n: int) -> None:
     if not is_prime(n):
         raise DomainError(f"quota needs prime n, got {n}")
     if n == spec.p:
         raise DomainError("quota is undefined for n equal to the characteristic")
+
+
+def quota(spec: FieldSpec, n: int) -> QuotaReport:
+    """Exact fraction of D-complicated sequences: (1 - q^-d)^((n-1)/d)."""
+    q = spec.q
+    _check_quota_n(spec, n)
     d = order(q % n, n - 1, lambda x, k: pow(x, k, n), 1)
     formula = Fraction(q**d - 1, q**d) ** ((n - 1) // d)
     return QuotaReport(n=n, q=q, d=d, quota_formula=formula, state_count=q**n)
@@ -184,9 +183,8 @@ def _census_count(spec: FieldSpec, n: int) -> int:
     pi, so linear_images gives every state's residues as digit planes.
     """
     import numpy as np
-    t_minus_1 = t_minus_one(spec)
     basis, firsts = valuation_map(spec, n).digit_rows()
-    spans = [first for (pi, _m), first in zip(crt_split(spec, n), firsts) if pi != t_minus_1]
+    spans = [first for c, first in zip(crt_split(spec, n), firsts) if c.m > 1]
     total = 0
     for planes in linear_images(spec.p, basis):
         ok = np.ones(planes.shape[1], dtype=bool)
@@ -202,9 +200,11 @@ def census(spec: FieldSpec, n: int, cap: int = STATE_CAP) -> QuotaReport:
     Raises RuntimeError if the exhaustive count ever disagrees with the
     formula (it cannot, short of an implementation bug).
     """
-    rep = quota(spec, n)
-    if spec.q**n > cap:
+    _check_quota_n(spec, n)
+    # the cap comes before the formula, whose power has about n log2(q) bits; q^n >= 2^n
+    if n >= cap.bit_length() or spec.q**n > cap:
         raise ResourceLimitError(f"census over {spec.q}^{n} states exceeds cap {cap}")
+    rep = quota(spec, n)
     count = _census_count(spec, n)
     expected = rep.quota_formula * rep.state_count
     if count != expected:

@@ -88,8 +88,8 @@ class _OrbitAnalyzer:
 
     def __init__(self, D: DiffOperator):
         self.factors = crt_split(D.spec, D.n)
-        self.op_vals, self.orders = zip(*(_order_prime_power(D.op_poly, pi, e)
-                                          for pi, e in self.factors))
+        self.op_vals, self.orders = zip(*(_order_prime_power(D.op_poly, c.pi, c.e)
+                                          for c in self.factors))
         # a unit of the algebra (valuation 0 everywhere) has the longest
         # tail and the longest cycle
         self.max_preperiod, self.max_period = self.analyze((0,) * len(self.factors))
@@ -97,7 +97,8 @@ class _OrbitAnalyzer:
     def analyze(self, f_vals: tuple[int, ...]) -> tuple[int, int]:
         """(preperiod, period) of a state from its component valuations."""
         pre, per = 0, 1
-        for (_pi, e), val, orders, v in zip(self.factors, self.op_vals, self.orders, f_vals):
+        for c, val, orders, v in zip(self.factors, self.op_vals, self.orders, f_vals):
+            e = c.e
             if v == e:
                 continue
             if orders is not None:
@@ -149,12 +150,12 @@ def cycle_spectrum(D: DiffOperator) -> dict[int, int]:
     q = D.spec.q
     an = _analyzer(D)
     states = {1: 1}  # {period: number of attractor states with that period}
-    for (pi, e), orders in zip(an.factors, an.orders):
+    for c, orders in zip(an.factors, an.orders):
         if orders is None:
             continue
         # {period: residues mod pi^e}: zero has period 1, and the
         # q^(d(e-v)) - q^(d(e-v-1)) residues of valuation v < e have orders[e-v]
-        d = pi.degree
+        d, e = c.d, c.e
         counts: dict[int, int] = {1: 1}
         for v in range(e):
             t = orders[e - v]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import repeat
 
@@ -189,14 +190,19 @@ def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
     return CyclicSeq(f.spec, D.apply_values(f.value_encs))
 
 
-@lru_cache(maxsize=256)
-def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
-    """Factorization of t^n - 1 into (irreducible, multiplicity) pairs,
-    sorted by (degree, coefficients).
+# One component pi^e of t^n - 1: pi is a monic irreducible factor of Phi_m,
+# of degree d = ord_m(q), and e the p-part of n; m = 1 is the sum component t - 1
+Component = namedtuple("Component", "pi e m d")
 
-    For n = p^k * m with p not dividing m, t^n - 1 = (t^m - 1)^(p^k) and
-    t^m - 1 is squarefree, so only t^m - 1 is split, by its cyclotomic
-    structure (cyclotomic_factors).
+
+@lru_cache(maxsize=256)
+def crt_split(spec: FieldSpec, n: int) -> tuple[Component, ...]:
+    """The components of t^n - 1, one record per irreducible factor,
+    sorted by (degree, coefficients) of pi.
+
+    For n = p^k * r with p not dividing r, t^n - 1 = (t^r - 1)^(p^k) and
+    t^r - 1 is squarefree, so only t^r - 1 is split, by its cyclotomic
+    structure (cyclotomic_factors), and every component has e = p^k.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -204,7 +210,7 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[tuple[Poly, int], ...]:
     while n % spec.p == 0:
         n //= spec.p
         pk *= spec.p
-    return tuple((pi, pk) for pi in cyclotomic_factors(spec, n))
+    return tuple(Component(pi, pk, m, pi.degree) for pi, m in cyclotomic_factors(spec, n))
 
 
 # payload bytes allowed for the chunk tables of one valuation map
@@ -261,8 +267,8 @@ class _ValuationMap:
         slot, step = (1 << w) - 1, ef * w
         comps = crt_split(spec, n)
         by_shape = {}
-        for k, (pi, e) in enumerate(comps):
-            by_shape.setdefault((pi.degree, e), []).append(k)
+        for k, c in enumerate(comps):
+            by_shape.setdefault((c.d, c.e), []).append(k)
         self.spans = [None] * len(comps)  # (first slot, end slot, slots per digit block, e)
         shapes, off = [], 0
         for (d, e), members in by_shape.items():
@@ -277,7 +283,7 @@ class _ValuationMap:
             # digit s of each block's top coefficient, moved to the block's
             # first slot and copied across the block, times the digits of
             # p^s * (t^d - pi): one (shift, mask, j) term per bit plane j
-            terms, lows = [], [comps[k][0].coeff_encs[:d] for k in members]
+            terms, lows = [], [comps[k].pi.coeff_encs[:d] for k in members]
             for s in range(ef):
                 masks = [0] * (p - 1).bit_length()
                 for i, low in enumerate(lows):

@@ -159,25 +159,23 @@ def _brent_rho(n: int, budget: int) -> int | None:
     return None
 
 
-def factor_int(n: int, trial_bound: int = TRIAL_BOUND,
-               rho_budget: int = RHO_ITER_BUDGET) -> dict[int, int]:
+def factor_int(n: int) -> dict[int, int]:
     """Full prime factorization {prime: exponent} of n >= 1, a fresh dict
-    on every call (the factorizations are cached, bounded, per argument
-    triple).
+    on every call (the factorizations are cached, bounded, per n).
 
     Raises ResourceLimitError when a cofactor survives both trial division
-    and the rho iteration budget; a failure is never cached.
+    to TRIAL_BOUND and RHO_ITER_BUDGET rho iterations; no failure is cached.
     """
     if n < 1:
         raise ValueError("factor_int needs n >= 1")
-    return dict(_factor(n, trial_bound, rho_budget))
+    return dict(_factor(n))
 
 
 @lru_cache(maxsize=1024)
-def _factor(n: int, trial_bound: int, rho_budget: int) -> tuple[tuple[int, int], ...]:
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n and d <= trial_bound:
+    while d * d <= n and d <= TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -188,7 +186,7 @@ def _factor(n: int, trial_bound: int, rho_budget: int) -> tuple[tuple[int, int],
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        f = _brent_rho(m, rho_budget)
+        f = _brent_rho(m, RHO_ITER_BUDGET)
         if f is None or f in (1, m):
             raise ResourceLimitError(
                 f"factoring effort exceeded on cofactor {m}")

@@ -443,12 +443,6 @@ def t_pow_minus_one(spec: FieldSpec, n: int) -> Poly:
     return Poly(spec, coeffs)
 
 
-@lru_cache(maxsize=64)
-def t_minus_one(spec: FieldSpec) -> Poly:
-    """t - 1, one shared instance per field."""
-    return t_pow_minus_one(spec, 1)
-
-
 # ---------------------------------------------------------------------------
 # Division, gcd, powering
 
@@ -629,9 +623,10 @@ def _sorted(kern, forms) -> list:
     return sorted(forms, key=lambda f: (kern.degree(f), kern.unpack(f)))
 
 
-def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
-    """The monic irreducible factors of t^n - 1 for n coprime to the
-    characteristic p, sorted by (degree, coefficients).
+def cyclotomic_factors(spec: FieldSpec, n: int) -> list[tuple[Poly, int]]:
+    """The monic irreducible factors pi of t^n - 1 for n coprime to the
+    characteristic p, each with the m of the Phi_m it divides, as (pi, m)
+    pairs sorted by (degree, coefficients) of pi.
 
     t^n - 1 is the product of the cyclotomic polynomials Phi_m over m | n,
     and Phi_m is the product of k = phi(m)/d irreducibles of the one degree
@@ -658,7 +653,7 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
     kern, q = kernel(spec), spec.q
     rng = random.Random(0)
     minus_one = spec.neg_enc(1)
-    phis, found = {}, []
+    phis, found = {}, {}  # form -> m
     for m in divisors(n):
         phi = kern.pack((minus_one,) + (0,) * (m - 1) + (1,))
         for k, phi_k in phis.items():
@@ -668,7 +663,7 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
         deg = kern.degree(phi)
         d = order(q % m, deg, lambda x, j: pow(x, j, m), 1 % m)
         if deg == d:
-            found.append(phi)
+            found[phi] = m
             continue
         coset, count = [-1] * m, 0  # coset[i]: the index of i's coset
         for i in range(m):
@@ -684,10 +679,10 @@ def cyclotomic_factors(spec: FieldSpec, n: int) -> list[Poly]:
         top = m // next(k for k in phis if k > 1 and m % k == 0)
         draws = ([rng.randrange(q) for _ in range(count)] for _ in range(_SPLIT_ROUNDS))
         bs = ([a[c] for c in coset] for a in draws)
-        found += _split(spec, phi, d, 1, (kern.rem(kern.add(
+        found.update(dict.fromkeys(_split(spec, phi, d, 1, (kern.rem(kern.add(
             kern.pack(b[:-top]), kern.neg(kern.pack(b[-top:] * (m // top - 1)))), phi)
-            for b in bs), f"Phi_{m} over GF({q})")
-    return [_poly(spec, f) for f in _sorted(kern, found)]
+            for b in bs), f"Phi_{m} over GF({q})"), m))
+    return [(_poly(spec, f), found[f]) for f in _sorted(kern, found)]
 
 
 def factorize(f: Poly) -> Factorization:

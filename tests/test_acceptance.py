@@ -10,10 +10,13 @@ is (127/128)^18 ~ 0.868 (see the README, "C2 threshold law").
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import ffdyn
 from conftest import all_seqs
 from ffdyn import FieldSpec
 from ffdyn.complexity import d_complicated_gcd, d_complicated_oracle, is_delta1, is_delta2
@@ -214,8 +217,12 @@ def test_c9_arnold_log_delta2_sweep():
 
 
 def _run_cli(*argv) -> tuple[int, bytes]:
+    # the child runs the ffdyn this process imported, whether pytest found it
+    # through PYTHONPATH or through its own pythonpath setting
+    src = str(Path(ffdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "ffdyn.cli", *argv],
-                          capture_output=True)
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout
 
 

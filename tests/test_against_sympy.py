@@ -37,7 +37,7 @@ def sympy_factors(p, n):
 def test_crt_split_matches_sympy(p):
     spec = FieldSpec(p)
     for n in LENGTHS:
-        ours = {(pi.coeff_encs, e) for pi, e in crt_split(spec, n)}
+        ours = {(c.pi.coeff_encs, c.e) for c in crt_split(spec, n)}
         assert ours == sympy_factors(p, n), n
 
 
@@ -47,7 +47,7 @@ def test_crt_split_matches_sympy_in_the_hundreds(p, lengths):
     """Composite n in the hundreds, p | n included (600, 513, 728)."""
     spec = FieldSpec(p)
     for n in lengths:
-        ours = {(pi.coeff_encs, e) for pi, e in crt_split(spec, n)}
+        ours = {(c.pi.coeff_encs, c.e) for c in crt_split(spec, n)}
         assert ours == sympy_factors(p, n), n
 
 
@@ -164,9 +164,9 @@ def test_large_extension_mul_matches_sympy(spec):
 def test_large_extension_crt_split_reconstructs(spec, lengths):
     for n in lengths:
         factors = crt_split(spec, n)
-        assert reduce(lambda acc, f: acc * f[0] ** f[1], factors, Poly.one(spec)) \
+        assert reduce(lambda acc, c: acc * c.pi**c.e, factors, Poly.one(spec)) \
             == t_pow_minus_one(spec, n), n
-        assert all(is_irreducible(pi) for pi, _e in factors), n
+        assert all(is_irreducible(c.pi) for c in factors), n
 
 
 @pytest.mark.parametrize("spec", [GF1024, GF2187])

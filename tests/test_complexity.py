@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec, Poly, polyring
+from ffdyn import DomainError, FieldSpec, Poly, complexity, polyring
 from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
@@ -40,6 +40,15 @@ def test_projection_profile_legendre_n5():
             assert not e.nonzero  # f~(1) = 0
         else:
             assert e.factor.degree == 4 and e.nonzero
+
+
+def test_projection_profile_names_one_sum_component():
+    """t - 1 alone is the sum component, also where every factor is linear
+    (GF(5), n = 4) and where p | n (GF(3), n = 6; GF(2), n = 4)."""
+    for spec, n in [(F5, 4), (F3, 6), (F4, 3), (F2, 4)]:
+        prof = projection_profile(seq(spec, 1, *[0] * (n - 1)))
+        sums = [e.factor for e in prof.entries if e.is_sum_component]
+        assert sums == [Poly(spec, [spec.neg_enc(1), 1])], (spec.q, n)
 
 
 # -- the D-complexity classifiers -----------------------------------------------
@@ -155,8 +164,7 @@ def test_implication_chain_exhaustive():
         D = delta_operator(spec, n)
         pre, per = orbit_table(D)
         max_pre, max_per = max(pre), max(per)
-        t_minus_1 = Poly(spec, [spec.neg_enc(1), 1])
-        factors = [pi for pi, _e in crt_split(spec, n) if pi != t_minus_1]
+        factors = [c.pi for c in crt_split(spec, n) if c.m > 1]
         for f in all_seqs(spec, n):
             v = classify(f)
             if v.is_d_complicated:
@@ -239,9 +247,21 @@ def test_census_quota_equals_formula():
         assert r.census_count == r.quota_formula * r.state_count
 
 
-def test_census_cap():
+def test_census_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         census(F2, 13, cap=1000)
+
+    # an n far past the cap is refused before the quota formula, whose power
+    # would take about 10^8 bits; a non-prime n and n = p still fail first
+    def no_formula(*_args):
+        raise AssertionError("census built the quota formula before its cap check")
+
+    monkeypatch.setattr(complexity, "quota", no_formula)
+    with pytest.raises(ResourceLimitError, match=r"2\^100000007 states exceeds cap"):
+        census(F2, 100000007)
+    for n in (100000008, 2):
+        with pytest.raises(DomainError):
+            census(F2, n)
 
 
 def test_census_matches_per_sequence_classifier():

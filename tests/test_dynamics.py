@@ -12,7 +12,7 @@ from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot, graph_summar
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator, crt_split,
                             delta_operator, delta_poly, seq_to_poly, valuation_map)
-from ffdyn.polyring import gcd, t_minus_one, t_pow_minus_one
+from ffdyn.polyring import gcd, t_pow_minus_one
 
 
 def test_orbit_brute_example_n3():
@@ -289,7 +289,7 @@ def test_gf2_brent_attractor_entry_has_full_length():
 def test_attractor_entry_matches_brute_when_p_divides_n(spec, n):
     # D^pre f comes from square-and-multiply on the cyclic product: compare
     # the whole summary, entry included, on every state
-    dead = [pi for pi, _e in crt_split(spec, n)].index(t_minus_one(spec))
+    dead = [c.m for c in crt_split(spec, n)].index(1)  # the sum component t - 1
     pres = set()
     for coeffs in ((1,), (0, 1)):
         D = build_operator(spec, n, coeffs)

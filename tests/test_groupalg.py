@@ -217,23 +217,25 @@ def test_image_lies_in_zero_sum_subspace():
 
 
 def test_crt_split_examples():
-    assert {(str(p), m) for p, m in crt_split(F2, 3)} == {("1,1", 1), ("1,1,1", 1)}
-    assert {(str(p), m) for p, m in crt_split(F2, 2)} == {("1,1", 2)}
-    assert {(str(p), m) for p, m in crt_split(F3, 4)} == \
-        {("2,1", 1), ("1,1", 1), ("1,0,1", 1)}
+    def records(spec, n):
+        return [(str(c.pi), c.e, c.m, c.d) for c in crt_split(spec, n)]
+
+    assert records(F2, 3) == [("1,1", 1, 1, 1), ("1,1,1", 1, 3, 2)]
+    assert records(F2, 2) == [("1,1", 2, 1, 1)]
+    assert records(F3, 4) == [("1,1", 1, 2, 1), ("2,1", 1, 1, 1), ("1,0,1", 1, 4, 2)]
 
 
 def test_crt_split_reconstruction():
     for spec, n in [(F2, 12), (F3, 9), (F4, 6), (F2, 7)]:
         prod = Poly.one(spec)
-        for pi, e in crt_split(spec, n):
-            prod = prod * pi**e
+        for c in crt_split(spec, n):
+            prod = prod * c.pi**c.e
         assert prod == t_pow_minus_one(spec, n)
 
 
 def test_crt_split_squarefree_when_p_coprime():
     for spec, n in [(F2, 9), (F3, 8), (F4, 5)]:
-        assert all(e == 1 for _, e in crt_split(spec, n))
+        assert all(c.e == 1 for c in crt_split(spec, n))
 
 
 # -- component valuations ---------------------------------------------------------
@@ -243,10 +245,10 @@ def _repeated_division(r, n):
     """Reference: divide r by each pi of crt_split until a remainder is
     nonzero, at most e times."""
     out = []
-    for pi, e in crt_split(r.spec, n):
+    for c in crt_split(r.spec, n):
         rest, v = r, 0
-        while v < e:
-            quot, rem = divmod(rest, pi)
+        while v < c.e:
+            quot, rem = divmod(rest, c.pi)
             if not rem.is_zero:
                 break
             rest, v = quot, v + 1
@@ -276,13 +278,13 @@ def test_component_valuations_match_repeated_division(spec, n):
     modulus = t_pow_minus_one(spec, n)
     factors = crt_split(spec, n)
     read = valuation_map(spec, n).read
-    zero = tuple(e for _, e in factors)
+    zero = tuple(c.e for c in factors)
     assert read(Poly.zero(spec).coeff_encs) == zero
     assert seq_valuations(CyclicSeq(spec, (0,) * n)) == zero
-    for i, (pi, e) in enumerate(factors):
+    for i, c in enumerate(factors):
         g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
-        for j in range(e + 1):
-            r = (pi**j * g) % modulus
+        for j in range(c.e + 1):
+            r = (c.pi**j * g) % modulus
             vals = read(r.coeff_encs)
             assert vals == _repeated_division(r, n)
             assert vals[i] >= j
@@ -290,8 +292,8 @@ def test_component_valuations_match_repeated_division(spec, n):
             assert seq_valuations(poly_to_seq(spec, n, r)) == vals
     # the per-component route reads an element of degree >= n as its
     # residue mod t^n - 1
-    assert tuple(_order_prime_power(g + modulus * g, pi, e)[0]
-                 for pi, e in factors) == read(g.coeff_encs)
+    assert tuple(_order_prime_power(g + modulus * g, c.pi, c.e)[0]
+                 for c in factors) == read(g.coeff_encs)
 
 
 # (field, n, input digits per table, bits per slot, tables or columns)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ffdyn import intfactor
 from ffdyn.errors import DomainError, ResourceLimitError
 from ffdyn.intfactor import (_MR_BASES, _PSI, divisors, factor_int, is_prime,
                               is_strong_lucas_prp, order, power, prime_power)
@@ -113,11 +114,13 @@ def test_factor_uses_rho_beyond_trial_bound():
     assert factor_int(p * q) == {p: 1, q: 1}
 
 
-def test_factor_effort_cap():
+def test_factor_effort_cap(monkeypatch):
+    monkeypatch.setattr(intfactor, "TRIAL_BOUND", 1000)
+    monkeypatch.setattr(intfactor, "RHO_ITER_BUDGET", 50)
     hard = (2**89 - 1) * (2**107 - 1)
     for _ in range(2):  # a failure is not cached
         with pytest.raises(ResourceLimitError):
-            factor_int(hard, trial_bound=1000, rho_budget=50)
+            factor_int(hard)
 
 
 def test_factor_cache_hands_out_fresh_dicts():
@@ -127,13 +130,19 @@ def test_factor_cache_hands_out_fresh_dicts():
     assert factor_int(720) == {2: 4, 3: 2, 5: 1}
 
 
-def test_factor_cache_keys_on_the_budget():
-    """The default budget splits this cofactor by rho; a budget of one
-    iteration must still give up on it, after the default's success."""
+def test_factor_cache_keys_on_the_number(monkeypatch):
+    """A budget of one rho iteration gives up on this cofactor and caches
+    nothing; the default budget then splits it, and the cache answers for n
+    alone."""
     n = 1_000_003 * 1_000_033
-    assert factor_int(n) == {1_000_003: 1, 1_000_033: 1}
+    intfactor._factor.cache_clear()
+    monkeypatch.setattr(intfactor, "RHO_ITER_BUDGET", 1)
     with pytest.raises(ResourceLimitError):
-        factor_int(n, rho_budget=1)
+        factor_int(n)
+    monkeypatch.undo()
+    assert factor_int(n) == {1_000_003: 1, 1_000_033: 1}
+    monkeypatch.setattr(intfactor, "RHO_ITER_BUDGET", 1)
+    assert factor_int(n) == {1_000_003: 1, 1_000_033: 1}
 
 
 def test_prime_power_agrees_with_factoring():

@@ -268,11 +268,11 @@ def test_unit_orders_on_large_components(n):
     spec = FieldSpec.of_order(3)
     a = Poly(spec, [2, 1, 0, 0, 0, 1])  # a(1) = 1: a unit on every component
     degrees = []
-    for pi, e in crt_split(spec, n):
-        degrees.append(pi.degree)
-        modulus = pi**e
+    for c in crt_split(spec, n):
+        degrees.append(c.d)
+        modulus = c.pi**c.e
         one = Poly.one(spec) % modulus
-        v, orders = _order_prime_power(a, pi, e)
+        v, orders = _order_prime_power(a, c.pi, c.e)
         assert v == 0
         k = orders[-1]
         assert ref_powmod(a, k, modulus) == one

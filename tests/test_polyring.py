@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -261,16 +262,48 @@ def test_squarefree_decomposition_char_p_powers():
     assert factorize(f).factors == ((Poly(F2, [1, 1]), 3), (Poly(F2, [1, 1, 1]), 1))
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9] + [
-    FieldSpec.of_order(q) for q in (16, 25, 27, 32, 49, 64, 81)], ids=lambda s: f"q{s.q}")
+CRT_FIELDS = [F2, F3, F4, F5, F7, F8, F9] + [
+    FieldSpec.of_order(q) for q in (16, 25, 27, 32, 49, 64, 81)]
+
+
+@pytest.mark.parametrize("spec", CRT_FIELDS, ids=lambda s: f"q{s.q}")
 def test_crt_split_p_power_shortcut_matches_factorize(spec):
-    """crt_split splits only t^m - 1 for n = p^k * m, into its cyclotomic
+    """crt_split splits only t^r - 1 for n = p^k * r, into its cyclotomic
     factors, and gives each multiplicity p^k; factorize of t^n - 1 itself
     (Cantor-Zassenhaus on uniform residues, which shares only _split's
     rounds, whose gcds return divisors) must give the same pairs in the
     same order at every n <= 60: prime, composite and divisible by p."""
     for n in range(1, 61):
-        assert factorize(t_pow_minus_one(spec, n)).factors == crt_split(spec, n), n
+        pairs = tuple((c.pi, c.e) for c in crt_split(spec, n))
+        assert factorize(t_pow_minus_one(spec, n)).factors == pairs, n
+
+
+@pytest.mark.parametrize("spec", CRT_FIELDS, ids=lambda s: f"q{s.q}")
+def test_crt_split_records_carry_m_and_degree(spec):
+    """Each record of t^n - 1, n = p^k * r <= 60: m | r and e = p^k;
+    d = ord_m(q) = deg pi, and pi divides Phi_m; each m | r has phi(m)/d
+    records; exactly one record has m = 1, and its pi is t - 1. Phi_m and
+    ord_m(q) come from their definitions, not from polyring."""
+    p, q = spec.p, spec.q
+    phis = {}  # Phi_m: t^m - 1 divided by the Phi_k of m's proper divisors
+    for n in range(1, 61):
+        r, pk = n, 1
+        while r % p == 0:
+            r, pk = r // p, pk * p
+        comps = crt_split(spec, n)
+        for m in divisors(r):
+            if m not in phis:
+                phis[m] = t_pow_minus_one(spec, m)
+                for k in divisors(m)[:-1]:
+                    phis[m] = phis[m] // phis[k]
+            d = next(k for k in range(1, m + 1) if (q**k - 1) % m == 0)
+            mine = [c for c in comps if c.m == m]
+            assert len(mine) == sum(math.gcd(i, m) == 1 for i in range(m)) // d, (n, m)
+            for c in mine:
+                assert c.e == pk and c.d == d == c.pi.degree, (n, c)
+                assert (phis[m] % c.pi).is_zero, (n, c)
+        assert all(r % c.m == 0 for c in comps), n
+        assert [c.pi for c in comps if c.m == 1] == [t_pow_minus_one(spec, 1)], n
 
 
 def test_crt_split_never_factorizes(monkeypatch):
@@ -301,7 +334,7 @@ def test_cyclotomic_factors_of_degree_one(q, n):
     spec = FieldSpec.of_order(q)
     roots = [r for r in range(1, q) if spec.pow_enc(r, n) == 1]
     assert len(roots) == n
-    assert cyclotomic_factors(spec, n) == sorted(
+    assert [pi for pi, _m in cyclotomic_factors(spec, n)] == sorted(
         (Poly(spec, (spec.neg_enc(r), 1)) for r in roots), key=lambda f: f.coeff_encs)
 
 
@@ -310,7 +343,7 @@ def test_cyclotomic_factors_conjugate_over_the_prime_field(q, n):
     """Phi_5 is irreducible over GF(p) but splits over GF(p^2) into two
     quadratics that c -> c^p on coefficients swaps."""
     spec = FieldSpec.of_order(q)
-    factors = cyclotomic_factors(spec, n)
+    factors = [pi for pi, _m in cyclotomic_factors(spec, n)]
     assert factors == [pi for pi, _e in factorize(t_pow_minus_one(spec, n)).factors]
     quadratics = [f for f in factors if f.degree == 2]
     assert len(quadratics) == (2 if n == 5 else 4)
@@ -323,7 +356,8 @@ def test_cyclotomic_factors_with_hundreds_of_factors():
     """GF(2), n = 4095 = 3^2 5 7 13: each Phi_m gives phi(m)/d irreducibles
     of degree d = ord_m(2), and their product is t^n - 1."""
     n = 4095
-    factors = cyclotomic_factors(F2, n)
+    pairs = cyclotomic_factors(F2, n)
+    factors = [f for f, _m in pairs]
     assert len(factors) > 300
     product = Poly.one(F2)
     for f in factors:
@@ -338,8 +372,9 @@ def test_cyclotomic_factors_with_hundreds_of_factors():
                 phi = phi // phis[k]
         phis[m] = phi
         d = order(2 % m, phi.degree, lambda x, j: pow(x, j, m), 1 % m)
-        mine = [f for f in factors if (phi % f).is_zero]
-        assert len(mine) == phi.degree // d and all(f.degree == d for f in mine), m
+        mine = [f for f, k in pairs if k == m]
+        assert len(mine) == phi.degree // d, m
+        assert all(f.degree == d and (phi % f).is_zero for f in mine), m
 
 
 def test_splitting_stops_at_the_round_cap(monkeypatch):
@@ -357,7 +392,7 @@ def test_splitting_stops_at_the_round_cap(monkeypatch):
 
 
 def test_cyclotomic_factors_need_n_coprime_to_p():
-    assert cyclotomic_factors(F3, 8) == [pi for pi, _e in crt_split(F3, 8)]
+    assert cyclotomic_factors(F3, 8) == [(c.pi, c.m) for c in crt_split(F3, 8)]
     for spec, n in ((F3, 6), (F4, 2), (F2, 0)):
         with pytest.raises(DomainError):
             cyclotomic_factors(spec, n)
@@ -499,12 +534,13 @@ def test_order_prime_power_gives_a_non_unit_its_valuation(spec, n):
     """A non-unit a has no order mod pi^e: _order_prime_power gives
     (min(v_pi(a), e), None), for a = 0 and for pi^j * g, j = 1..e + 1."""
     rng = random.Random(n * spec.q)
-    for pi, e in crt_split(spec, n):
-        assert e > 1
-        assert _order_prime_power(Poly.zero(spec), pi, e) == (e, None)
-        for j in range(1, e + 2):
-            a = pi**j * rand_poly(spec, 6, rng, nonzero=True)
-            assert _order_prime_power(a, pi, e) == (_valuation_by_division(a, pi, e), None)
+    for c in crt_split(spec, n):
+        assert c.e > 1
+        assert _order_prime_power(Poly.zero(spec), c.pi, c.e) == (c.e, None)
+        for j in range(1, c.e + 2):
+            a = c.pi**j * rand_poly(spec, 6, rng, nonzero=True)
+            assert _order_prime_power(a, c.pi, c.e) == \
+                (_valuation_by_division(a, c.pi, c.e), None)
 
 
 def test_mult_order_mod_prime_power_modulus():
@@ -515,7 +551,7 @@ def test_mult_order_mod_prime_power_modulus():
 def test_mult_order_mod_effort_cap_propagates(monkeypatch):
     import ffdyn.intfactor as intfactor
 
-    def tiny_factor(n, trial_bound=10, rho_budget=5):
+    def tiny_factor(n):
         raise ResourceLimitError("forced")
 
     monkeypatch.setattr(intfactor, "factor_int", tiny_factor)
@@ -576,7 +612,7 @@ def test_order_of_every_unit_matches_multiplication(spec, pi, e):
 
 # the degree-28 component of t^29 - 1 over GF(3) packs its residues mod pi,
 # and so does pi^3 for pi = t^2 + 1
-DEG28 = next(pi.coeff_encs for pi, _ in crt_split(F3, 29) if pi.degree == 28)
+DEG28 = next(c.pi.coeff_encs for c in crt_split(F3, 29) if c.d == 28)
 
 
 @pytest.mark.parametrize("spec, pi, e", [
