@@ -23,7 +23,11 @@ from .intfactor import is_prime, order
 from .polyring import Poly, geometric_sum, resultant, t_pow_minus_one
 from .polyring import gcd as gcd_poly
 
-OP_CAP = 2**16  # default cap on the operators the brute-force oracle enumerates
+# default cap on the operators the brute-force oracle enumerates. An operator
+# costs one orbit_brute walk of the sequence and the algebraic max period and
+# preperiod of the operator: 54 us at GF(2), n = 12 and 0.37 ms at GF(3),
+# n = 7 (Python 3.11.7 on a shared 2-vCPU VM)
+OP_CAP = 2**16
 
 
 @dataclass(frozen=True)

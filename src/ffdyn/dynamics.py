@@ -19,7 +19,10 @@ from .groupalg import CyclicSeq, DiffOperator, crt_split, linear_images, seq_val
 from .intfactor import power
 from .polyring import _order_prime_power
 
-# default cap on the states that one enumeration walks
+# default cap on the states that one enumeration walks. A state costs about
+# 1.6 us in orbit_brute's walk (GF(2), n = 21) and 1.7 us and 83 bytes in
+# build_graph (GF(2), n = 18), so a graph at the cap takes about 3.6 s and
+# 170 MB (Python 3.11.7 on a shared 2-vCPU VM)
 STATE_CAP = 2**21
 
 

@@ -11,6 +11,12 @@ from functools import lru_cache
 
 from .errors import DomainError, ResourceLimitError
 
+# The caps on one factoring, each with its unit cost (Python 3.11.7 on a
+# shared 2-vCPU VM). Trial division tests each odd d <= TRIAL_BOUND, one
+# n % d: 0.19 us at 190 bits and 1.25 us at 5003 bits, so a whole pass takes
+# 0.09 s and 0.6 s. A rho iteration is two products mod the cofactor: 1.2 us
+# at 190 bits and 158-214 us at 5003 bits, so RHO_ITER_BUDGET lasts 2.5 s and
+# 5-7 minutes, and every cofactor left on the stack gets a fresh budget.
 TRIAL_BOUND = 10**6
 RHO_ITER_BUDGET = 2_000_000
 

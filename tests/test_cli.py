@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ffdyn
 from ffdyn import dynamics
 from ffdyn.cli import main
 from ffdyn.errors import ResourceLimitError
@@ -376,3 +380,13 @@ def test_spectrum_csv_writes_counts_past_the_int_digit_limit(capsys):
     assert max(len(count) for _, count in rows) > 4300
     _, report = run_cli(capsys, *argv)
     assert all(f'"{length}": {count}' in report for length, count in rows)
+
+
+def test_python_dash_m_ffdyn_runs_the_cli(capsys):
+    """python -m ffdyn prints what cli.main prints, with its exit code."""
+    code, out = run_cli(capsys, "verify", "thm1")
+    src = str(Path(ffdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "ffdyn", "verify", "thm1"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -6,8 +6,8 @@ slot ring serves t^n - 1 over every field but GF(2), polyring sizes slots
 in one layout builder, outside ffield a FieldElem is built only by the
 public functions that return one, a Poly reaches its kernel as the form
 it holds, never repacked from its coefficients, one round loop splits
-equal-degree factors, and only states and the census read a valuation
-map."""
+equal-degree factors, only states and the census read a valuation map,
+and every cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -386,7 +386,7 @@ def _split_loops(path: Path):
 
 def test_one_equal_degree_split():
     """Cantor-Zassenhaus (factorize) and the fixed-subalgebra split
-    (cyclotomic_factors) both run polyring._split's rounds."""
+    (_cyclotomic_piece) both run polyring._split's rounds."""
     found = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
              for owner in _split_loops(path)]
     assert found == [("polyring", "_split")]
@@ -410,3 +410,70 @@ def test_the_split_checker_sees_every_form(tmp_path):
                    "    for x in xs:\n"
                    "        g = math.gcd(n, x)\n")
     assert list(_split_loops(src)) == ["_split", "K.cz", "planted"]
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _unbounded_caches(path: Path):
+    """(line, use) for each functools cache in path without an integer
+    maxsize: 'cache' for functools.cache, 'bare' for an lru_cache not
+    called, and 'maxsize' for an lru_cache called with no maxsize, with
+    maxsize=None or with one that is not an int literal."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in CACHES}
+
+    def cache(node):  # the functools name node refers to, or None
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools" and node.attr in CACHES):
+            return node.attr
+        return None
+
+    called, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (kind := cache(node.func)):
+            called.add(id(node.func))
+            if kind == "cache":
+                found.append((node.lineno, "cache"))
+                continue
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                found.append((node.lineno, "maxsize"))
+    for node in ast.walk(tree):
+        if id(node) not in called and (kind := cache(node)):
+            found.append((node.lineno, "cache" if kind == "cache" else "bare"))
+    return sorted(found)
+
+
+def test_caches_are_bounded():
+    """Every lru_cache in src/ has an integer maxsize, so no cache keyed on
+    (field, n), a piece or a residue grows with a sweep."""
+    found = {(path.name, line, use)
+             for path in sorted(SRC.glob("*.py")) for line, use in _unbounded_caches(path)}
+    assert not found
+
+
+def test_the_cache_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import functools\n"
+                   "from functools import cache, lru_cache as memo\n"
+                   "@memo\n"
+                   "def a(x): pass\n"
+                   "@functools.lru_cache(maxsize=None)\n"
+                   "def b(x): pass\n"
+                   "@cache\n"
+                   "def c(x): pass\n"
+                   "d = memo()(len)\n"
+                   "e = functools.cache(len)\n"
+                   "f = memo(maxsize=SIZE)(len)\n"
+                   "@memo(maxsize=64)\n"
+                   "def g(x): pass\n"
+                   "h = functools.lru_cache(256)(len)\n"
+                   "i = memo(maxsize=True)(len)\n")
+    assert _unbounded_caches(src) == [(3, "bare"), (5, "maxsize"), (7, "cache"), (9, "maxsize"),
+                                      (10, "cache"), (11, "maxsize"), (15, "maxsize")]

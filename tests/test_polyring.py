@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import F2, F3, F4, F5, F7, F8, F9
-from ffdyn import DomainError, FieldSpec, Poly, factorize, groupalg, polyring, resultant
+from ffdyn import (DomainError, FieldSpec, Poly, factorize, groupalg, intfactor, polyring,
+                   resultant)
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import crt_split
 from ffdyn.intfactor import divisors, order
@@ -322,6 +323,7 @@ def test_crt_split_never_factorizes(monkeypatch):
     monkeypatch.setattr(groupalg, "factorize", refuse, raising=False)
     monkeypatch.setattr(polyring, "_split", fixed_only)
     crt_split.cache_clear()
+    polyring._cyclotomic_piece.cache_clear()
     for spec in (F2, F3, F4, F9):
         for n in (1, 15, 21, 45, 63, 90):
             assert crt_split(spec, n)
@@ -385,6 +387,7 @@ def test_splitting_stops_at_the_round_cap(monkeypatch):
             return 0
 
     monkeypatch.setattr(polyring, "random", SimpleNamespace(Random=lambda _seed: Zeros()))
+    polyring._cyclotomic_piece.cache_clear()
     with pytest.raises(ResourceLimitError, match=r"Phi_5 over GF\(4\)"):
         cyclotomic_factors(F4, 5)
     with pytest.raises(ResourceLimitError, match=r"GF\(3\)"):
@@ -555,8 +558,69 @@ def test_mult_order_mod_effort_cap_propagates(monkeypatch):
         raise ResourceLimitError("forced")
 
     monkeypatch.setattr(intfactor, "factor_int", tiny_factor)
+    polyring._unit_order.cache_clear()
     with pytest.raises(ResourceLimitError):
         _order(Poly(F2, [1, 1]), Poly(F2, [1, 1, 1]))
+
+
+def _cold_records(spec, n):
+    """crt_split(spec, n) and Delta's _order_prime_power on each component,
+    with every cache of the factors and of the orders cleared first."""
+    for cache in (crt_split, polyring._cyclotomic_piece, polyring._unit_order, intfactor._factor):
+        cache.cache_clear()
+    comps = crt_split(spec, n)
+    return comps, [_order_prime_power(groupalg.delta_poly(spec, n), c.pi, c.e) for c in comps]
+
+
+def test_a_sweep_splits_each_piece_once_and_keeps_each_unit_order(monkeypatch):
+    """Over n <= 60, Phi_m is split at most once per (field, m), and
+    intfactor.order runs once per distinct (pi, Delta mod pi), the same
+    records as with every cache cleared before each n. A failed order is
+    not kept: a forced factor_int failure raises on two calls in a row."""
+    sweep = [(spec, n) for spec in (F2, F3, F4) for n in range(1, 61)]
+    expected = {key: _cold_records(*key) for key in sweep}
+    for cache in (crt_split, polyring._cyclotomic_piece, polyring._unit_order):
+        cache.cache_clear()
+    split, real_order = polyring._split, polyring.order
+    splits, depth, orders = {}, [0], [0]
+
+    def split_once(spec, f, d, k, rounds, what):  # what names Phi_m and the field
+        if not depth[0]:
+            splits[what] = splits.get(what, 0) + 1
+        depth[0] += 1
+        try:
+            return split(spec, f, d, k, rounds, what)
+        finally:
+            depth[0] -= 1
+
+    def counted_order(*args):
+        orders[0] += 1
+        return real_order(*args)
+
+    monkeypatch.setattr(polyring, "_split", split_once)
+    comps = {key: crt_split(*key) for key in sweep}
+    assert splits and max(splits.values()) == 1
+    monkeypatch.setattr(polyring, "order", counted_order)
+    residues = set()
+    for (spec, n), cs in comps.items():
+        delta = groupalg.delta_poly(spec, n)
+        got = [_order_prime_power(delta, c.pi, c.e) for c in cs]
+        assert (cs, got) == expected[spec, n], (spec.q, n)
+        residues |= {(c.pi, r) for c in cs if not (r := delta % c.pi).is_zero}
+    assert orders[0] == len(residues)
+
+    calls = []
+
+    def refuse(n):
+        calls.append(n)
+        raise ResourceLimitError("forced")
+
+    monkeypatch.setattr(intfactor, "factor_int", refuse)
+    polyring._unit_order.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            _order(Poly(F2, [1, 1]), Poly(F2, [1, 1, 1]))
+    assert calls == [3, 3]
 
 
 def _orders_by_iteration(a, pi, e):
@@ -631,4 +695,5 @@ def test_order_prime_power_runs_on_kernel_forms(spec, pi, e, monkeypatch):
 
     monkeypatch.setattr(polyring, "powmod", refuse)
     monkeypatch.setattr(Poly, "__divmod__", refuse)
+    polyring._unit_order.cache_clear()
     assert [_order_prime_power(a, pi, e) for a in units] == expected
