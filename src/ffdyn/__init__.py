@@ -2,10 +2,9 @@
 
 from .errors import DegenerateOperatorError, DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec, parse_field_spec
-from .polyring import Poly, Factorization, factorize, resultant
+from .polyring import Poly, Factorization, crt_split, factorize, resultant
 from .groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
-                       crt_split, delta, delta_operator, parse_seq,
-                       poly_to_seq, seq_to_poly)
+                       delta, delta_operator, parse_seq, poly_to_seq, seq_to_poly)
 from .dynamics import (GraphSummary, OrbitSummary, build_graph, cycle_spectrum,
                        max_period, max_preperiod, orbit_algebraic, orbit_brute)
 from .complexity import (ComplexityVerdict, ProjectionProfile, QuotaReport,

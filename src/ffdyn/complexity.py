@@ -17,10 +17,10 @@ from fractions import Fraction
 from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
 from .errors import DomainError, ResourceLimitError
 from .ffield import FieldElem, FieldSpec
-from .groupalg import (CyclicSeq, DiffOperator, crt_split, delta_operator, linear_images,
-                       seq_to_poly, seq_valuations, valuation_map)
+from .groupalg import (CyclicSeq, DiffOperator, delta_operator, linear_images, seq_to_poly,
+                       seq_valuations, valuation_map)
 from .intfactor import is_prime, order
-from .polyring import Poly, geometric_sum, resultant, t_pow_minus_one
+from .polyring import Poly, crt_split, geometric_sum, resultant, t_pow_minus_one
 from .polyring import gcd as gcd_poly
 
 # default cap on the operators the brute-force oracle enumerates. An operator

@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
-from .groupalg import CyclicSeq, DiffOperator, crt_split, linear_images, seq_valuations
+from .groupalg import CyclicSeq, DiffOperator, linear_images, seq_valuations
 from .intfactor import power
-from .polyring import _order_prime_power
+from .polyring import _order_prime_power, crt_split
 
 # default cap on the states that one enumeration walks. A state costs about
 # 1.6 us in orbit_brute's walk (GF(2), n = 21) and 1.7 us and 83 bytes in

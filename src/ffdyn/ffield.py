@@ -337,12 +337,12 @@ class FieldSpec:
 
     # -- encoded arithmetic ----------------------------------------------
     # Hot paths (orbit sweeps, censuses) run on raw encodings: prime fields
-    # inline their mod-p arithmetic, extension fields read _tables.
+    # inline their mod-p arithmetic, extension fields call _tables.
 
     def add_enc(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        return self._tables[0][a][b]
+        return self._tables[0](a, b)
 
     def sub_enc(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -352,19 +352,19 @@ class FieldSpec:
     def neg_enc(self, a: int) -> int:
         if self.e == 1:
             return -a % self.p
-        return self._tables[1][a]
+        return self._tables[1](a)
 
     def mul_enc(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        return self._tables[2][a][b]
+        return self._tables[2](a, b)
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self._tables[3][a]
+        return self._tables[3](a)
 
     def pow_enc(self, a: int, k: int) -> int:
         if k < 0:
@@ -375,15 +375,15 @@ class FieldSpec:
 
     @cached_property
     def _tables(self):
-        """(add, neg, mul, inv) of an extension field, indexed by encoding
-        (inv[0] is unused). Fields of at most _TABLE_LIMIT elements get lists
-        built once; larger ones get lookups that compute on base-p digits."""
+        """(add, neg, mul, inv) of an extension field as callables on
+        encodings. Fields of at most _TABLE_LIMIT elements read lists built
+        once (inv[0] is unused); larger ones compute on base-p digits."""
         p, e, q = self.p, self.e, self.q
         if q > _TABLE_LIMIT:  # -a is (p - 1) * a
             add = operator.xor if p == 2 else lambda a, b: undigits(
                 [(x + y) % p for x, y in zip(digits(a, p, e), digits(b, p, e))], p)
-            return (_call_table(add), _Lookup(partial(self._digit_mul, p - 1)),
-                    _call_table(self._digit_mul), _Lookup(partial(self.pow_enc, k=q - 2)))
+            return (add, partial(self._digit_mul, p - 1), self._digit_mul,
+                    partial(self.pow_enc, k=q - 2))
         # add: with a = a0 + p*a', the low digits add mod p and the rest is
         # the table of the field with one digit less
         add = [[0]]
@@ -408,7 +408,8 @@ class FieldSpec:
         logs = log[1:]
         mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
         inv = [0] + [exp[q - 1 - la] for la in logs]
-        return add, neg, mul, inv
+        return (lambda a, b: add[a][b], neg.__getitem__, lambda a, b: mul[a][b],
+                inv.__getitem__)
 
     def _digit_mul(self, a: int, b: int) -> int:
         """a * b in an extension field: the digit polynomials multiplied over
@@ -428,23 +429,6 @@ class FieldSpec:
                     prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
                 prod[i] = 0
         return undigits(prod[:e], p)
-
-
-class _Lookup:
-    """Indexes like a table but computes: t[a] == f(a)."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __getitem__(self, a):
-        return self.f(a)
-
-
-def _call_table(op) -> _Lookup:
-    """A computing binary table: t[a][b] == op(a, b)."""
-    return _Lookup(lambda a: _Lookup(partial(op, a)))
 
 
 class FieldElem:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import repeat
 
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, read_slots,
                      reduce_slots, slot_bits, slot_marks, undigits)
-from .polyring import Poly, cyclotomic_factors, kernel, t_pow_minus_one
+from .polyring import Poly, crt_split, kernel, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -188,29 +187,6 @@ def apply_op(D: DiffOperator, f: CyclicSeq) -> CyclicSeq:
     """The sequence of the algebra product op_poly * f~ mod (t^n - 1)."""
     D.check_dimensions(f)
     return CyclicSeq(f.spec, D.apply_values(f.value_encs))
-
-
-# One component pi^e of t^n - 1: pi is a monic irreducible factor of Phi_m,
-# of degree d = ord_m(q), and e the p-part of n; m = 1 is the sum component t - 1
-Component = namedtuple("Component", "pi e m d")
-
-
-@lru_cache(maxsize=256)
-def crt_split(spec: FieldSpec, n: int) -> tuple[Component, ...]:
-    """The components of t^n - 1, one record per irreducible factor,
-    sorted by (degree, coefficients) of pi.
-
-    For n = p^k * r with p not dividing r, t^n - 1 = (t^r - 1)^(p^k) and
-    t^r - 1 is squarefree, so only t^r - 1 is split, by its cyclotomic
-    structure (cyclotomic_factors), and every component has e = p^k.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    pk = 1
-    while n % spec.p == 0:
-        n //= spec.p
-        pk *= spec.p
-    return tuple(Component(pi, pk, m, pi.degree) for pi, m in cyclotomic_factors(spec, n))
 
 
 # payload bytes allowed for the chunk tables of one valuation map

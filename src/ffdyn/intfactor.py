@@ -173,7 +173,7 @@ def factor_int(n: int) -> dict[int, int]:
     to TRIAL_BOUND and RHO_ITER_BUDGET rho iterations; no failure is cached.
     """
     if n < 1:
-        raise ValueError("factor_int needs n >= 1")
+        raise DomainError("factor_int needs n >= 1")
     return dict(_factor(n))
 
 

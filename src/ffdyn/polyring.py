@@ -2,18 +2,20 @@
 
 A Poly holds one int, its field kernel's form of the polynomial, so ring
 operations pass it straight to the kernel. Provides division, gcd, modular
-powering, the irreducible factors of t^n - 1 from its cyclotomic structure
-(each Phi_m split once per process, inside its Frobenius-fixed subalgebra),
-complete factorization of any polynomial (one distinct-degree pass that
-peels multiplicities, then Cantor-Zassenhaus on uniform residues; both
-splits run the one round loop, _split), resultants and the unit orders on
-the components pi^e of a modulus.
+powering, the components of t^n - 1 from its cyclotomic structure (one
+Component record per irreducible factor; each Phi_m split once per process,
+inside its Frobenius-fixed subalgebra), complete factorization of any
+polynomial (one distinct-degree pass that peels multiplicities, then
+Cantor-Zassenhaus on uniform residues; both splits run the one round loop,
+_split), resultants and the unit orders on the components pi^e of a
+modulus.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import tee
@@ -628,21 +630,35 @@ def _sorted(kern, forms) -> list:
     return sorted(forms, key=lambda f: (kern.degree(f), kern.unpack(f)))
 
 
-def cyclotomic_factors(spec: FieldSpec, n: int) -> list[tuple[Poly, int]]:
-    """The monic irreducible factors pi of t^n - 1 for n coprime to the
-    characteristic p, each with the m of the Phi_m it divides, as (pi, m)
-    pairs sorted by (degree, coefficients) of pi.
+# One component pi^e of t^n - 1: pi is a monic irreducible factor of Phi_m,
+# of degree d = ord_m(q), and e the p-part of n; m = 1 is the sum component t - 1
+Component = namedtuple("Component", "pi e m d")
 
-    t^n - 1 is the product of the cyclotomic polynomials Phi_m over m | n,
-    and Phi_m is the product of k = phi(m)/d irreducibles of the one degree
-    d = ord_m(q) (Lidl and Niederreiter, Finite Fields, Thm 2.47). Phi_m
-    and its factors do not depend on n, so each piece is split once per
-    process (_cyclotomic_piece) and every n that m divides joins it.
+
+@lru_cache(maxsize=256)
+def crt_split(spec: FieldSpec, n: int) -> tuple[Component, ...]:
+    """The components of t^n - 1, one record per irreducible factor,
+    sorted by (degree, coefficients) of pi.
+
+    For n = p^k * r with p not dividing r, t^n - 1 = (t^r - 1)^(p^k) and
+    t^r - 1 is squarefree, so only t^r - 1 is split and every component has
+    e = p^k. t^r - 1 is the product of the cyclotomic polynomials Phi_m
+    over m | r, and Phi_m is the product of phi(m)/d irreducibles of the
+    one degree d = ord_m(q) (Lidl and Niederreiter, Finite Fields,
+    Thm 2.47). Phi_m and its factors do not depend on n, so each piece is
+    split once per (q, m) in a process (_cyclotomic_piece) and every n that
+    m divides joins it.
     """
-    if n < 1 or n % spec.p == 0:
-        raise DomainError("cyclotomic factors need n >= 1 coprime to the characteristic")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    e = 1
+    while n % spec.p == 0:
+        n //= spec.p
+        e *= spec.p
+    kern = kernel(spec)
     found = {f: m for m in divisors(n) for f in _cyclotomic_piece(spec, m)[1]}  # form -> m
-    return [(_poly(spec, f), found[f]) for f in _sorted(kernel(spec), found)]
+    return tuple(Component(_poly(spec, f), e, found[f], kern.degree(f))
+                 for f in _sorted(kern, found))
 
 
 @lru_cache(maxsize=1024)

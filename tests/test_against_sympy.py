@@ -14,9 +14,9 @@ from sympy.polys.galoistools import gf_gcd, gf_mul, gf_rem  # noqa: E402
 
 from ffdyn import FieldSpec  # noqa: E402
 from ffdyn.dynamics import orbit_algebraic, orbit_brute  # noqa: E402
-from ffdyn.groupalg import CyclicSeq, build_operator, crt_split  # noqa: E402
+from ffdyn.groupalg import CyclicSeq, build_operator  # noqa: E402
 from ffdyn.intfactor import is_prime, is_strong_lucas_prp, order  # noqa: E402
-from ffdyn.polyring import Poly, gcd, is_irreducible, t_pow_minus_one  # noqa: E402
+from ffdyn.polyring import Poly, crt_split, gcd, is_irreducible, t_pow_minus_one  # noqa: E402
 
 T = sympy.Symbol("t")
 LENGTHS = [1, 2, 6, 15, 31, 63, 64, 81, 105, 127, 210, 243, 255, 300]

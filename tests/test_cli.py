@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 import ffdyn
-from ffdyn import dynamics
+from conftest import F2, F3, F4
+from ffdyn import CyclicSeq, DiffOperator, DomainError, FieldSpec, Poly, crt_split, dynamics
 from ffdyn.cli import main
 from ffdyn.errors import ResourceLimitError
+from ffdyn.intfactor import factor_int
+from ffdyn.polyring import powmod
+from ffdyn.seqgen import primitive_root_mod
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,8 @@ def test_gen_commands(capsys):
                             "--gen", "mult")
     assert [s["values"] for s in report["sequences"]] == \
         [[1, 1, 1, 1, 0], [1, 2, 2, 1, 0]]
+    code, out = run_cli(capsys, "gen", "--q", "2", "--n", "4", "--gen", "alt", "--format", "text")
+    assert (code, out) == (0, "q=2 n=4 1,0,1,0\n")
 
 
 def test_gen_random_is_seed_deterministic(capsys):
@@ -289,6 +295,8 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv) == 2  # --n missing
         err = capsys.readouterr().err
         assert err == "error: --n is required\n"
+    assert main(["classify", "--q", "2", "--gen", "legendre"]) == 2
+    assert capsys.readouterr().err == "error: --gen requires --n\n"
     for argv in (["gen", "--q", "2", "--n", "3", "--gen", "const", "--mod", ""],
                  ["orbit", "--q", "2", "--seq", "1,0,0", "--op", ""]):
         assert main(argv) == 2  # an empty list is malformed, not absent
@@ -297,6 +305,39 @@ def test_usage_errors_exit_2(capsys):
     for n in ("0", "-2"):
         assert main(["graph", "--q", "2", "--n", n]) == 2
         assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+
+# one library input check per site; main turns each DomainError into exit 2
+INPUT_CHECKS = [
+    pytest.param(lambda: FieldSpec(2**64 - 59), "characteristic must fit a 64-bit word",
+                 id="wide-characteristic"),
+    pytest.param(lambda: FieldSpec(2, 2, (1, 1)), "modulus must be monic of degree 2 (low-to-high)",
+                 id="short-modulus"),
+    pytest.param(lambda: FieldSpec(3, 2, (2, 0, 2)),
+                 "modulus must be monic of degree 2 (low-to-high)", id="modulus-not-monic"),
+    pytest.param(lambda: F4.element([1, 0, 1]), "too many residues for this field",
+                 id="too-many-residues"),
+    pytest.param(lambda: CyclicSeq(F2, []), "sequence length must be >= 1", id="empty-sequence"),
+    pytest.param(lambda: DiffOperator(F2, 3, Poly(F3, (2, 1))),
+                 "operator polynomial from a different field", id="operator-field"),
+    pytest.param(lambda: crt_split(F2, 0), "n must be >= 1", id="crt-split-n"),
+    pytest.param(lambda: Poly.zero(F2).lc(), "zero polynomial has no leading coefficient",
+                 id="lc-of-zero"),
+    pytest.param(lambda: Poly.one(F2) + Poly.one(F3), "polynomials over different fields cannot mix",
+                 id="mixed-polys"),
+    pytest.param(lambda: Poly.x(F2) * F3.one, "scalar from a different field", id="mixed-scalar"),
+    pytest.param(lambda: powmod(Poly.x(F2), -1, Poly(F2, (1, 1, 1))), "negative exponent",
+                 id="negative-exponent"),
+    pytest.param(lambda: primitive_root_mod(8), "8 is not prime", id="primitive-root-mod"),
+    pytest.param(lambda: factor_int(0), "factor_int needs n >= 1", id="factor-int"),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_each_input_check_raises_its_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

@@ -11,8 +11,8 @@ from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd
                               projection_profile, quota)
 from ffdyn.dynamics import orbit_brute, orbit_table
 from ffdyn.errors import ResourceLimitError
-from ffdyn.groupalg import (CyclicSeq, crt_split, delta_operator, poly_to_seq,
-                            seq_to_poly)
+from ffdyn.groupalg import CyclicSeq, delta_operator, poly_to_seq, seq_to_poly
+from ffdyn.polyring import crt_split
 from ffdyn.seqgen import legendre_seq
 from ffdyn.verify import thm2_suite, thm3_suite
 

@@ -10,9 +10,9 @@ from ffdyn.dynamics import (build_graph, cycle_spectrum, graph_dot, graph_summar
                             orbit_algebraic, orbit_brute, orbit_pass, orbit_table,
                             state_of_index, successor_array)
 from ffdyn.errors import DegenerateOperatorError, ResourceLimitError
-from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator, crt_split,
-                            delta_operator, delta_poly, seq_to_poly, valuation_map)
-from ffdyn.polyring import gcd, t_pow_minus_one
+from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator, delta_operator,
+                            delta_poly, seq_to_poly, valuation_map)
+from ffdyn.polyring import crt_split, gcd, t_pow_minus_one
 
 
 def test_orbit_brute_example_n3():

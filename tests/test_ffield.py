@@ -37,6 +37,7 @@ def test_inverse_examples():
     assert F3.element(2).inverse().enc == 2
     assert F7.element(3).inverse().enc == 5
     assert F4.element(2).inverse().enc == 3
+    assert F4.pow_enc(2, -1) == 3  # a negative power inverts first
 
 
 def test_inverse_of_zero_raises():

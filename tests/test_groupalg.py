@@ -7,11 +7,11 @@ from conftest import F2, F3, F4, F5, F9, all_seqs, seq
 from ffdyn import DomainError, FieldSpec, Poly, groupalg
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
-                            crt_split, delta, delta_operator, delta_poly,
+                            delta, delta_operator, delta_poly,
                             linear_images, parse_seq, poly_to_seq, seq_from_json,
                             seq_text, seq_to_json, seq_to_poly, seq_valuations,
                             valuation_map)
-from ffdyn.polyring import _order_prime_power, t_pow_minus_one
+from ffdyn.polyring import _order_prime_power, crt_split, t_pow_minus_one
 
 GF729 = FieldSpec.of_order(3**6)  # above the table limit: one field call per lookup
 F251, F257 = FieldSpec(251), FieldSpec(257)

@@ -17,9 +17,9 @@ from ffdyn import FieldSpec, Poly, polyring
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.dynamics import orbit_algebraic, orbit_brute
 from ffdyn.ffield import read_slots, slot_bits
-from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, crt_split, delta_operator
+from ffdyn.groupalg import CyclicSeq, DiffOperator, build_operator, delta_operator
 from ffdyn.intfactor import factor_int, power
-from ffdyn.polyring import _order_prime_power, gcd, kernel, powmod, resultant
+from ffdyn.polyring import _order_prime_power, crt_split, gcd, kernel, powmod, resultant
 
 FIELDS = [FieldSpec.of_order(q) for q in (2, 3, 5, 4, 9, 256, 3**6)]
 FIELD_IDS = [f"q{spec.q}" for spec in FIELDS]

@@ -7,7 +7,8 @@ in one layout builder, outside ffield a FieldElem is built only by the
 public functions that return one, a Poly reaches its kernel as the form
 it holds, never repacked from its coefficients, one round loop splits
 equal-degree factors, only states and the census read a valuation map,
-and every cache is bounded."""
+only polyring builds the component records of t^n - 1, and every cache is
+bounded."""
 
 import ast
 from pathlib import Path
@@ -410,6 +411,40 @@ def test_the_split_checker_sees_every_form(tmp_path):
                    "    for x in xs:\n"
                    "        g = math.gcd(n, x)\n")
     assert list(_split_loops(src)) == ["_split", "K.cz", "planted"]
+
+
+def _component_builds(path: Path):
+    """(owner, line) for each call of Component(...) in path, as a bare name
+    or as an attribute; the owner is the function, Class.method, or None
+    outside any function."""
+    tree = ast.parse(path.read_text(), str(path))
+    for top in tree.body:
+        units = _units(top) or [(None, top)]
+        for owner, unit in units:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call) and "Component" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    yield owner, node.lineno
+
+
+def test_only_polyring_builds_components():
+    """crt_split, next to the cached Phi_m pieces, is the one place that
+    works out what a component of t^n - 1 is."""
+    found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _line in _component_builds(path)}
+    assert found == {("polyring", "crt_split")}
+
+
+def test_the_component_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def split(spec, n):\n"
+                   "    return [Component(pi, 1, m, 1) for pi, m in pairs(spec, n)]\n"
+                   "class A:\n"
+                   "    def records(self):\n"
+                   "        return polyring.Component(self.pi, 2, 1, 1)\n"
+                   "ONE = Component(None, 1, 1, 1)\n"
+                   "Component = namedtuple('Component', 'pi e m d')\n")
+    assert list(_component_builds(src)) == [("split", 2), ("A.records", 5), (None, 6)]
 
 
 CACHES = {"lru_cache", "cache"}

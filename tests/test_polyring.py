@@ -10,10 +10,9 @@ from conftest import F2, F3, F4, F5, F7, F8, F9
 from ffdyn import (DomainError, FieldSpec, Poly, factorize, groupalg, intfactor, polyring,
                    resultant)
 from ffdyn.errors import ResourceLimitError
-from ffdyn.groupalg import crt_split
 from ffdyn.intfactor import divisors, order
-from ffdyn.polyring import (NEG_INF, _order_prime_power, cyclotomic_factors, gcd,
-                            geometric_sum, is_irreducible, powmod, t_pow_minus_one)
+from ffdyn.polyring import (NEG_INF, _order_prime_power, crt_split, gcd, geometric_sum,
+                            is_irreducible, powmod, t_pow_minus_one)
 
 
 def rand_poly(spec, max_deg, rng, nonzero=False):
@@ -336,7 +335,7 @@ def test_cyclotomic_factors_of_degree_one(q, n):
     spec = FieldSpec.of_order(q)
     roots = [r for r in range(1, q) if spec.pow_enc(r, n) == 1]
     assert len(roots) == n
-    assert [pi for pi, _m in cyclotomic_factors(spec, n)] == sorted(
+    assert [c.pi for c in crt_split(spec, n)] == sorted(
         (Poly(spec, (spec.neg_enc(r), 1)) for r in roots), key=lambda f: f.coeff_encs)
 
 
@@ -345,7 +344,7 @@ def test_cyclotomic_factors_conjugate_over_the_prime_field(q, n):
     """Phi_5 is irreducible over GF(p) but splits over GF(p^2) into two
     quadratics that c -> c^p on coefficients swaps."""
     spec = FieldSpec.of_order(q)
-    factors = [pi for pi, _m in cyclotomic_factors(spec, n)]
+    factors = [c.pi for c in crt_split(spec, n)]
     assert factors == [pi for pi, _e in factorize(t_pow_minus_one(spec, n)).factors]
     quadratics = [f for f in factors if f.degree == 2]
     assert len(quadratics) == (2 if n == 5 else 4)
@@ -358,8 +357,8 @@ def test_cyclotomic_factors_with_hundreds_of_factors():
     """GF(2), n = 4095 = 3^2 5 7 13: each Phi_m gives phi(m)/d irreducibles
     of degree d = ord_m(2), and their product is t^n - 1."""
     n = 4095
-    pairs = cyclotomic_factors(F2, n)
-    factors = [f for f, _m in pairs]
+    comps = crt_split(F2, n)
+    factors = [c.pi for c in comps]
     assert len(factors) > 300
     product = Poly.one(F2)
     for f in factors:
@@ -374,7 +373,7 @@ def test_cyclotomic_factors_with_hundreds_of_factors():
                 phi = phi // phis[k]
         phis[m] = phi
         d = order(2 % m, phi.degree, lambda x, j: pow(x, j, m), 1 % m)
-        mine = [f for f, k in pairs if k == m]
+        mine = [c.pi for c in comps if c.m == m]
         assert len(mine) == phi.degree // d, m
         assert all(f.degree == d and (phi % f).is_zero for f in mine), m
 
@@ -387,18 +386,12 @@ def test_splitting_stops_at_the_round_cap(monkeypatch):
             return 0
 
     monkeypatch.setattr(polyring, "random", SimpleNamespace(Random=lambda _seed: Zeros()))
+    crt_split.cache_clear()
     polyring._cyclotomic_piece.cache_clear()
     with pytest.raises(ResourceLimitError, match=r"Phi_5 over GF\(4\)"):
-        cyclotomic_factors(F4, 5)
+        crt_split(F4, 5)
     with pytest.raises(ResourceLimitError, match=r"GF\(3\)"):
         factorize(Poly(F3, (2, 0, 1)))
-
-
-def test_cyclotomic_factors_need_n_coprime_to_p():
-    assert cyclotomic_factors(F3, 8) == [(c.pi, c.m) for c in crt_split(F3, 8)]
-    for spec, n in ((F3, 6), (F4, 2), (F2, 0)):
-        with pytest.raises(DomainError):
-            cyclotomic_factors(spec, n)
 
 
 def test_is_irreducible_examples():
