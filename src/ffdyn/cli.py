@@ -19,6 +19,12 @@ from .ffield import FieldSpec, parse_ints
 
 SCHEMA = "ffdyn-report/1"
 
+# cap on --n. Every route holds at least the n values of one sequence or of
+# t^n - 1, and the cheapest report, gen --gen const, costs about 0.6 us and
+# 110 bytes a value: 0.6 s and 112 MB peak at the cap (GF(2); spectrum at
+# the cap takes 9 s and 104 MB; Python 3.11.7 on a shared 2-vCPU VM)
+LENGTH_CAP = 2**20
+
 
 def _field_from_args(args) -> FieldSpec:
     mod = parse_ints(args.mod, "--mod") if args.mod is not None else None
@@ -51,10 +57,14 @@ def _operator_from_args(args, spec: FieldSpec, n: int) -> groupalg.DiffOperator:
 
 
 def _check_caps(args):
-    """A cap is a count, so a negative one is a usage error."""
+    """A cap is a count, so a negative one is a usage error; a length above
+    LENGTH_CAP is refused before anything of that length is built."""
     for flag in ("cap_states", "cap_ops"):
         if getattr(args, flag, 0) < 0:
             raise DomainError(f"--{flag.replace('_', '-')} must be >= 0")
+    n = getattr(args, "n", None)
+    if n is not None and n > LENGTH_CAP:
+        raise ResourceLimitError(f"length {n} exceeds the cap {LENGTH_CAP}")
 
 
 @contextlib.contextmanager

@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
-from .dynamics import STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations
+from .dynamics import (STATE_CAP, max_period, max_preperiod, orbit_brute, orbit_from_valuations,
+                       period_masks)
 from .errors import DomainError, ResourceLimitError
-from .ffield import FieldElem, FieldSpec
+from .ffield import FieldElem, FieldSpec, undigits
 from .groupalg import (CyclicSeq, DiffOperator, delta_operator, linear_images, seq_to_poly,
                        seq_valuations, valuation_map)
 from .intfactor import is_prime, order
@@ -122,11 +124,30 @@ def _oracle_with_witness(f: CyclicSeq, op_cap: int, state_cap: int):
     return True, None
 
 
-def _delta_verdict(f: CyclicSeq, vals: tuple[int, ...]) -> tuple[bool, bool]:
-    """(is_delta1, is_delta2) from the sequence's component valuations."""
+@lru_cache(maxsize=256)
+def _lemma1_mask(spec: FieldSpec, n: int) -> int:
+    """Lemma 1's components, every one of t^n - 1 but t - 1 (m > 1), as a
+    bit mask over crt_split order."""
+    return undigits([c.m > 1 for c in crt_split(spec, n)], 2)
+
+
+def _verdict(f: CyclicSeq) -> tuple[bool, bool, int | None]:
+    """(is_delta1, is_delta2, the components where f vanishes as a bit mask
+    over crt_split order, or None when p | n).
+
+    For p not dividing n every valuation is 0 or 1, so the vanishing set
+    decides both: the period is largest when every period mask of Delta
+    has a component outside it, and a preperiod, 0 or 1, is never below
+    max_preperiod - 1 <= 0, so Delta1 is Delta2.
+    """
     D = delta_operator(f.spec, f.n)
+    vals = seq_valuations(f)
+    if f.n % f.spec.p:
+        z = undigits(vals, 2)
+        d2 = all(mask & ~z for mask in period_masks(D))
+        return d2, d2, z
     d2, near = _maximality(D, *orbit_from_valuations(D, vals))
-    return d2 and near, d2
+    return d2 and near, d2, None
 
 
 def classify(f: CyclicSeq, op_cap: int = OP_CAP,
@@ -134,27 +155,27 @@ def classify(f: CyclicSeq, op_cap: int = OP_CAP,
     """Full verdict: difference-map complexity plus D-complexity.
 
     Lengths coprime to the characteristic use the Lemma-1 criterion: f~
-    vanishes on no component other than t - 1; otherwise the brute-force
+    vanishes on no component other than t - 1, and the witness is the
+    first such component, in crt_split order; otherwise the brute-force
     oracle runs (subject to the caps).
     """
-    spec, n = f.spec, f.n
-    vals = seq_valuations(f)
-    d1, d2 = _delta_verdict(f, vals)
-    if n % spec.p != 0:
-        witness = next((c.pi for c, v in zip(crt_split(spec, n), vals) if v and c.m > 1), None)
-        return ComplexityVerdict(d1, d2, witness is None, "lemma1-gcd", witness)
+    d1, d2, z = _verdict(f)
+    if z is not None:
+        bad = z & _lemma1_mask(f.spec, f.n)
+        witness = crt_split(f.spec, f.n)[(bad & -bad).bit_length() - 1].pi if bad else None
+        return ComplexityVerdict(d1, d2, not bad, "lemma1-gcd", witness)
     dc, witness = _oracle_with_witness(f, op_cap, state_cap)
     return ComplexityVerdict(d1, d2, dc, "brute-force-oracle", witness)
 
 
 def is_delta2(f: CyclicSeq) -> bool:
     """Orbit period under the difference map equals the maximal period."""
-    return _delta_verdict(f, seq_valuations(f))[1]
+    return _verdict(f)[1]
 
 
 def is_delta1(f: CyclicSeq) -> bool:
     """is_delta2 plus preperiod within one of the maximum."""
-    return _delta_verdict(f, seq_valuations(f))[0]
+    return _verdict(f)[0]
 
 
 # ---------------------------------------------------------------------------

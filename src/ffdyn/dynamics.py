@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
 from .groupalg import CyclicSeq, DiffOperator, linear_images, seq_valuations
-from .intfactor import power
+from .intfactor import factor_int, power
 from .polyring import _order_prime_power, crt_split
 
 # default cap on the states that one enumeration walks. A state costs about
@@ -87,9 +87,11 @@ class _OrbitAnalyzer:
     valuations min(v_pi, e). On a live component (valuation 0) the operator
     is a unit and orders[m] is its multiplicative order mod pi^m; on a dead
     one orders is None. No valuation map is built: that serves states.
+    period_masks, for e = 1, is built on first need.
     """
 
     def __init__(self, D: DiffOperator):
+        self.q = D.spec.q
         self.factors = crt_split(D.spec, D.n)
         self.op_vals, self.orders = zip(*(_order_prime_power(D.op_poly, c.pi, c.e)
                                           for c in self.factors))
@@ -111,6 +113,20 @@ class _OrbitAnalyzer:
                 pre = max(pre, -(-(e - v) // val))
         return pre, per
 
+    @cached_property
+    def period_masks(self) -> tuple[int, ...]:
+        """For e = 1: per prime l of max_period, the bit mask of the live
+        components whose order holds all of max_period's l-part, i.e. does
+        not divide max_period / l. An order mod pi divides q^deg pi - 1,
+        whose factorization factor_int keeps, so the primes come from there
+        and max_period itself is never factored."""
+        top = self.max_period
+        ells = sorted({ell for d in {c.d for c in self.factors}
+                       for ell in factor_int(self.q**d - 1) if top % ell == 0})
+        return tuple(sum(1 << k for k, orders in enumerate(self.orders)
+                         if orders is not None and top // ell % orders[1])
+                     for ell in ells)
+
 
 @lru_cache(maxsize=256)
 def _analyzer(D: DiffOperator) -> _OrbitAnalyzer:
@@ -131,6 +147,16 @@ def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     ring = D.ring
     x = power(ring.mul, D.op, pre, ring.one, ring.enter(f.value_encs))
     return OrbitSummary(pre, per, CyclicSeq(f.spec, ring.leave(x)))
+
+
+def period_masks(D: DiffOperator) -> tuple[int, ...]:
+    """For n coprime to the characteristic: bit masks over the components
+    of t^n - 1, in crt_split order. A state's period is the lcm of the
+    orders on the live components where it does not vanish, so it is
+    max_period exactly when each mask holds such a component."""
+    if D.n % D.spec.p == 0:
+        raise DomainError("period masks need n coprime to the characteristic")
+    return _analyzer(D).period_masks
 
 
 def max_period(D: DiffOperator) -> int:

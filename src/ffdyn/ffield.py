@@ -21,8 +21,9 @@ _TABLE_LIMIT = 512  # build full operation tables only for small fields
 
 # ---------------------------------------------------------------------------
 # The digit codec, the one place that lays digits out in an int: digits by
-# bin(), hex() and int(), slots of w = 8 * 2^k bits by bytes (8), array (16
-# to 64) or to_bytes (wider), little-endian on every host.
+# bin(), hex(), int() and to_bytes() (base 256), slots of w = 8 * 2^k bits
+# by bytes (8), array (16 to 64) or to_bytes (wider), little-endian on every
+# host.
 
 _TEXT = b"0123456789abcdefghijklmnopqrstuv"
 _TO_TEXT = bytes.maketrans(bytes(range(32)), _TEXT)
@@ -30,6 +31,8 @@ _FROM_TEXT = bytes.maketrans(_TEXT, bytes(range(32)))
 _ARRAY_CODES = {8 * array(c).itemsize: c for c in "HILQ"}  # by slot bits
 _BIG_ENDIAN = sys.byteorder == "big"
 _MARKS = b"0" + b"1" * 255  # translates a zero byte to "0", any other to "1"
+_ZERO_BYTE = b"\x01" + bytes(255)  # a zero byte to 1, any other to 0
+_ZERO_TEXT = bytes.maketrans(b"01", b"\x01\x00")  # "0" to 1, "1" to 0
 
 
 def digits(value: int, base: int, width: int) -> tuple[int, ...]:
@@ -37,6 +40,8 @@ def digits(value: int, base: int, width: int) -> tuple[int, ...]:
     if base in (2, 16):  # a marker bit above the digits keeps their zeros
         text = bin(value | 1 << width) if base == 2 else hex(value | 1 << 4 * width)
         return tuple(text[:-width - 1:-1].encode().translate(_FROM_TEXT))
+    if base == 256:
+        return tuple((value & (1 << 8 * width) - 1).to_bytes(width, "little"))
     out = []
     for _ in range(width):
         value, r = divmod(value, base)
@@ -173,6 +178,43 @@ def slot_marks(x: int, count: int, w: int, p: int) -> str:
     else:
         marks = bytes([v % p != 0 for v in read_slots(x, count, w)])
     return marks.translate(_MARKS).decode()
+
+
+def zero_blocks(count: int, w: int, p: int, runs):
+    """A reader of x < 2^(count * w) in w-bit slots: for each run (a, b, blk)
+    of runs in turn, one digit per block of blk slots in a .. b - 1, 1 where
+    the block is zero mod p, else 0. The read takes one flag per slot (a
+    bit for w = 1, else a byte), ORs each block onto its first flag by
+    doubling folds whose masks are built here, once, and takes one strided
+    slice per run."""
+    u = 1 if w == 1 else 8  # bits per flag
+    folds = {}
+    for a, b, blk in runs:
+        # one flag at the start of each block: sum of 2^(u * (a + j * blk))
+        firsts, s = ((1 << u * (b - a)) - 1) // ((1 << u * blk) - 1) << u * a, 1
+        while s < blk:  # each flag ORs in the flag s slots on, if that is in its block
+            folds[u * s] = folds.get(u * s, 0) | ((1 << u * (blk - s)) - 1) * firsts
+            s *= 2
+    folds = sorted(folds.items())
+    if w == 1:
+        def read(x: int) -> tuple[int, ...]:
+            for shift, mask in folds:
+                x |= x >> shift & mask
+            marks = bin(x | 1 << count)[:-count - 1:-1]
+            return tuple("".join([marks[a:b:blk] for a, b, blk in runs]).encode()
+                         .translate(_ZERO_TEXT))
+        return read
+    res = _residues(p)
+
+    def read(x: int) -> tuple[int, ...]:
+        flags = (x.to_bytes(count, "little").translate(res) if w == 8
+                 else bytes([v % p != 0 for v in read_slots(x, count, w)]))
+        x = int.from_bytes(flags, "little")
+        for shift, mask in folds:
+            x |= x >> shift & mask
+        flags = x.to_bytes(count, "little")
+        return tuple(b"".join([flags[a:b:blk] for a, b, blk in runs]).translate(_ZERO_BYTE))
+    return read
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:

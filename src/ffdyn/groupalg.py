@@ -14,7 +14,7 @@ from itertools import repeat
 
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, read_slots,
-                     reduce_slots, slot_bits, slot_marks, undigits)
+                     reduce_slots, slot_bits, slot_marks, undigits, zero_blocks)
 from .polyring import Poly, crt_split, kernel, t_pow_minus_one
 
 
@@ -197,15 +197,17 @@ def _read_layout(spec: FieldSpec, n: int) -> tuple[int, int, int]:
     """(input digits per chunk table, bits per slot, payload bytes of the
     chunk tables; 0 when states are read by columns) of (spec, n)'s
     valuation map. A slot holds a step of the recurrence and, with tables,
-    the sum of n reduced entries."""
+    the sum of n reduced entries. For p = 2 a chunk is a byte of the packed
+    state where its tables fit, else a hex digit."""
     p, ef, q = spec.p, spec.e, spec.q
-    size, chunk = n * ef, 4 if p == 2 else ef  # a hex digit, or a value
+    size = n * ef
     build = (p - 1) * (1 + ef * (p - 1))
     w = 1 if p == 2 else slot_bits(max(build, (p - 1) * n))  # p = 2 sums are XORs
-    full, rest = divmod(size, chunk)
-    tables = (full * p**chunk + (p**rest if rest else 0)) * -(-size * w // 8)
-    if (p == 2 or q <= 256) and tables <= _TABLE_BYTES:
-        return chunk, w, tables
+    for chunk in ((8, 4) if p == 2 else (ef,)):  # a byte or a hex digit, or a value
+        full, rest = divmod(size, chunk)
+        tables = (full * p**chunk + (p**rest if rest else 0)) * -(-size * w // 8)
+        if (p == 2 or q <= 256) and tables <= _TABLE_BYTES:
+            return chunk, w, tables
     return chunk, 1 if p == 2 else slot_bits(build), 0
 
 
@@ -223,12 +225,16 @@ class _ValuationMap:
     b * (t^d - pi) in c_i; the spill out of c_(e-1) is a multiple of pi^e.
     The components of one (deg pi, e) sit side by side and take each step
     as one int: b is copied across its block and multiplied by the digits
-    of t^d - pi one bit plane at a time. spans keeps crt_split order; the
-    slots are in order of shape. A state is read as its digits times the
-    columns or, once the map has read two, as a sum of chunk-table entries
-    (a hex digit of the packed state for p = 2, a value for odd q <= 256;
-    built on the third read unless they would pass _TABLE_BYTES, so a map
-    read for one or two states, as a fresh (q, n) is, skips them).
+    of t^d - pi one bit plane at a time. The slots are in order of shape,
+    which is crt_split order (it sorts by degree, and every component of
+    one n has the one e), so spans ascend. A state is read as its digits
+    times the columns or, once the map has read two, as a sum of
+    chunk-table entries (a byte or a hex digit of the packed state for
+    p = 2, a value for odd q <= 256; built on the third read unless they
+    would pass _TABLE_BYTES, so a map read for one or two states, as a
+    fresh (q, n) is, skips them). For p not dividing n (e = 1) a component is one digit
+    block, and its valuation is 1 where the block is zero, else 0: one
+    zero_blocks read gives them all, with no loop over the components.
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -246,6 +252,7 @@ class _ValuationMap:
         for k, c in enumerate(comps):
             by_shape.setdefault((c.d, c.e), []).append(k)
         self.spans = [None] * len(comps)  # (first slot, end slot, slots per digit block, e)
+        runs = []  # (first slot, end slot, slots per digit block) of each shape
         shapes, off = [], 0
         for (d, e), members in by_shape.items():
             blk = d * ef
@@ -274,7 +281,12 @@ class _ValuationMap:
                 self.spans[k] = (off + i * width, off + (i + 1) * width, blk, e)
             copy = sum(1 << h * w for h in range(blk))
             shapes.append((off * w, count, keep, slot * tiles * firsts, copy, terms, firsts))
+            runs.append((off, off + count, blk))
             off += count
+        # every component of one n has the one e; for e = 1 a component is
+        # one digit block, so the shapes' runs of blocks, read in turn, give
+        # the components' zero flags in order
+        self.zeros = zero_blocks(self.size, w, p, runs) if comps[0].e == 1 else None
 
         # cols[i * ef + s]: the image of p^s * t^i; each shape fills its
         # share of every column, and the shares are joined once at the end
@@ -320,7 +332,7 @@ class _ValuationMap:
                 self.tables = self._tabulate()
         if self.tables is not None:
             if p == 2:
-                values = digits(undigits(values, q), 16, len(self.tables))
+                values = digits(undigits(values, q), 1 << self.chunk, len(self.tables))
             terms = map(operator.getitem, self.tables, values)
             acc = reduce(operator.xor, terms) if p == 2 else sum(terms)
         else:
@@ -330,6 +342,9 @@ class _ValuationMap:
                 terms = map(operator.mul, cols[k:k + g], coords[k:k + g])
                 acc = (reduce(operator.xor, terms, acc) if p == 2
                        else reduce_slots(acc + sum(terms), size, w, p))
+        if self.zeros is not None:
+            return self.zeros(acc)
+        # p | n: the first nonzero digit block of each component
         marks = slot_marks(acc, size, w, p)
         return tuple([e if (i := marks.find("1", a, b)) < 0 else (i - a) // blk
                       for a, b, blk, e in self.spans])

@@ -818,8 +818,9 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None
     with b^(p^j) == 1 mod pi^m for b = a^o. In characteristic p,
     b^(p^j) - 1 = (b - 1)^(p^j), so j is the least with p^j * u >= m, where
     u = v_pi(b - 1) (Lidl and Niederreiter, Finite Fields, Ch. 2-3). All of
-    it runs on kernel forms, each modulus set up once (_modulus); o is kept
-    per (field, pi, a mod pi) (_unit_order), and the lift runs per call.
+    it runs on kernel forms, each modulus set up once: o is kept per
+    (field, pi, a mod pi) (_unit_order) and pi^e with its ring per
+    component (_prime_power_ring), and the lift runs per call.
     """
     spec = a.spec
     kern = kernel(spec)
@@ -830,8 +831,7 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None
     o = _unit_order(spec, pi_k, residue)
     orders = [1, o]
     if e > 1:
-        pi_e = power(kern.mul, pi_k, e, kern.one)
-        ring = _modulus(kern, pi_e)
+        pi_e, ring = _prime_power_ring(spec, pi_k, e)
         b = ring.leave(ring.pow(ring.enter(kern.rem(a_k, pi_e)), o))
         u = _pi_adic(kern, kern.add(b, kern.neg(kern.one)), pi_k, e)  # >= 1
         for m in range(2, e + 1):
@@ -840,6 +840,15 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None
                 u *= spec.p
             orders.append(o)
     return 0, orders
+
+
+@lru_cache(maxsize=256)
+def _prime_power_ring(spec: FieldSpec, pi: int, e: int) -> tuple[int, _Modulus]:
+    """(pi^e, the residue ring mod pi^e) for a kernel form pi, one pair per
+    component pi^e of some t^n - 1."""
+    kern = kernel(spec)
+    pi_e = power(kern.mul, pi, e, kern.one)
+    return pi_e, _modulus(kern, pi_e)
 
 
 @lru_cache(maxsize=4096)

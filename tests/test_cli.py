@@ -10,7 +10,7 @@ import pytest
 
 import ffdyn
 from conftest import F2, F3, F4
-from ffdyn import CyclicSeq, DiffOperator, DomainError, FieldSpec, Poly, crt_split, dynamics
+from ffdyn import CyclicSeq, DiffOperator, DomainError, FieldSpec, Poly, cli, crt_split, dynamics
 from ffdyn.cli import main
 from ffdyn.errors import ResourceLimitError
 from ffdyn.intfactor import factor_int
@@ -204,11 +204,32 @@ def test_large_prime_powers_are_recognized_without_factoring(capsys):
 
 @pytest.mark.parametrize("argv", [("spectrum",), ("gen", "--gen", "const")],
                          ids=["spectrum", "gen-const"])
-def test_a_length_too_large_to_allocate_is_a_resource_limit(capsys, argv):
-    """At n = 10^14 the first n-coefficient allocation fails at once (it
-    asks for 8 * 10^14 bytes); the report is one line and exit 1."""
+def test_a_length_too_large_to_allocate_is_a_resource_limit(capsys, monkeypatch, argv):
+    """With the length cap lifted past n = 10^14, the first n-coefficient
+    allocation fails at once (it asks for 8 * 10^14 bytes); the report is
+    one line and exit 1."""
+    monkeypatch.setattr(cli, "LENGTH_CAP", 10**15)
     assert main([argv[0], "--q", "2", "--n", str(10**14), *argv[1:]]) == 1
     assert capsys.readouterr() == ("", "resource limit: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--gen", "random", "--seed", "1"), ("classify", "--gen", "legendre"),
+    ("orbit", "--gen", "const"), ("spectrum",), ("graph",), ("census",),
+    ("gen", "--gen", "const")])
+def test_a_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv):
+    """n = 10^20 - 1 would overflow an allocation, or loop for ages over
+    random or Legendre values; every subcommand refuses it before building
+    anything of that length, as it does the cap plus one. The cap itself is
+    taken (gen, under a cap of 64)."""
+    for n in (10**20 - 1, cli.LENGTH_CAP + 1):
+        assert main([argv[0], "--q", "2", "--n", str(n), *argv[1:]]) == 1
+        assert capsys.readouterr() == (
+            "", f"resource limit: length {n} exceeds the cap {cli.LENGTH_CAP}\n")
+    if argv[0] == "gen":
+        monkeypatch.setattr(cli, "LENGTH_CAP", 64)
+        code, report = run_json(capsys, "gen", "--q", "2", "--n", "64", "--gen", "const")
+        assert code == 0 and len(report["sequences"][0]["values"]) == 64
 
 
 def test_output_file(tmp_path, capsys):

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F2, F3, F4, F5, F8, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec, Poly, complexity, polyring
+from conftest import F2, F3, F4, F5, F7, F8, F9, all_seqs, seq
+from ffdyn import DomainError, FieldSpec, Poly, complexity, dynamics, polyring
 from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
                               projection_profile, quota)
-from ffdyn.dynamics import orbit_brute, orbit_table
+from ffdyn.dynamics import (max_period, max_preperiod, orbit_brute, orbit_from_valuations,
+                            orbit_table, period_masks)
 from ffdyn.errors import ResourceLimitError
-from ffdyn.groupalg import CyclicSeq, delta_operator, poly_to_seq, seq_to_poly
-from ffdyn.polyring import crt_split
+from ffdyn.groupalg import CyclicSeq, delta_operator, poly_to_seq, seq_to_poly, seq_valuations
+from ffdyn.polyring import crt_split, t_pow_minus_one
 from ffdyn.seqgen import legendre_seq
 from ffdyn.verify import thm2_suite, thm3_suite
 
@@ -151,6 +152,99 @@ def test_warm_classify_divides_nothing(monkeypatch):
         Poly(spec, [1, 1, 1]) % Poly(spec, [1, 1])
     assert calls.count("Poly.__divmod__") == 2
     assert calls.count("_ListKernel.divmod") == 2
+
+
+def _reference_verdict(f):
+    """(is_delta1, is_delta2, witness) by the orbit of f's valuations under
+    Delta and the first component other than t - 1 where f vanishes."""
+    D = delta_operator(f.spec, f.n)
+    vals = seq_valuations(f)
+    pre, per = orbit_from_valuations(D, vals)
+    d2 = per == max_period(D)
+    witness = next((c.pi for c, v in zip(crt_split(f.spec, f.n), vals) if v and c.m > 1), None)
+    return d2 and pre >= max_preperiod(D) - 1, d2, witness
+
+
+MASK_GRID = [(spec, n) for spec in (F2, F3, F4, F5, F7, F8, F9)
+             for n in range(1, 13) if n % spec.p and spec.q**n <= 2**12]
+
+
+@pytest.mark.parametrize("spec, n", MASK_GRID, ids=[f"q{s.q}-n{n}" for s, n in MASK_GRID])
+def test_vanishing_set_verdicts_match_every_route_on_every_state(spec, n):
+    """For p not dividing n, classify, is_delta1 and is_delta2 read the
+    set of components where a state vanishes; on every state (the zero
+    state and every vanishing pattern among them) they agree with the
+    orbit of its valuations, with orbit_brute against max_period and with
+    d_complicated_gcd."""
+    D = delta_operator(spec, n)
+    max_pre, max_per = max_preperiod(D), max_period(D)
+    delta2 = set()
+    for f in all_seqs(spec, n):
+        v = classify(f)
+        assert (v.is_delta1, v.is_delta2, v.witness) == _reference_verdict(f)
+        assert (is_delta1(f), is_delta2(f)) == (v.is_delta1, v.is_delta2)
+        s = orbit_brute(D, f)
+        d2 = s.period == max_per
+        assert (v.is_delta1, v.is_delta2) == (d2 and s.preperiod >= max_pre - 1, d2)
+        assert v.is_d_complicated == d_complicated_gcd(f) == (v.witness is None)
+        delta2.add(v.is_delta2)
+    # the zero state has period 1, so Delta2 fails somewhere once max_period > 1
+    assert delta2 == ({True, False} if max_per > 1 else {True})
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 255), (F3, 80), (F4, 63), (F9, 40), (F7, 24)])
+def test_vanishing_set_verdicts_on_states_built_to_vanish(spec, n):
+    """States that vanish on chosen components of t^n - 1, a multiple of
+    their product and nothing else, or on all but one, give the verdicts of
+    the orbit of their valuations and of d_complicated_gcd; Delta2 fails on
+    some of them."""
+    rng = random.Random(n)
+    comps = crt_split(spec, n)
+    modulus = t_pow_minus_one(spec, n)
+    masks_hold = []
+    for _ in range(40):
+        chosen = [c.pi for c in comps if rng.random() < 0.3]
+        if rng.random() < 0.2:  # all but one
+            keep = rng.randrange(len(comps))
+            chosen = [c.pi for k, c in enumerate(comps) if k != keep]
+        g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
+        for pi in chosen:
+            g = g * pi % modulus
+        f = poly_to_seq(spec, n, g)
+        v = classify(f)
+        assert (v.is_delta1, v.is_delta2, v.witness) == _reference_verdict(f)
+        assert v.is_d_complicated == d_complicated_gcd(f)
+        masks_hold.append(v.is_delta2)
+    assert not all(masks_hold)
+    zero = classify(CyclicSeq(spec, (0,) * n))
+    assert not zero.is_delta2 and zero.witness == next(c.pi for c in comps if c.m > 1)
+
+
+def test_classify_coprime_to_p_never_analyzes_an_orbit(monkeypatch):
+    """Once Delta's analyzer exists, classify, is_delta1 and is_delta2 at p
+    not dividing n read only the period masks; p | n still analyzes."""
+    rng = random.Random(7)
+    states = []
+    for spec, n in [(F2, 255), (F3, 80), (F4, 63), (F9, 40), (F5, 12)]:
+        max_period(delta_operator(spec, n))  # the analyzer's __init__ analyzes once
+        states += [CyclicSeq(spec, [rng.randrange(spec.q) for _ in range(n)]) for _ in range(5)]
+        states.append(CyclicSeq(spec, (0,) * n))
+    max_period(delta_operator(F2, 4))
+    calls = []
+    analyze = dynamics._OrbitAnalyzer.analyze
+
+    def counted(self, vals):
+        calls.append(vals)
+        return analyze(self, vals)
+
+    monkeypatch.setattr(dynamics._OrbitAnalyzer, "analyze", counted)
+    for f in states:
+        classify(f), is_delta1(f), is_delta2(f)
+    assert calls == []
+    is_delta2(seq(F2, 1, 0, 1, 1))
+    assert len(calls) == 1
+    with pytest.raises(DomainError):
+        period_masks(delta_operator(F2, 4))
 
 
 def test_gcd_criterion_rejects_p_dividing_n():

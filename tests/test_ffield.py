@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import F2, F3, F4, F5, F7, F8, F9
 from ffdyn import DomainError, FieldSpec, Poly, parse_field_spec
 from ffdyn.ffield import (digit_planes, digits, pack_slots, read_slots, reduce_slots, slot_bits,
-                          slot_marks, undigits)
+                          slot_marks, undigits, zero_blocks)
 
 SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
 
@@ -386,4 +386,28 @@ def test_reduce_slots_and_marks(w, p):
     assert list(read_slots(reduce_slots(x, len(values), w, p), len(values), w)) == \
         [v % p for v in values]
     assert slot_marks(x, len(values), w, p) == "".join("01"[v % p != 0] for v in values)
+
+
+@pytest.mark.parametrize("w, p", [(1, 2), (8, 3), (8, 251), (16, 5), (32, 7)])
+def test_zero_blocks_flag_each_block_in_run_order(w, p):
+    """Runs of blocks of 1, 2, 3, 5 and 8 slots (the folds of each width
+    share a mask) give one flag per block, run after run: 1 where every
+    slot of the block is zero mod p, so a zero slot or a multiple of p
+    elsewhere in the block does not flag it."""
+    rng = random.Random(w * p)
+    runs, at = [], 0
+    for blk, count in ((1, 3), (2, 2), (3, 4), (5, 1), (8, 3)):
+        runs.append((at, at + blk * count, blk))
+        at += blk * count
+    read = zero_blocks(at, w, p, runs)
+    blocks = [range(a + i, a + i + blk) for a, b, blk in runs for i in range(0, b - a, blk)]
+    for _ in range(200):
+        zero = {k for k in range(len(blocks)) if rng.random() < 0.4}
+        values = [0] * at
+        for k, block in enumerate(blocks):
+            for i in block:
+                values[i] = (rng.choice([0, p]) if p < 2**w else 0) if k in zero \
+                    else rng.randrange(min(2**w, 4 * p))
+        got = read(pack_slots(values, w) if w > 1 else undigits(values, 2))
+        assert got == tuple(int(all(values[i] % p == 0 for i in block)) for block in blocks)
 

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from conftest import F2, F3, F4, F5, F9, all_seqs, seq
+from conftest import F2, F3, F4, F5, F7, F9, all_seqs, seq
 from ffdyn import DomainError, FieldSpec, Poly, groupalg
 from ffdyn.errors import DegenerateOperatorError
 from ffdyn.groupalg import (CyclicSeq, DiffOperator, apply_op, build_operator,
@@ -258,7 +258,7 @@ def _repeated_division(r, n):
 
 # p divides n in (F2, 96), (F3, 81), (F3, 12), (F5, 50), (F4, 6), (F9, 6),
 # (GF729, 6) and (GF729, 12). The packed GF(2^e) state is not a whole number
-# of hex-digit chunks in (F2, 15), (F2, 255), (F2, 257) and (F4, 63). Byte
+# of byte chunks in (F2, 15), (F2, 255), (F2, 257) and (F4, 63). Byte
 # slots hold the largest sum up to (F3, 127) and (F5, 63), and (F3, 128) and
 # (F5, 64) need two bytes. p = 251 still has a table per value, p = 257 and
 # the 61-bit prime multiply columns, and GF(729) reads its digits.
@@ -267,6 +267,20 @@ VALUATION_CASES = [(F2, 15), (F2, 255), (F2, 257), (F2, 96), (F3, 80), (F3, 81),
                    (F5, 64), (F4, 63), (F4, 6), (F9, 40), (F9, 6), (F251, 4),
                    (F251, 6), (F257, 4), (F257, 6), (P61, 4), (P61, 6),
                    (GF729, 7), (GF729, 6), (GF729, 12)]
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 1), (F2, 255), (F2, 96), (F3, 80), (F3, 81),
+                                     (F4, 63), (F9, 40), (F7, 24)])
+def test_valuation_map_spans_follow_crt_split(spec, n):
+    """Each component's slots follow the previous component's, in
+    crt_split order: e digit blocks of d * (field degree) slots each, so
+    the shapes' strided slices read the components in that order."""
+    vmap = valuation_map(spec, n)
+    at = 0
+    for (a, b, blk, e), c in zip(vmap.spans, crt_split(spec, n), strict=True):
+        assert (a, b, blk, e) == (at, at + c.d * spec.e * c.e, c.d * spec.e, c.e)
+        at = b
+    assert at == vmap.size == n * spec.e
 
 
 @pytest.mark.parametrize("spec, n", VALUATION_CASES,
@@ -297,7 +311,8 @@ def test_component_valuations_match_repeated_division(spec, n):
 
 
 # (field, n, input digits per table, bits per slot, tables or columns)
-LAYOUTS = [(F2, 255, 4, 1, True), (F4, 63, 4, 1, True), (F3, 127, 1, 8, True),
+LAYOUTS = [(F2, 255, 8, 1, True), (F4, 63, 8, 1, True), (F2, 511, 8, 1, True),
+           (F2, 513, 4, 1, True), (F3, 127, 1, 8, True),
            (F3, 128, 1, 16, True), (F5, 63, 1, 8, True), (F5, 64, 1, 16, True),
            (F9, 40, 2, 8, True), (F251, 6, 1, 16, True), (F257, 6, 1, 32, False),
            (P61, 6, 1, 128, False), (GF729, 6, 6, 8, False),

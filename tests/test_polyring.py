@@ -539,6 +539,22 @@ def test_order_prime_power_gives_a_non_unit_its_valuation(spec, n):
                 (_valuation_by_division(a, c.pi, c.e), None)
 
 
+def test_each_prime_power_ring_is_built_once():
+    """pi^e and its residue ring are kept per component: one unit read on
+    every component with e > 1 builds one ring each, and five more units
+    there build none."""
+    cases = [(F2, 12), (F3, 18), (F4, 8), (F5, 10)]
+    comps = [c for key in cases for c in crt_split(*key) if c.e > 1]
+    rng = random.Random(3)
+    units = [[rand_poly(c.pi.spec, 9, rng, nonzero=True) for _ in range(6)] for c in comps]
+    polyring._prime_power_ring.cache_clear()
+    for round_ in range(6):
+        for c, us in zip(comps, units):
+            _order_prime_power(us[round_] * c.pi + Poly.one(c.pi.spec), c.pi, c.e)
+        info = polyring._prime_power_ring.cache_info()
+        assert (info.misses, info.hits) == (len(comps), round_ * len(comps))
+
+
 def test_mult_order_mod_prime_power_modulus():
     # unit group of GF(2)[t]/(t+1)^2 has order 2
     assert _order(Poly.x(F2), Poly(F2, [1, 1]), 2) == 2
