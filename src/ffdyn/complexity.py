@@ -135,17 +135,26 @@ def _verdict(f: CyclicSeq) -> tuple[bool, bool, int | None]:
     """(is_delta1, is_delta2, the components where f vanishes as a bit mask
     over crt_split order, or None when p | n).
 
-    For p not dividing n every valuation is 0 or 1, so the vanishing set
-    decides both: the period is largest when every period mask of Delta
-    has a component outside it, and a preperiod, 0 or 1, is never below
-    max_preperiod - 1 <= 0, so Delta1 is Delta2.
+    For p not dividing n every valuation is 0 or 1, so the vanishing set Z
+    decides both. Lemma 1 first: Delta's multiplier t^(n-1) - 1 is
+    t^(-1) - 1 mod t^n - 1, which vanishes mod pi only at pi = t - 1, so
+    Delta is a unit on every component with m > 1 and dies on t - 1. A
+    state whose Z misses every component with m > 1 keeps every live
+    order, so its period is max_period, and Delta1 = Delta2 = True with no
+    analyzer built and no integer factored. Otherwise the period is largest
+    when every period mask of Delta has a component outside Z, and a
+    preperiod, 0 or 1, is never below max_preperiod - 1 <= 0, so Delta1 is
+    Delta2.
     """
-    D = delta_operator(f.spec, f.n)
+    spec, n = f.spec, f.n
     vals = seq_valuations(f)
-    if f.n % f.spec.p:
+    if n % spec.p:
         z = undigits(vals, 2)
-        d2 = all(mask & ~z for mask in period_masks(D))
+        if not z & _lemma1_mask(spec, n):
+            return True, True, z
+        d2 = all(mask & ~z for mask in period_masks(delta_operator(spec, n)))
         return d2, d2, z
+    D = delta_operator(spec, n)
     d2, near = _maximality(D, *orbit_from_valuations(D, vals))
     return d2 and near, d2, None
 

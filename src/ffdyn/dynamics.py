@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import DomainError, ResourceLimitError
 from .ffield import FieldSpec, digits, undigits
 from .groupalg import CyclicSeq, DiffOperator, linear_images, seq_valuations
-from .intfactor import factor_int, power
-from .polyring import _order_prime_power, crt_split
+from .intfactor import factor_int
+from .polyring import _order_prime_power, crt_residues, crt_split
 
 # default cap on the states that one enumeration walks. A state costs about
 # 1.6 us in orbit_brute's walk (GF(2), n = 21) and 1.7 us and 83 bytes in
@@ -82,19 +82,22 @@ def orbit_brute(D: DiffOperator, f: CyclicSeq, max_steps: int | None = None) -> 
 
 
 class _OrbitAnalyzer:
-    """The operator on each component pi^e of t^n - 1, in crt_split order,
-    from one _order_prime_power call per component: op_vals holds its
-    valuations min(v_pi, e). On a live component (valuation 0) the operator
-    is a unit and orders[m] is its multiplicative order mod pi^m; on a dead
-    one orders is None. No valuation map is built: that serves states.
-    period_masks, for e = 1, is built on first need.
+    """The operator on each component pi^e of t^n - 1, in crt_split order:
+    its residues mod every pi^e come from one descent (crt_residues), and
+    one _order_prime_power call per component reads a residue. op_vals
+    holds the valuations min(v_pi, e). On a live component (valuation 0)
+    the operator is a unit and orders[m] is its multiplicative order mod
+    pi^m; on a dead one orders is None. No valuation map is built: that
+    serves states. period_masks, for e = 1, and squares are built on first
+    need.
     """
 
     def __init__(self, D: DiffOperator):
-        self.q = D.spec.q
+        self.D, self.q = D, D.spec.q
         self.factors = crt_split(D.spec, D.n)
-        self.op_vals, self.orders = zip(*(_order_prime_power(D.op_poly, c.pi, c.e)
-                                          for c in self.factors))
+        self.op_vals, self.orders = zip(*(
+            _order_prime_power(r, c.pi, c.e)
+            for r, c in zip(crt_residues(D.op_poly, D.n), self.factors)))
         # a unit of the algebra (valuation 0 everywhere) has the longest
         # tail and the longest cycle
         self.max_preperiod, self.max_period = self.analyze((0,) * len(self.factors))
@@ -112,6 +115,17 @@ class _OrbitAnalyzer:
                 # the residue dies once k*val + v reaches e
                 pre = max(pre, -(-(e - v) // val))
         return pre, per
+
+    @cached_property
+    def squares(self) -> list[int]:
+        """op^(2^i) in the operator's ring for i < max_preperiod.bit_length(),
+        so a preperiod's power of op is a product of them."""
+        mul, x = self.D.ring.mul, self.D.op
+        out = [x]
+        for _ in range(1, self.max_preperiod.bit_length()):
+            x = mul(x, x)
+            out.append(x)
+        return out
 
     @cached_property
     def period_masks(self) -> tuple[int, ...]:
@@ -140,12 +154,14 @@ def orbit_from_valuations(D: DiffOperator, f_vals: tuple[int, ...]) -> tuple[int
 
 def orbit_algebraic(D: DiffOperator, f: CyclicSeq) -> OrbitSummary:
     """Preperiod/period from component valuations and unit orders; the
-    attractor entry D^pre f by powering in the operator's ring, the state
-    multiplied by op^(2^i) for each set bit i of pre."""
+    attractor entry D^pre f in the operator's ring, the state multiplied by
+    the analyzer's op^(2^i) for each set bit i of pre."""
     D.check_dimensions(f)
-    pre, per = _analyzer(D).analyze(seq_valuations(f))
+    an = _analyzer(D)
+    pre, per = an.analyze(seq_valuations(f))
     ring = D.ring
-    x = power(ring.mul, D.op, pre, ring.one, ring.enter(f.value_encs))
+    x = reduce(ring.mul, [s for i, s in enumerate(an.squares) if pre >> i & 1],
+               ring.enter(f.value_encs))
     return OrbitSummary(pre, per, CyclicSeq(f.spec, ring.leave(x)))
 
 

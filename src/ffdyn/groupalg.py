@@ -15,7 +15,7 @@ from itertools import repeat
 from .errors import DegenerateOperatorError, DomainError
 from .ffield import (FieldElem, FieldSpec, digits, parse_field_spec, parse_ints, read_slots,
                      reduce_slots, slot_bits, slot_marks, undigits, zero_blocks)
-from .polyring import Poly, crt_split, kernel, t_pow_minus_one
+from .polyring import Poly, crt_split, crt_valuations, kernel, t_pow_minus_one
 
 
 class CyclicSeq:
@@ -230,11 +230,11 @@ class _ValuationMap:
     one n has the one e), so spans ascend. A state is read as its digits
     times the columns or, once the map has read two, as a sum of
     chunk-table entries (a byte or a hex digit of the packed state for
-    p = 2, a value for odd q <= 256; built on the third read unless they
-    would pass _TABLE_BYTES, so a map read for one or two states, as a
-    fresh (q, n) is, skips them). For p not dividing n (e = 1) a component is one digit
-    block, and its valuation is 1 where the block is zero, else 0: one
-    zero_blocks read gives them all, with no loop over the components.
+    p = 2, a value for odd q <= 256; built on the map's third read unless
+    they would pass _TABLE_BYTES, so a map read for two states skips them).
+    For p not dividing n (e = 1) a component is one digit block, and its
+    valuation is 1 where the block is zero, else 0: one zero_blocks read
+    gives them all, with no loop over the components.
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -352,11 +352,39 @@ class _ValuationMap:
 
 valuation_map = lru_cache(maxsize=64)(_ValuationMap)  # one map per (spec, n)
 
+# bytes allowed for the columns of one valuation map: n e columns of n e
+# w-bit slots, (n e)^2 w / 8 bytes over GF(p^e), so the 64 cached maps
+# hold at most 512 MiB of columns. GF(2) reaches it at n = 8192: at
+# n = 8191 the map took 52 ms to build and a read by its columns 4.9 ms,
+# against 8.9 ms for a read by the descent (Python 3.11.7 on a shared
+# 2-vCPU VM). At n = 65537 it would take 512 MiB and about 8 s.
+_MAP_BYTES = 1 << 23
+
+
+@lru_cache(maxsize=256)
+def _by_map(spec: FieldSpec, n: int) -> list[bool]:
+    """[whether the states of (spec, n) are read by its valuation map]:
+    False until one state has been read, then whether the map's columns fit
+    _MAP_BYTES."""
+    return [False]
+
 
 def seq_valuations(f: CyclicSeq) -> tuple[int, ...]:
     """min(v_pi, e) of seq_to_poly(f) on each component pi^e, in crt_split
-    order (0 where f is a unit, e where it vanishes), read off f's values."""
-    return valuation_map(f.spec, f.n).read(f.value_encs)
+    order (0 where f is a unit, e where it vanishes), read off f's values
+    (seq_to_poly(f) is t times their polynomial, and t is a unit).
+
+    The one place that picks the route: the first state of a (q, n) is
+    read by one descent of the components' subproduct tree
+    (polyring.crt_valuations), so a (q, n) read once, as a cold one is,
+    builds no map; later ones by the valuation map, unless its columns
+    would pass _MAP_BYTES, where every read goes by the descent."""
+    spec, n = f.spec, f.n
+    by_map = _by_map(spec, n)
+    if by_map[0]:
+        return valuation_map(spec, n).read(f.value_encs)
+    by_map[0] = (n * spec.e) ** 2 * _read_layout(spec, n)[1] <= 8 * _MAP_BYTES
+    return crt_valuations(Poly(spec, f.value_encs), n)
 
 
 # states per block of linear_images; memory stays at one block of planes

@@ -4,11 +4,12 @@ A Poly holds one int, its field kernel's form of the polynomial, so ring
 operations pass it straight to the kernel. Provides division, gcd, modular
 powering, the components of t^n - 1 from its cyclotomic structure (one
 Component record per irreducible factor; each Phi_m split once per process,
-inside its Frobenius-fixed subalgebra), complete factorization of any
-polynomial (one distinct-degree pass that peels multiplicities, then
-Cantor-Zassenhaus on uniform residues; both splits run the one round loop,
-_split), resultants and the unit orders on the components pi^e of a
-modulus.
+inside its Frobenius-fixed subalgebra), the residues of one input mod
+every component from one descent of their subproduct tree, complete
+factorization of any polynomial (one distinct-degree pass that peels
+multiplicities, then Cantor-Zassenhaus on uniform residues; both splits
+run the one round loop, _split), resultants and the unit orders on the
+components pi^e of a modulus.
 """
 
 from __future__ import annotations
@@ -661,6 +662,51 @@ def crt_split(spec: FieldSpec, n: int) -> tuple[Component, ...]:
                  for f in _sorted(kern, found))
 
 
+@lru_cache(maxsize=64)
+def _residue_tree(spec: FieldSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """The subproduct tree over the components of t^n - 1, as kernel forms,
+    leaves first: level 0 holds pi^e for each record of crt_split(spec, n),
+    in order, and each level above holds the products of its level's nodes
+    taken in pairs, an odd last node carried up as it is, up to a level of
+    at most two nodes. The root, t^n - 1, is never formed: a descent starts
+    by reducing mod the top level's nodes (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 10.1)."""
+    kern = kernel(spec)
+    level = tuple(c.pi._f if c.e == 1 else power(kern.mul, c.pi._f, c.e, kern.one)
+                  for c in crt_split(spec, n))
+    levels = [level]
+    while len(level) > 2:
+        level = tuple(map(kern.mul, level[::2], level[1::2])) + level[len(level) & ~1:]
+        levels.append(level)
+    return tuple(levels)
+
+
+def crt_residues(x: Poly, n: int) -> list[int]:
+    """x mod pi^e for every component pi^e of t^n - 1, in crt_split order,
+    as kernel forms (what _order_prime_power takes), from one descent of the
+    subproduct tree: a node's residue is its parent's reduced mod the node,
+    and a carried node's is its parent's. One kernel rem per node below the
+    root, so O(M(n) log n) for any x, where each component alone would
+    divide x itself."""
+    rem, levels = kernel(x.spec).rem, _residue_tree(x.spec, n)
+    out = [rem(x._f, m) for m in levels[-1]]
+    for level in levels[-2::-1]:
+        pairs = len(level) & ~1
+        out = [rem(out[i >> 1], m) for i, m in enumerate(level[:pairs])] + out[pairs >> 1:]
+    return out
+
+
+def crt_valuations(x: Poly, n: int) -> tuple[int, ...]:
+    """min(v_pi(x), e) on each component pi^e of t^n - 1, in crt_split
+    order: one descent (crt_residues), then, for e > 1, at most e divisions
+    by pi per component."""
+    comps = crt_split(x.spec, n)
+    if comps[0].e == 1:  # every component of one n has the one e
+        return tuple([0 if r else 1 for r in crt_residues(x, n)])
+    kern = kernel(x.spec)
+    return tuple([_pi_adic(kern, r, c.pi._f, c.e) for r, c in zip(crt_residues(x, n), comps)])
+
+
 @lru_cache(maxsize=1024)
 def _cyclotomic_piece(spec: FieldSpec, m: int) -> tuple[int, tuple[int, ...]]:
     """(Phi_m, its irreducible factors in the one factor order), kernel
@@ -806,11 +852,12 @@ def _pi_adic(kern, x: int, pi: int, e: int) -> int:
     return e
 
 
-def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None]:
-    """(min(v_pi(a), e), orders) for a on the component pi^e, pi irreducible:
-    the division giving a mod pi goes on with its quotient while pi divides.
-    orders is None unless a is a unit; then orders[m] is its order mod pi^m,
-    m = 0..e.
+def _order_prime_power(a, pi: Poly, e: int) -> tuple[int, list[int] | None]:
+    """(min(v_pi(a), e), orders) for a on the component pi^e, pi irreducible,
+    where a is a Poly or, as crt_residues gives it, the kernel form of a
+    residue mod pi^e, so the division giving a mod pi is short (none for
+    e = 1): it goes on with its quotient while pi divides. orders is None
+    unless a is a unit; then orders[m] is its order mod pi^m, m = 0..e.
 
     Reduction mod pi maps the units mod pi^e onto GF(q^deg pi)^* with a
     p-group kernel, so the order mod pi^m is o * p^j: o is the order mod pi,
@@ -822,10 +869,11 @@ def _order_prime_power(a: Poly, pi: Poly, e: int) -> tuple[int, list[int] | None
     (field, pi, a mod pi) (_unit_order) and pi^e with its ring per
     component (_prime_power_ring), and the lift runs per call.
     """
-    spec = a.spec
+    spec = pi.spec
     kern = kernel(spec)
-    pi_k, a_k = pi._f, a._f
-    quot, residue = kern.divmod(a_k, pi_k)
+    pi_k, a_k = pi._f, a._f if isinstance(a, Poly) else a
+    # a form from crt_residues with e = 1 is already reduced mod pi
+    quot, residue = (0, a_k) if e == 1 and a_k is a else kern.divmod(a_k, pi_k)
     if not residue:
         return 1 + _pi_adic(kern, quot, pi_k, e - 1), None
     o = _unit_order(spec, pi_k, residue)

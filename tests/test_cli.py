@@ -12,10 +12,11 @@ import ffdyn
 from conftest import F2, F3, F4
 from ffdyn import CyclicSeq, DiffOperator, DomainError, FieldSpec, Poly, cli, crt_split, dynamics
 from ffdyn.cli import main
+from ffdyn.complexity import d_complicated_gcd
 from ffdyn.errors import ResourceLimitError
 from ffdyn.intfactor import factor_int
 from ffdyn.polyring import powmod
-from ffdyn.seqgen import primitive_root_mod
+from ffdyn.seqgen import legendre_seq, primitive_root_mod
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,16 @@ def test_classify_legendre(capsys):
     verdict = report["results"][0]["verdict"]
     assert verdict["isDComplicated"] is True
     assert verdict["method"] == "lemma1-gcd"
+
+
+def test_classify_legendre_past_the_factoring_cap(capsys):
+    """At q = 2, n = 1021 the Legendre sequence is D-complicated, so its
+    verdict needs no unit order, and 2^340 - 1, whose cofactor factor_int
+    cannot split, is never factored."""
+    code, report = run_json(capsys, "classify", "--q", "2", "--n", "1021", "--gen", "legendre")
+    assert code == 0
+    verdict = report["results"][0]["verdict"]
+    assert verdict["isDComplicated"] is d_complicated_gcd(legendre_seq(F2, 1021)) is True
 
 
 def test_classify_literal_sequence(capsys):

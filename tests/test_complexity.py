@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2, F3, F4, F5, F7, F8, F9, all_seqs, seq
-from ffdyn import DomainError, FieldSpec, Poly, complexity, dynamics, polyring
+from ffdyn import DomainError, FieldSpec, Poly, complexity, dynamics, groupalg, intfactor, polyring
 from ffdyn.complexity import (_census_count, census, classify, d_complicated_gcd,
                               d_complicated_oracle, eigen_product,
                               is_delta1, is_delta2, operator_family,
                               projection_profile, quota)
-from ffdyn.dynamics import (max_period, max_preperiod, orbit_brute, orbit_from_valuations,
-                            orbit_table, period_masks)
+from ffdyn.dynamics import (max_period, max_preperiod, orbit_algebraic, orbit_brute,
+                            orbit_from_valuations, orbit_table, period_masks)
 from ffdyn.errors import ResourceLimitError
 from ffdyn.groupalg import CyclicSeq, delta_operator, poly_to_seq, seq_to_poly, seq_valuations
 from ffdyn.polyring import crt_split, t_pow_minus_one
@@ -116,13 +116,17 @@ def test_classify_uses_oracle_when_p_divides_n():
 def test_warm_classify_divides_nothing(monkeypatch):
     # the per-state path reads valuations off one linear map: once the
     # field's factorization, unit orders and map exist, classify must not
-    # fall back to polynomial division
+    # fall back to polynomial division. A D-complicated state builds no
+    # analyzer, so Delta's is warmed by max_period, and the first state of
+    # a (q, n) is read by a descent, so two are read before counting
     rng = random.Random(5)
     states = []
     for spec, n in [(F3, 80), (F4, 63)]:
         fs = [CyclicSeq(spec, [rng.randrange(spec.q) for _ in range(n)]) for _ in range(20)]
         fs.append(CyclicSeq(spec, (0,) * n))
+        max_period(delta_operator(spec, n))
         classify(fs[0])
+        classify(fs[1])
         states += fs
     calls = []
 
@@ -245,6 +249,63 @@ def test_classify_coprime_to_p_never_analyzes_an_orbit(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(DomainError):
         period_masks(delta_operator(F2, 4))
+
+
+FRESH_GRID = [(spec, n) for spec in (F2, F3, F4, F5, F7, F8, F9)
+              for n in range(1, 13) if spec.q**n <= 2**12]
+
+
+@pytest.mark.parametrize("spec, n", FRESH_GRID, ids=[f"q{s.q}-n{n}" for s, n in FRESH_GRID])
+def test_fresh_reads_agree_with_orbit_brute(spec, n):
+    """From a fresh (q, n), whose first state is read by a descent and the
+    rest by the valuation map, the verdicts (classify for p not dividing n,
+    is_delta1 and is_delta2 for p | n, where classify would enumerate
+    operators) and orbit_algebraic, attractor entry included, agree with
+    orbit_brute on every state, against the exhaustive orbit table's
+    largest period and preperiod."""
+    groupalg._by_map.cache_clear()
+    D = delta_operator(spec, n)
+    pre, per = orbit_table(D)
+    max_pre, max_per = int(pre.max()), int(per.max())
+    for f in all_seqs(spec, n):
+        s = orbit_brute(D, f)
+        assert orbit_algebraic(D, f) == s
+        d2 = s.period == max_per
+        expected = (d2 and s.preperiod >= max_pre - 1, d2)
+        if n % spec.p:
+            v = classify(f)
+            assert (v.is_delta1, v.is_delta2) == expected
+            assert v.is_d_complicated == d_complicated_gcd(f)
+        else:
+            assert (is_delta1(f), is_delta2(f)) == expected
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 1021), (F4, 509)], ids=["q2-n1021", "q4-n509"])
+def test_a_d_complicated_verdict_factors_no_integer(spec, n, monkeypatch):
+    """The Legendre sequence is D-complicated at q = 2, n = 1021 and q = 4,
+    n = 509, where q^d - 1 has a cofactor past factor_int's cap: its
+    verdict comes from its vanishing set alone, with factor_int refusing
+    every call, and agrees with d_complicated_gcd. A state that is not
+    D-complicated, the constant one, still reaches the unit orders."""
+    f = legendre_seq(spec, n)  # its primitive root and crt_split factor small integers
+    crt_split(spec, n)
+    calls = []
+
+    def refuse(m):
+        calls.append(m)
+        raise ResourceLimitError("forced")
+
+    monkeypatch.setattr(intfactor, "factor_int", refuse)
+    monkeypatch.setattr(dynamics, "factor_int", refuse)
+    dynamics._analyzer.cache_clear()
+    polyring._unit_order.cache_clear()
+    v = classify(f)
+    assert (v.is_delta1, v.is_delta2, v.is_d_complicated, v.witness) == (True, True, True, None)
+    assert v.is_d_complicated == d_complicated_gcd(f)
+    assert calls == []
+    with pytest.raises(ResourceLimitError, match="forced"):
+        classify(CyclicSeq(spec, (1,) * n))
+    assert calls
 
 
 def test_gcd_criterion_rejects_p_dividing_n():

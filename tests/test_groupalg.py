@@ -310,6 +310,64 @@ def test_component_valuations_match_repeated_division(spec, n):
                  for c in factors) == read(g.coeff_encs)
 
 
+READ_CASES = [(F2, 255), (F2, 96), (F3, 80), (F3, 81), (F4, 63), (F4, 6), (F5, 50),
+              (F9, 40), (F9, 6)]
+
+
+@pytest.mark.parametrize("spec, n", READ_CASES, ids=[f"GF{s.q}-n{n}" for s, n in READ_CASES])
+def test_first_read_by_descent_agrees_with_the_map(spec, n, monkeypatch):
+    """A fresh (q, n) reads its first state by one descent of the tree
+    (polyring.crt_valuations) and every later one by the valuation map, by
+    columns and then by tables; the same states, random, zero and built to
+    vanish on a component up to e times, read the same both ways, p | n
+    included."""
+    groupalg._by_map.cache_clear()
+    valuation_map.cache_clear()
+    descents, real = [], groupalg.crt_valuations
+    monkeypatch.setattr(groupalg, "crt_valuations",
+                        lambda x, m: descents.append(m) or real(x, m))
+    rng = random.Random(n)
+    modulus = t_pow_minus_one(spec, n)
+    states = [rand_seq(spec, n, rng) for _ in range(3)] + [CyclicSeq(spec, (0,) * n)]
+    for c in crt_split(spec, n)[-2:]:
+        for j in range(1, c.e + 1):
+            g = Poly(spec, [rng.randrange(spec.q) for _ in range(n)])
+            states.append(poly_to_seq(spec, n, c.pi**j * g % modulus))
+    first = [seq_valuations(f) for f in states]
+    assert descents == [n]
+    assert [seq_valuations(f) for f in states] == first
+    assert valuation_map(spec, n).tables is not None or not groupalg._read_layout(spec, n)[2]
+    assert descents == [n]
+    assert [real(Poly(spec, f.value_encs), n) for f in states] == first
+    assert [_repeated_division(seq_to_poly(f), n) for f in states] == first
+
+
+def test_a_map_past_the_byte_budget_is_never_built(monkeypatch):
+    """A (q, n) whose map columns, (n e)^2 w bits, would pass _MAP_BYTES
+    reads every state by the descent and constructs no _ValuationMap;
+    at the budget the second read builds one. GF(2) n = 65537 is past it."""
+    spec, n = F3, 80
+    w = groupalg._read_layout(spec, n)[1]
+    need = -(-(n * spec.e) ** 2 * w // 8)
+    assert (65537**2 * groupalg._read_layout(F2, 65537)[1] > 8 * groupalg._MAP_BYTES)
+    built = []
+
+    def counted(*key):
+        built.append(key)
+        return groupalg._ValuationMap(*key)
+
+    monkeypatch.setattr(groupalg, "valuation_map", counted)
+    rng = random.Random(2)
+    states = [rand_seq(spec, n, rng) for _ in range(4)]
+    expected = [_repeated_division(seq_to_poly(f), n) for f in states]
+    for budget, maps in ((need - 1, 0), (need, 3)):
+        monkeypatch.setattr(groupalg, "_MAP_BYTES", budget)
+        groupalg._by_map.cache_clear()
+        assert [seq_valuations(f) for f in states] == expected
+        assert len(built) == maps
+        built.clear()
+
+
 # (field, n, input digits per table, bits per slot, tables or columns)
 LAYOUTS = [(F2, 255, 8, 1, True), (F4, 63, 8, 1, True), (F2, 511, 8, 1, True),
            (F2, 513, 4, 1, True), (F3, 127, 1, 8, True),

@@ -306,6 +306,33 @@ def test_crt_split_records_carry_m_and_degree(spec):
         assert [c.pi for c in comps if c.m == 1] == [t_pow_minus_one(spec, 1)], n
 
 
+@pytest.mark.parametrize("spec", CRT_FIELDS, ids=lambda s: f"q{s.q}")
+def test_tree_residues_match_a_remainder_per_component(spec):
+    """One descent of the subproduct tree (crt_residues) gives kern.rem(x,
+    pi^e) on every component at every n <= 60, p | n and levels with an
+    odd number of nodes (a node carried up) included, for x = 0, 1, x of
+    degree past n and multiples of pi^j; crt_valuations reads min(v_pi, e)
+    off them."""
+    kern = polyring.kernel(spec)
+    rng = random.Random(spec.q)
+    carried = p_divides = False
+    for n in range(1, 61):
+        comps = crt_split(spec, n)
+        levels = polyring._residue_tree(spec, n)
+        assert levels[0] == tuple((c.pi**c.e)._f for c in comps)
+        carried |= any(len(level) % 2 and len(level) > 1 for level in levels)
+        p_divides |= n % spec.p == 0
+        c = comps[rng.randrange(len(comps))]
+        xs = [Poly.zero(spec), Poly.one(spec), rand_poly(spec, 2 * n, rng),
+              c.pi ** rng.randrange(1, c.e + 2) * rand_poly(spec, n, rng, nonzero=True)]
+        for x in xs:
+            assert polyring.crt_residues(x, n) == [kern.rem(x._f, (c.pi**c.e)._f)
+                                                   for c in comps], (n, x)
+            assert polyring.crt_valuations(x, n) == tuple(
+                _valuation_by_division(x, c.pi, c.e) for c in comps), (n, x)
+    assert carried and p_divides
+
+
 def test_crt_split_never_factorizes(monkeypatch):
     """crt_split neither calls factorize nor draws Cantor-Zassenhaus
     residues: every split it runs is in the fixed subalgebra, k = 1."""
